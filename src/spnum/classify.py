@@ -22,6 +22,8 @@ __all__ = [
     "verify_sp_witness",
 ]
 
+_SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
 
 @dataclass(frozen=True)
 class SpWitness:
@@ -30,6 +32,16 @@ class SpWitness:
     n: int
     p: int
     a: int
+
+    def checks(self) -> list[str]:
+        """Names of the failed invariants, empty iff valid.  Never factors n, so
+        it stays cheap for hundred-digit square bases (Pell-built gap pairs)."""
+        conditions = (("a >= 2", self.a >= 2), ("n = p·a²", self.n == self.p * self.a**2),
+                      ("p prime", is_prime(self.p)))
+        return [name for name, ok in conditions if not ok]
+
+    def __str__(self) -> str:
+        return f"{self.n} = {self.p} · {self.a}²"
 
 
 @dataclass(frozen=True)
@@ -40,6 +52,9 @@ class KpWitness:
     k: int
     p: int
     a: int
+
+    def __str__(self) -> str:
+        return f"{self.n} = {self.p} · {self.a}{str(self.k).translate(_SUP)}"
 
 
 @dataclass(frozen=True)
@@ -87,10 +102,9 @@ def verify_sp_witness(w: SpWitness) -> bool:
     """True iff w is a valid SP certificate: p prime, a >= 2, n = p*a^2.
 
     By uniqueness of the decomposition this is equivalent to
-    sp_decompose(w.n) == w, but it never factors w.n, so it stays cheap
-    for witnesses with hundred-digit square bases (Pell-built gap pairs).
+    sp_decompose(w.n) == w, but it never factors w.n (see SpWitness.checks).
     """
-    return w.a >= 2 and w.n == w.p * w.a**2 and is_prime(w.p)
+    return not w.checks()
 
 
 def psp_decompose(n: int) -> PspWitness | None:

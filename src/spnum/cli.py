@@ -18,23 +18,13 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import analytic, census, construct, pell
-from .classify import kp_decompose, sp_decompose, verify_sp_witness
+from .classify import kp_decompose, sp_decompose
 
 MAX_CENSUS_BOUND = 10**10  # sieve memory/time budget for one invocation
-
-_SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-
-
-def _sup(k: int) -> str:
-    return str(k).translate(_SUP)
 
 
 def _fmt6(x: float) -> str:
     return f"{x:.6g}"
-
-
-def _sp_str(n: int, p: int, a: int, k: int = 2) -> str:
-    return f"{n} = {p} · {a}{_sup(k)}"
 
 
 def _nat(text: str) -> int:
@@ -52,12 +42,6 @@ def _emit_json(command: str, parameters: dict, results: list) -> None:
     print(json.dumps({"command": command, "parameters": parameters, "results": results}, indent=2))
 
 
-def _jsonable(obj):
-    if hasattr(obj, "__dataclass_fields__"):
-        return asdict(obj)
-    return obj
-
-
 # ---------------------------------------------------------------- classify
 
 
@@ -73,7 +57,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if w is None:
         print(f"{n} is not a KP_{k} number")
         return 1
-    print(_sp_str(w.n, w.p, w.a, w.k))
+    print(w)
     return 0
 
 
@@ -163,80 +147,6 @@ def cmd_digits(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- witness
 
 
-def _verify_sp(w) -> bool:
-    # invariant check, equivalent to sp_decompose(w.n) == w by uniqueness
-    # but safe for witnesses too large to factor
-    return verify_sp_witness(w)
-
-
-def _verify_witness(kind: str, w) -> bool:
-    if kind == "gap":
-        return construct.verify_gap_witness(w)
-    if kind == "x2p1":
-        return w.sp.n == w.x**2 + 1 and _verify_sp(w.sp)
-    if kind == "between-squares":
-        return (
-            w.sp.n == 2 * w.n**2
-            and w.x**2 < w.sp.n < (w.x + 2) ** 2
-            and _verify_sp(w.sp)
-        )
-    if kind == "sum":
-        return (
-            w.part1.n + w.part2.n == w.input.n
-            and w.q == w.u**2 + w.v**2
-            and w.q % 4 == 1
-            and w.input.a % w.q == 0
-            and _verify_sp(w.input)
-            and _verify_sp(w.part1)
-            and _verify_sp(w.part2)
-        )
-    if kind == "x3p1":
-        p, x, y = w.curve_point
-        return (
-            w.sp.n == x**3 + 1
-            and p == w.sp.p
-            and y == w.sp.p * w.sp.a
-            and y * y == p * x**3 + p
-            and _verify_sp(w.sp)
-        )
-    raise ValueError(kind)  # pragma: no cover
-
-
-def _witness_lines(kind: str, w) -> list[str]:
-    if kind == "gap":
-        lines = [
-            f"gap {w.x}: {w.hi.n} - {w.lo.n} = {w.x}  [case {w.case_tag}]",
-            f"  hi: {_sp_str(w.hi.n, w.hi.p, w.hi.a)}",
-            f"  lo: {_sp_str(w.lo.n, w.lo.p, w.lo.a)}",
-        ]
-        if w.case_tag == "PRIME":
-            s = w.aux["pell"]
-            lines.append(f"  pell: D={s.D} (x, y) = ({s.x}, {s.y})")
-        if w.case_tag == "NONSQUAREFREE":
-            lines.append(f"  scaled by t={w.aux['t']} from gap {w.aux['s']}")
-        return lines
-    if kind == "x2p1":
-        return [f"x={w.x}: {_sp_str(w.sp.n, w.sp.p, w.sp.a)}"]
-    if kind == "between-squares":
-        return [
-            f"x={w.x}: {w.x**2} < {_sp_str(w.sp.n, w.sp.p, w.sp.a)} < {(w.x + 2) ** 2}"
-        ]
-    if kind == "sum":
-        return [
-            f"{w.input.n} = {w.part1.n} + {w.part2.n}"
-            f"  [q={w.q} = {w.u}² + {w.v}²]",
-            f"  part1: {_sp_str(w.part1.n, w.part1.p, w.part1.a)}",
-            f"  part2: {_sp_str(w.part2.n, w.part2.p, w.part2.a)}",
-        ]
-    if kind == "x3p1":
-        p, x, y = w.curve_point
-        t = f" t={w.t}" if hasattr(w, "t") else ""
-        return [
-            f"x={x}:{t} {_sp_str(w.sp.n, w.sp.p, w.sp.a)}  curve (p, x, y) = ({p}, {x}, {y})"
-        ]
-    raise ValueError(kind)  # pragma: no cover
-
-
 def cmd_witness(args: argparse.Namespace) -> int:
     kind = args.kind
     witnesses: list
@@ -264,13 +174,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
             witnesses = construct.x3p1_scan(args.bound)
         else:
             witnesses = construct.x3p1_family(args.t_max)
-    verified = [_verify_witness(kind, w) for w in witnesses] if args.verify else None
+    failed = [w.checks() for w in witnesses] if args.verify else None
     if args.format == "json":
         results = []
         for i, w in enumerate(witnesses):
             entry = asdict(w)
-            if verified is not None:
-                entry["verified"] = verified[i]
+            if failed is not None:
+                entry["verified"] = not failed[i]
             results.append(entry)
         params = {
             key: value
@@ -280,11 +190,11 @@ def cmd_witness(args: argparse.Namespace) -> int:
         _emit_json(f"witness {kind}", params, results)
     else:
         for i, w in enumerate(witnesses):
-            for line in _witness_lines(kind, w):
+            for line in w.lines():
                 print(line)
-            if verified is not None:
-                print(f"  verify: {'PASS' if verified[i] else 'FAIL'}")
-    if verified is not None and not all(verified):
+            if failed is not None:
+                print(f"  verify: FAIL ({'; '.join(failed[i])})" if failed[i] else "  verify: PASS")
+    if failed is not None and any(failed):
         return 1
     return 0
 

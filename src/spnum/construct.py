@@ -2,8 +2,8 @@
 families, between-squares witnesses, and two-term sum decompositions.
 
 Every constructor returns a witness object carrying all the data a third
-party needs to re-check it; verification goes through `classify` only and
-never trusts the construction path.
+party needs to re-check it: its checks() name the failed invariants through
+`classify` only, never trusting the construction path; its lines() render it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from math import gcd, isqrt
 
 from .arith import factorize, ikroot, is_prime, squarefree_decompose
 from .census import sieve_primes
-from .classify import SpWitness, sp_decompose, verify_sp_witness
+from .classify import SpWitness, sp_decompose
 from .pell import fundamental_solution, solution_stream
 
 __all__ = [
@@ -36,6 +36,26 @@ __all__ = [
 ]
 
 
+def _failed(conditions: dict[str, bool], **parts: SpWitness) -> list[str]:
+    """Names of the false conditions, then the failed checks of each SP part
+    prefixed by its field name (e.g. "hi.p prime")."""
+    return [name for name, ok in conditions.items() if not ok] + [
+        f"{field}.{name}" for field, sp in parts.items() for name in sp.checks()
+    ]
+
+
+def _curve_checks(sp: SpWitness, curve_point: tuple[int, int, int]) -> list[str]:
+    """Shared by both x^3 + 1 witness types: the curve point (p, x, y)
+    matches sp and lies on y^2 = p*x^3 + p."""
+    p, x, y = curve_point
+    return _failed({
+        "sp.n = x³+1": sp.n == x**3 + 1,
+        "curve p = sp.p": p == sp.p,
+        "curve y = sp.p·sp.a": y == sp.p * sp.a,
+        "y² = p·x³ + p": y * y == p * x**3 + p,
+    }, sp=sp)
+
+
 @dataclass(frozen=True)
 class GapWitness:
     """Pair of SP numbers with hi.n - lo.n = x, plus construction data."""
@@ -46,6 +66,22 @@ class GapWitness:
     case_tag: str
     aux: dict
 
+    def checks(self) -> list[str]:
+        return _failed({"hi.n - lo.n = x": self.hi.n - self.lo.n == self.x}, hi=self.hi, lo=self.lo)
+
+    def lines(self) -> list[str]:
+        lines = [
+            f"gap {self.x}: {self.hi.n} - {self.lo.n} = {self.x}  [case {self.case_tag}]",
+            f"  hi: {self.hi}",
+            f"  lo: {self.lo}",
+        ]
+        if self.case_tag == "PRIME":
+            s = self.aux["pell"]
+            lines.append(f"  pell: D={s.D} (x, y) = ({s.x}, {s.y})")
+        if self.case_tag == "NONSQUAREFREE":
+            lines.append(f"  scaled by t={self.aux['t']} from gap {self.aux['s']}")
+        return lines
+
 
 @dataclass(frozen=True)
 class X2p1Witness:
@@ -53,6 +89,12 @@ class X2p1Witness:
 
     x: int
     sp: SpWitness
+
+    def checks(self) -> list[str]:
+        return _failed({"sp.n = x²+1": self.sp.n == self.x**2 + 1}, sp=self.sp)
+
+    def lines(self) -> list[str]:
+        return [f"x={self.x}: {self.sp}"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +104,15 @@ class BetweenSquaresWitness:
     x: int
     n: int
     sp: SpWitness
+
+    def checks(self) -> list[str]:
+        return _failed({
+            "sp.n = 2·n²": self.sp.n == 2 * self.n**2,
+            "x² < sp.n < (x+2)²": self.x**2 < self.sp.n < (self.x + 2) ** 2,
+        }, sp=self.sp)
+
+    def lines(self) -> list[str]:
+        return [f"x={self.x}: {self.x**2} < {self.sp} < {(self.x + 2) ** 2}"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +127,22 @@ class SumWitness:
     part1: SpWitness
     part2: SpWitness
 
+    def checks(self) -> list[str]:
+        return _failed({
+            "part1.n + part2.n = input.n": self.part1.n + self.part2.n == self.input.n,
+            "q = u² + v²": self.q == self.u**2 + self.v**2,
+            "q ≡ 1 (mod 4)": self.q % 4 == 1,
+            "q | input.a": self.input.a % self.q == 0,
+        }, input=self.input, part1=self.part1, part2=self.part2)
+
+    def lines(self) -> list[str]:
+        return [
+            f"{self.input.n} = {self.part1.n} + {self.part2.n}"
+            f"  [q={self.q} = {self.u}² + {self.v}²]",
+            f"  part1: {self.part1}",
+            f"  part2: {self.part2}",
+        ]
+
 
 @dataclass(frozen=True)
 class X3p1Witness:
@@ -88,6 +155,13 @@ class X3p1Witness:
     sp: SpWitness
     curve_point: tuple[int, int, int]
 
+    def checks(self) -> list[str]:
+        return _curve_checks(self.sp, self.curve_point)
+
+    def lines(self) -> list[str]:
+        p, x, y = self.curve_point
+        return [f"x={x}: t={self.t} {self.sp}  curve (p, x, y) = ({p}, {x}, {y})"]
+
 
 @dataclass(frozen=True)
 class X3p1ScanWitness:
@@ -97,6 +171,13 @@ class X3p1ScanWitness:
     x: int
     sp: SpWitness
     curve_point: tuple[int, int, int]
+
+    def checks(self) -> list[str]:
+        return _curve_checks(self.sp, self.curve_point)
+
+    def lines(self) -> list[str]:
+        p, x, y = self.curve_point
+        return [f"x={x}: {self.sp}  curve (p, x, y) = ({p}, {x}, {y})"]
 
 
 def gap_witness(x: int) -> GapWitness:
@@ -147,16 +228,10 @@ def gap_witness(x: int) -> GapWitness:
 
 
 def verify_gap_witness(w: GapWitness) -> bool:
-    """Independent check of a GapWitness: both members must be valid SP
-    certificates (prime p, a >= 2, n = p*a^2, which by uniqueness pins the
-    decomposition) and the difference must equal w.x.  Uses only the
-    classifier, never the constructor's case data; PRIME-case members carry
-    Pell-sized square bases, so the check must not factor them."""
-    return (
-        verify_sp_witness(w.hi)
-        and verify_sp_witness(w.lo)
-        and w.hi.n - w.lo.n == w.x
-    )
+    """True iff both members are valid SP certificates (which by uniqueness
+    pins the decomposition) and hi.n - lo.n == x.  Ignores the constructor's
+    case data and never factors the Pell-sized PRIME-case members."""
+    return not w.checks()
 
 
 def x2p1_stream(count: int) -> list[X2p1Witness]:
@@ -204,8 +279,8 @@ def sum_decompose(sp: SpWitness) -> SumWitness | None:
     writing a = scale*q gives p*(scale*X)^2 + p*(scale*Y)^2 = p*a^2.  Both
     X and Y exceed 1, so both parts are genuine SP numbers.
     """
-    if sp.a < 2 or sp.n != sp.p * sp.a**2 or not is_prime(sp.p):
-        raise ValueError(f"invalid SP witness {sp}")
+    if sp.checks():
+        raise ValueError(f"invalid SP witness {sp!r}")
     q = next((f for f, _ in factorize(sp.a).factors if f % 4 == 1), None)
     if q is None:
         return None

@@ -155,3 +155,17 @@ def test_verify_sp_witness_rejects_tampering():
     assert not verify_sp_witness(SpWitness(100, 4, 5))  # 4 not prime
     assert not verify_sp_witness(SpWitness(3, 3, 1))  # a < 2
     assert verify_sp_witness(SpWitness(75, 3, 5))
+
+
+def test_sp_checks_name_failed_invariants():
+    assert SpWitness(75, 3, 5).checks() == []
+    assert SpWitness(75, 5, 3).checks() == ["n = p·a²"]
+    assert SpWitness(100, 4, 5).checks() == ["p prime"]
+    assert SpWitness(3, 3, 1).checks() == ["a >= 2"]
+    assert SpWitness(12, 12, 1).checks() == ["a >= 2", "p prime"]
+
+
+def test_witness_str():
+    assert str(SpWitness(75, 3, 5)) == "75 = 3 · 5²"
+    assert str(KpWitness(7 * 2**10, 10, 7, 2)) == "7168 = 7 · 2¹⁰"
+    assert repr(SpWitness(75, 3, 5)) == "SpWitness(n=75, p=3, a=5)"

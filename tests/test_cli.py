@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from math import log
 
 import pytest
 
-from spnum import analytic
+from spnum import analytic, construct
+from spnum.classify import SpWitness
 from spnum.cli import main
 
 
@@ -229,6 +231,24 @@ def test_witness_between_squares(capsys):
     assert out.splitlines()[0] == "x=10: 100 < 128 = 2 · 8² < 144"
     assert "verify: PASS" in out
     assert run(capsys, "witness", "between-squares", "0")[0] == 2
+
+
+def test_witness_verify_failure(capsys, monkeypatch):
+    real = construct.between_squares
+    monkeypatch.setattr(construct, "between_squares", lambda x: dataclasses.replace(
+        real(x), sp=SpWitness(162, 2, 9)))
+    rc, out, _ = run(capsys, "witness", "between-squares", "10", "--verify")
+    assert rc == 1
+    assert out.splitlines() == [
+        "x=10: 100 < 162 = 2 · 9² < 144",
+        "  verify: FAIL (sp.n = 2·n²; x² < sp.n < (x+2)²)",
+    ]
+    rc, out, _ = run(capsys, "witness", "between-squares", "10", "--verify",
+                     "--format", "json")
+    assert rc == 1
+    assert json.loads(out)["results"][0]["verified"] is False
+    # without --verify nothing is checked
+    assert run(capsys, "witness", "between-squares", "10")[0] == 0
 
 
 def test_witness_sum(capsys):

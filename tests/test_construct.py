@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from spnum import construct
 from spnum.arith import is_prime
 from spnum.classify import SpWitness, sp_decompose, verify_sp_witness
 from spnum.construct import (
@@ -92,6 +93,53 @@ def test_gap_rejects_tampering():
         dataclasses.replace(w, lo=SpWitness(12, 12, 1)))
     with pytest.raises(ValueError):
         gap_witness(0)
+
+
+# per witness type: (a real witness, a one-field tamper, the names it must fail)
+TAMPER_CASES = {
+    "GapWitness": (lambda: gap_witness(6), {"x": 5}, ["hi.n - lo.n = x"]),
+    "X2p1Witness": (lambda: x2p1_stream(1)[0], {"x": 8}, ["sp.n = x²+1"]),
+    "BetweenSquaresWitness": (
+        lambda: between_squares(10), {"x": 12}, ["x² < sp.n < (x+2)²"]),
+    "SumWitness": (
+        lambda: sum_decompose(sp_decompose(50)), {"u": 3}, ["q = u² + v²"]),
+    "X3p1Witness": (
+        lambda: x3p1_family(2)[0], {"sp": SpWitness(28, 7, 3)},
+        ["curve y = sp.p·sp.a", "sp.n = p·a²"]),
+    "X3p1ScanWitness": (
+        lambda: x3p1_scan(28)[0], {"curve_point": (7, 3, 15)},
+        ["curve y = sp.p·sp.a", "y² = p·x³ + p"]),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in construct.__all__ if n.endswith("Witness")])
+def test_witness_checks_name_the_tampered_invariant(name):
+    make, change, expect = TAMPER_CASES[name]  # every witness type needs a case
+    w = make()
+    assert type(w).__name__ == name
+    assert w.checks() == []
+    assert dataclasses.replace(w, **change).checks() == expect
+
+
+def test_witness_checks_prefix_member_invariants():
+    w = gap_witness(6)
+    assert dataclasses.replace(w, lo=SpWitness(12, 12, 1)).checks() == [
+        "lo.a >= 2", "lo.p prime"]
+    w = sum_decompose(sp_decompose(50))
+    assert dataclasses.replace(w, part2=SpWitness(32, 2, 5)).checks() == [
+        "part2.n = p·a²"]
+    assert dataclasses.replace(w, part2=SpWitness(50, 2, 5)).checks() == [
+        "part1.n + part2.n = input.n"]
+
+
+def test_gap_lines_scaled_case():
+    assert gap_witness(9).lines() == [
+        "gap 9: 252 - 243 = 9  [case NONSQUAREFREE]",
+        "  hi: 252 = 7 · 6²",
+        "  lo: 243 = 3 · 9²",
+        "  scaled by t=3 from gap 1",
+    ]
 
 
 def test_x2p1_scan():
