@@ -12,7 +12,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt, log
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,9 +30,6 @@ __all__ = [
     "digit_census",
     "census_table",
 ]
-
-SEGMENT_SIZE = 1 << 20
-
 
 @dataclass(frozen=True)
 class CensusRow:
@@ -65,36 +62,54 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def _prime_pi_many(xs: Iterable[int], segment_size: int = SEGMENT_SIZE) -> dict[int, int]:
-    """pi(x) for every query in xs, in one segmented pass up to max(xs)."""
-    queries = sorted({int(x) for x in xs})
-    out = {x: 0 for x in queries if x < 2}
-    queries = [x for x in queries if x >= 2]
-    if not queries:
-        return out
-    top = queries[-1]
-    base = sieve_primes(isqrt(top))
-    count = 0
-    qi = 0
-    for lo in range(2, top + 1, segment_size):
-        hi = min(lo + segment_size, top + 1)
-        seg = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                seg[start - lo :: p] = False
-        cum = np.cumsum(seg)
-        while qi < len(queries) and queries[qi] < hi:
-            out[queries[qi]] = count + int(cum[queries[qi] - lo])
-            qi += 1
-        count += int(cum[-1])
-    return out
+def _pi_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """pi(x) for every floor quotient x = n // m of n, by Lucy_Hedgehog.
+
+    Builds ``small[v] = pi(v)`` for v <= r = isqrt(n) and
+    ``large[i] = pi(n // i)`` for 1 <= i <= r in O(n^(3/4)) time and
+    O(sqrt(n)) memory, and returns a lookup that maps an int64 array of
+    floor quotients of n to their prime counts.  Other x give wrong counts.
+    """
+    r = isqrt(n)
+    small = np.arange(-1, r, dtype=np.int64)  # v - 1 integers in [2, v] before sifting
+    small[0] = 0
+    quot = np.zeros(r + 1, dtype=np.int64)  # quot[i] = n // i; index 0 unused
+    quot[1:] = n // np.arange(1, r + 1, dtype=np.int64)
+    large = quot - 1
+
+    def sift(p: int) -> None:
+        # pi(v) -= pi(v // p) - pi(p - 1) for every quotient v >= p^2, where
+        # (n // i) // p is large[i * p] while i * p <= r and small[...] beyond.
+        # Each right-hand side is read in full before its in-place update, so
+        # every term sees the table as it stood before p.
+        sp = small[p - 1]
+        lim = min(r, n // (p * p))
+        b = min(lim, r // p)
+        large[1 : b + 1] -= large[p : b * p + 1 : p] - sp
+        large[b + 1 : lim + 1] -= small[quot[b + 1 : lim + 1] // p] - sp
+        if p * p <= r:
+            # v // p for v = p^2..r is p, p, ..., p + 1, ... (p copies each)
+            small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - sp
+
+    root = isqrt(r)
+    for p in range(2, root + 1):
+        if small[p] != small[p - 1]:
+            sift(p)
+    # small is final once every p <= sqrt(r) is sifted; it marks the rest
+    for p in (np.flatnonzero(np.diff(small[root:])) + root + 1).tolist():
+        sift(p)
+
+    def lookup(xs: np.ndarray) -> np.ndarray:
+        return np.where(xs <= r, small[np.minimum(xs, r)], large[n // np.maximum(xs, r + 1)])
+
+    return lookup
 
 
-def prime_pi(x: int, segment_size: int = SEGMENT_SIZE) -> int:
-    """Number of primes <= x, exact, by segmented sieve."""
-    return _prime_pi_many([x], segment_size)[x]
+def prime_pi(x: int) -> int:
+    """Number of primes <= x, exact, by the floor-quotient table for x."""
+    if x < 2:
+        return 0
+    return int(_pi_table(x)(np.array([x], dtype=np.int64))[0])
 
 
 def kp_enumerate(n: int, k: int = 2) -> Iterator[KpWitness]:
@@ -127,9 +142,8 @@ def kp_count(n: int, k: int = 2) -> int:
     a_max = ikroot(n // 2, k) if n >= 2 else 0
     if a_max < 2:
         return 0
-    quotients = [n // a**k for a in range(2, a_max + 1)]
-    pi = _prime_pi_many(quotients)
-    return sum(pi[q] for q in quotients)
+    a = np.arange(2, a_max + 1, dtype=np.int64)
+    return int(_pi_table(n)(n // a**k).sum())
 
 
 def psp_count(n: int) -> int:
@@ -140,12 +154,8 @@ def psp_count(n: int) -> int:
     """
     if n < 8:
         return 0
-    ps = sieve_primes(isqrt(n // 2)).tolist()
-    if not ps:
-        return 0
-    quotients = [n // (p * p) for p in ps]
-    pi = _prime_pi_many(quotients)
-    return sum(pi[q] for q in quotients)
+    ps = sieve_primes(isqrt(n // 2))
+    return int(_pi_table(n)(n // (ps * ps)).sum())
 
 
 def digit_census(n: int) -> DigitCensus:

@@ -20,7 +20,8 @@ from fractions import Fraction
 from . import analytic, census, construct, pell
 from .classify import kp_decompose, sp_decompose
 
-MAX_CENSUS_BOUND = 10**10  # sieve memory/time budget for one invocation
+MAX_CENSUS_BOUND = 10**12  # prime-count table: 3·isqrt(bound) int64 entries while built (24 MB)
+MAX_DIGITS_BOUND = 10**8  # enumeration: sieve to bound/4, then every SP number <= bound
 
 
 def _fmt6(x: float) -> str:
@@ -75,7 +76,8 @@ def cmd_census(args: argparse.Namespace) -> int:
         return 2
     if bound > MAX_CENSUS_BOUND:
         print(
-            f"error: bound {bound} exceeds the sieve budget ({MAX_CENSUS_BOUND}); "
+            f"error: bound {bound} exceeds the prime-count table budget ({MAX_CENSUS_BOUND}; "
+            "the table holds 3·isqrt(bound) int64 entries); "
             "raise MAX_CENSUS_BOUND only with memory to spare",
             file=sys.stderr,
         )
@@ -120,6 +122,13 @@ def cmd_digits(args: argparse.Namespace) -> int:
     bound = args.bound
     if bound < 2:
         print(f"error: bound must be >= 2, got {bound}", file=sys.stderr)
+        return 2
+    if bound > MAX_DIGITS_BOUND:
+        print(
+            f"error: bound {bound} exceeds the enumeration budget ({MAX_DIGITS_BOUND}); "
+            "every SP number <= bound is generated, so time and memory grow with bound",
+            file=sys.stderr,
+        )
         return 2
     dc = census.digit_census(bound)
     est = analytic.digit1_estimate(bound) if bound >= 3 else None

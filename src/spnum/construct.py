@@ -44,11 +44,12 @@ def _failed(conditions: dict[str, bool], **parts: SpWitness) -> list[str]:
     ]
 
 
-def _curve_checks(sp: SpWitness, curve_point: tuple[int, int, int]) -> list[str]:
+def _curve_checks(x0: int, sp: SpWitness, curve_point: tuple[int, int, int]) -> list[str]:
     """Shared by both x^3 + 1 witness types: the curve point (p, x, y)
-    matches sp and lies on y^2 = p*x^3 + p."""
+    matches x0 and sp and lies on y^2 = p*x^3 + p."""
     p, x, y = curve_point
     return _failed({
+        "curve x = x": x == x0,
         "sp.n = x³+1": sp.n == x**3 + 1,
         "curve p = sp.p": p == sp.p,
         "curve y = sp.p·sp.a": y == sp.p * sp.a,
@@ -156,7 +157,10 @@ class X3p1Witness:
     curve_point: tuple[int, int, int]
 
     def checks(self) -> list[str]:
-        return _curve_checks(self.sp, self.curve_point)
+        return _failed({
+            "x = t²-1": self.x == self.t**2 - 1,
+            "f_t = t⁴-3t²+3 = sp.p": self.f_t == _f(self.t) == self.sp.p,
+        }) + _curve_checks(self.x, self.sp, self.curve_point)
 
     def lines(self) -> list[str]:
         p, x, y = self.curve_point
@@ -173,7 +177,7 @@ class X3p1ScanWitness:
     curve_point: tuple[int, int, int]
 
     def checks(self) -> list[str]:
-        return _curve_checks(self.sp, self.curve_point)
+        return _curve_checks(self.x, self.sp, self.curve_point)
 
     def lines(self) -> list[str]:
         p, x, y = self.curve_point

@@ -9,6 +9,7 @@ from spnum import analytic
 from spnum.census import (
     CensusRow,
     DigitCensus,
+    _pi_table,
     census_table,
     digit_census,
     kp_count,
@@ -20,15 +21,65 @@ from spnum.census import (
 from spnum.classify import kp_decompose, psp_decompose
 
 
-def _pi_brute(x: int) -> int:
-    if x < 2:
-        return 0
+def _prime_mask(x: int) -> bytearray:
+    """mask[v] = 1 iff v is prime, for 0 <= v <= x (x >= 1)."""
     mask = bytearray([1]) * (x + 1)
     mask[0:2] = b"\x00\x00"
     for p in range(2, isqrt(x) + 1):
         if mask[p]:
             mask[p * p :: p] = b"\x00" * len(mask[p * p :: p])
-    return sum(mask)
+    return mask
+
+
+def _pi_brute(x: int) -> int:
+    return sum(_prime_mask(x)) if x >= 2 else 0
+
+
+def pi_segmented(xs, segment_size: int = 1 << 20) -> dict[int, int]:
+    """pi(x) for every query in xs, in one segmented-sieve pass up to max(xs).
+
+    Test oracle for the library's floor-quotient table: a different
+    algorithm, memory O(segment_size + sqrt(max(xs))), practical to ~1e8.
+    """
+    queries = sorted({int(x) for x in xs})
+    out = {x: 0 for x in queries if x < 2}
+    queries = [x for x in queries if x >= 2]
+    if not queries:
+        return out
+    top = queries[-1]
+    base_mask = _prime_mask(isqrt(top))
+    base = [p for p in range(2, len(base_mask)) if base_mask[p]]
+    count = 0
+    qi = 0
+    for lo in range(2, top + 1, segment_size):
+        hi = min(lo + segment_size, top + 1)
+        seg = np.ones(hi - lo, dtype=bool)
+        for p in base:
+            start = max(p * p, ((lo + p - 1) // p) * p)
+            if start < hi:
+                seg[start - lo :: p] = False
+        cum = np.cumsum(seg)
+        while qi < len(queries) and queries[qi] < hi:
+            out[queries[qi]] = count + int(cum[queries[qi] - lo])
+            qi += 1
+        count += int(cum[-1])
+    return out
+
+
+# Published values of pi(10^k).
+PUBLISHED_PI = {
+    10**1: 4,
+    10**2: 25,
+    10**3: 168,
+    10**4: 1229,
+    10**5: 9592,
+    10**6: 78498,
+    10**7: 664579,
+    10**8: 5761455,
+    10**9: 50847534,
+    10**10: 455052511,
+    10**11: 4118054813,
+}
 
 
 def _kp_mask(limit: int, k: int) -> np.ndarray:
@@ -62,15 +113,34 @@ def test_prime_pi_examples():
     assert prime_pi(10**6) == 78498
 
 
+def test_prime_pi_published():
+    for x, want in PUBLISHED_PI.items():
+        assert prime_pi(x) == want, x
+
+
 def test_prime_pi_matches_sieve():
-    for x in (0, 1, 2, 3, 541, 542, 9999, 10**5):
-        assert prime_pi(x) == _pi_brute(x), x
+    squares = [q for p in (2, 3, 5, 7, 11, 97, 541, 1009) for q in (p * p - 1, p * p, p * p + 1)]
+    xs = [0, 1, 2, 3, *squares, 541, 542, 9999, 10**5 + 3, 123457, 999983]
+    oracle = pi_segmented(xs)
+    for x in xs:
+        assert prime_pi(x) == oracle[x] == _pi_brute(x), x
 
 
 def test_prime_pi_small_segments():
-    # tiny segment size forces many segment crossings
-    for x in (0, 1, 2, 100, 101, 102, 997, 1000):
-        assert prime_pi(x, segment_size=101) == prime_pi(x), x
+    # a tiny oracle segment size forces many segment crossings
+    xs = (0, 1, 2, 100, 101, 102, 997, 1000, 10**4 + 7)
+    oracle = pi_segmented(xs, segment_size=101)
+    for x in xs:
+        assert oracle[x] == prime_pi(x) == _pi_brute(x), x
+
+
+def test_pi_table_at_every_floor_quotient():
+    # both halves of the table: quotients v <= isqrt(n) and n // i for i <= isqrt(n)
+    for n in (*range(0, 50), 99, 100, 101, 9999, 10**4, 123456, 10**6 + 7):
+        quotients = sorted({n // m for m in range(1, isqrt(n) + 2)} | set(range(isqrt(n) + 1)))
+        got = _pi_table(n)(np.array(quotients, dtype=np.int64)).tolist()
+        oracle = pi_segmented(quotients, segment_size=4096)
+        assert got == [oracle[q] for q in quotients], n
 
 
 def test_kp_enumerate_examples():
@@ -122,6 +192,7 @@ def test_count_equals_kernel_scan_1e5():
 
 
 def test_kp_count_frozen_values():
+    assert kp_count(10**10, 2) == 343574817  # the segmented-sieve route's value
     assert kp_count(117, 2) == 25
     assert kp_count(10**3, 2) == 169
     assert kp_count(10**4, 2) == 1230

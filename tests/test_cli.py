@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from math import log
+from pathlib import Path
 
 import pytest
 
-from spnum import analytic, construct
+import spnum
+from spnum import analytic, census, construct
 from spnum.classify import SpWitness
 from spnum.cli import main
 
@@ -126,7 +129,19 @@ def test_census_validation_errors(capsys):
     assert run(capsys, "census", "100", "--checkpoints", "50,20")[0] == 2
     assert run(capsys, "census", "100", "--checkpoints", "50,200")[0] == 2
     assert run(capsys, "census", "100", "--family", "psp", "--k", "3")[0] == 2
-    assert run(capsys, "census", "1e11")[0] == 2
+    assert run(capsys, "census", "1000000000001")[0] == 2
+
+
+def test_census_budget_refused_before_counting(capsys, monkeypatch):
+    def boom(checkpoints, k, family):
+        raise AssertionError(f"census_table({checkpoints}) called")
+
+    monkeypatch.setattr(census, "census_table", boom)
+    rc, out, err = run(capsys, "census", "1000000000001")
+    assert rc == 2 and out == ""
+    assert "exceeds the prime-count table budget (1000000000000" in err
+    with pytest.raises(AssertionError, match=r"census_table\(\[1000000000000\]\)"):
+        main(["census", "1e12"])  # the largest bound passes the guard
 
 
 def test_census_deterministic(capsys):
@@ -168,6 +183,18 @@ def test_digits_json(capsys):
 
 def test_digits_validation(capsys):
     assert run(capsys, "digits", "1")[0] == 2
+
+
+def test_digits_budget_refused_before_enumeration(capsys, monkeypatch):
+    def boom(n):
+        raise AssertionError(f"digit_census({n}) called")
+
+    monkeypatch.setattr(census, "digit_census", boom)
+    rc, out, err = run(capsys, "digits", "100000001")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: bound 100000001 exceeds the enumeration budget (100000000)")
+    with pytest.raises(AssertionError, match=r"digit_census\(100000000\)"):
+        main(["digits", "1e8"])  # the largest bound passes the guard
 
 
 def test_witness_gap(capsys):
@@ -384,8 +411,12 @@ def test_bunyakovsky_json(capsys):
 
 
 def test_module_entry_point():
+    # the child imports spnum from wherever this process did (src/ or an install)
+    src = str(Path(spnum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "spnum.cli", "classify", "75"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "75 = 3 · 5²"

@@ -95,31 +95,36 @@ def test_gap_rejects_tampering():
         gap_witness(0)
 
 
-# per witness type: (a real witness, a one-field tamper, the names it must fail)
+# per witness type: (a real witness, [(a one-field tamper, the names it must fail)])
 TAMPER_CASES = {
-    "GapWitness": (lambda: gap_witness(6), {"x": 5}, ["hi.n - lo.n = x"]),
-    "X2p1Witness": (lambda: x2p1_stream(1)[0], {"x": 8}, ["sp.n = x²+1"]),
+    "GapWitness": (lambda: gap_witness(6), [({"x": 5}, ["hi.n - lo.n = x"])]),
+    "X2p1Witness": (lambda: x2p1_stream(1)[0], [({"x": 8}, ["sp.n = x²+1"])]),
     "BetweenSquaresWitness": (
-        lambda: between_squares(10), {"x": 12}, ["x² < sp.n < (x+2)²"]),
+        lambda: between_squares(10), [({"x": 12}, ["x² < sp.n < (x+2)²"])]),
     "SumWitness": (
-        lambda: sum_decompose(sp_decompose(50)), {"u": 3}, ["q = u² + v²"]),
-    "X3p1Witness": (
-        lambda: x3p1_family(2)[0], {"sp": SpWitness(28, 7, 3)},
-        ["curve y = sp.p·sp.a", "sp.n = p·a²"]),
-    "X3p1ScanWitness": (
-        lambda: x3p1_scan(28)[0], {"curve_point": (7, 3, 15)},
-        ["curve y = sp.p·sp.a", "y² = p·x³ + p"]),
+        lambda: sum_decompose(sp_decompose(50)), [({"u": 3}, ["q = u² + v²"])]),
+    "X3p1Witness": (lambda: x3p1_family(2)[0], [
+        ({"sp": SpWitness(28, 7, 3)}, ["curve y = sp.p·sp.a", "sp.n = p·a²"]),
+        ({"t": 3}, ["x = t²-1", "f_t = t⁴-3t²+3 = sp.p"]),
+        ({"x": 4}, ["x = t²-1", "curve x = x"]),
+        ({"f_t": 11}, ["f_t = t⁴-3t²+3 = sp.p"]),
+    ]),
+    "X3p1ScanWitness": (lambda: x3p1_scan(28)[0], [
+        ({"curve_point": (7, 3, 15)}, ["curve y = sp.p·sp.a", "y² = p·x³ + p"]),
+        ({"x": 4}, ["curve x = x"]),
+    ]),
 }
 
 
 @pytest.mark.parametrize(
     "name", [n for n in construct.__all__ if n.endswith("Witness")])
 def test_witness_checks_name_the_tampered_invariant(name):
-    make, change, expect = TAMPER_CASES[name]  # every witness type needs a case
+    make, tampers = TAMPER_CASES[name]  # every witness type needs a case
     w = make()
     assert type(w).__name__ == name
     assert w.checks() == []
-    assert dataclasses.replace(w, **change).checks() == expect
+    for change, expect in tampers:
+        assert dataclasses.replace(w, **change).checks() == expect, change
 
 
 def test_witness_checks_prefix_member_invariants():

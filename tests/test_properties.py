@@ -1,4 +1,5 @@
-"""Property tests: witness checks round-trip and reject single-field tampering."""
+"""Property tests: witness checks round-trip and reject single-field tampering;
+the prime-counting routes agree with their oracles at random sizes."""
 
 import dataclasses
 
@@ -9,8 +10,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from spnum.arith import is_prime  # noqa: E402
+from spnum.census import kp_count, kp_enumerate, prime_pi, psp_count  # noqa: E402
 from spnum.classify import SpWitness, sp_decompose  # noqa: E402
 from spnum.construct import gap_witness  # noqa: E402
+from test_census import pi_segmented  # noqa: E402
 
 LIMIT = 10**9
 
@@ -48,3 +51,18 @@ def test_gap_witness_checks(x):
     w = gap_witness(x)
     assert w.x == x
     assert w.checks() == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**7))
+def test_prime_pi_matches_segmented_sieve(x):
+    assert prime_pi(x) == pi_segmented([x])[x]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**5), st.sampled_from([2, 3]))
+def test_counts_match_enumeration(n, k):
+    witnesses = list(kp_enumerate(n, k))
+    assert kp_count(n, k) == len(witnesses)
+    if k == 2:  # p1 * p2^2 is exactly an SP number whose square base is prime
+        assert psp_count(n) == sum(1 for w in witnesses if is_prime(w.a))
