@@ -172,9 +172,14 @@ def pkp_estimate(n: int, k: int) -> float:
 
 @lru_cache(maxsize=None)
 def digit1_bracket() -> Estimate:
-    """zeta(2,1/10) + zeta(2,9/10) + zeta(2,3/10) + zeta(2,7/10) - 4."""
+    """zeta(2,1/10) + zeta(2,9/10) + zeta(2,3/10) + zeta(2,7/10) - 100.
+
+    100 * sum of 1/a^2 over the bases a = 1, 3, 7, 9 (mod 10), whose
+    squares end in 1 or 9; the 100 removed is the j = 0 term (1/10)^-2 of
+    zeta(2, 1/10), the base a = 1 that SP numbers exclude.
+    """
     parts = [hurwitz_zeta2(Fraction(r, 10)) for r in (1, 9, 3, 7)]
-    val = fsum([p.value for p in parts] + [-4.0])
+    val = fsum([p.value for p in parts] + [-100.0])
     bound = fsum(p.abs_error_bound for p in parts) + 4 * _EPS * abs(val)
     return Estimate(val, bound)
 
@@ -182,5 +187,6 @@ def digit1_bracket() -> Estimate:
 def digit1_estimate(n: int) -> float:
     """Estimator for the count of SP numbers <= n with final digit 1:
     (1/400) * (n / ln n) * (zeta(2,1/10) + zeta(2,9/10) + zeta(2,3/10)
-    + zeta(2,7/10) - 4)."""
+    + zeta(2,7/10) - 100).  Each base a coprime to 10 takes the primes of
+    the one class (of four) that makes p * a^2 end in 1."""
     return digit1_bracket().value / 400.0 * _per_log(n)

@@ -2,8 +2,9 @@
 
 Two independent routes are kept deliberately separate: pair enumeration
 (`kp_enumerate`, merging per-base streams of p*a^k products) and the
-prime-counting identity (`kp_count`, summing pi(n/a^k)).  They must agree
-exactly, and the test suite holds them to that.
+prime-counting identity (`kp_count`, summing pi(n/a^k); `digit_census`,
+summing pi(n/a^2; 10, c) by final digit).  They must agree exactly, and the
+test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -105,6 +106,88 @@ def _pi_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
     return lookup
 
 
+_CLASSES = (1, 3, 7, 9)  # the residues mod 10 of every prime but 2 and 5
+_TAIL_CHUNK = 1 << 16  # (prime, index) pairs gathered at once by the batched tail
+
+
+def _pi_mod10_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """pi(x; 10, c) for c = 1, 3, 7, 9 at every floor quotient x of n.
+
+    `_pi_table` with one row per class: small[j, v] and large[j, i] count
+    the primes = _CLASSES[j] (mod 10) up to v and up to n // i.  A number
+    = c (mod 10) with least prime factor p is p * m with m = c * p^-1, so
+    sifting p moves counts between rows; 2 and 5 divide no member of a
+    class and are never sifted.  The lookup maps an int64 array of floor
+    quotients of n to a (4, len) array of counts.
+    """
+    r = isqrt(n)
+    classes = np.array(_CLASSES, dtype=np.int64)[:, None]
+    # gather[p % 10, j]: the row of the class _CLASSES[j] * p^-1 (mod 10)
+    gather = np.zeros((10, 4), dtype=np.intp)
+    for q in _CLASSES:
+        gather[q] = [_CLASSES.index(c * pow(q, -1, 10) % 10) for c in _CLASSES]
+
+    def initial(v: np.ndarray) -> np.ndarray:
+        # integers in [2, v] per class, before sifting; 1 is not counted
+        rows = (v - classes + 10) // 10
+        rows[0] -= v >= 1
+        return rows
+
+    small = initial(np.arange(r + 1, dtype=np.int64))
+    quot = np.zeros(r + 1, dtype=np.int64)  # quot[i] = n // i; index 0 unused
+    quot[1:] = n // np.arange(1, r + 1, dtype=np.int64)
+    large = initial(quot)
+
+    def sift(p: int) -> None:
+        # as in _pi_table, with row j reading row g[j]; each right-hand side
+        # is gathered (only the columns it needs) before the in-place update
+        g = gather[p % 10]
+        sp = small[g, p - 1]
+        lim = min(r, n // (p * p))
+        b = min(lim, r // p)
+        large[:, 1 : b + 1] -= large[g, p : b * p + 1 : p] - sp[:, None]
+        # the rest reads small only, so one row at a time (a 2-D gather is 2-3x slower)
+        idx = quot[b + 1 : lim + 1] // p
+        for j, row in enumerate(g.tolist()):
+            large[j, b + 1 : lim + 1] -= small[row][idx] - sp[j]
+        if p * p <= r:
+            head = small[g, p : r // p + 1]
+            for j in range(4):
+                small[j, p * p :] -= np.repeat(head[j], p)[: r + 1 - p * p] - sp[j]
+
+    root = isqrt(r)
+    for p in range(3, root + 1):
+        if (small[:, p] != small[:, p - 1]).any():  # p is prime, and not 5
+            sift(p)
+    total = small.sum(axis=0)  # final: every p <= sqrt(r) is sifted
+    primes = np.flatnonzero(np.diff(total[root:])) + root + 1
+    tail = primes[primes > ikroot(n, 3)]
+    for p in primes[: len(primes) - len(tail)].tolist():
+        sift(p)
+
+    # A tail prime p (p^3 > n) reads large[i * p] with i * p >= p, or small,
+    # and writes large[i] for i <= n // p^2 < p.  So no tail prime reads what
+    # another writes, and they sift all at once: one (p, i) pair per update.
+    per = n // (tail * tail)
+    cuts = np.searchsorted(np.cumsum(per), np.arange(_TAIL_CHUNK, per.sum(), _TAIL_CHUNK))
+    for ps, counts in zip(np.split(tail, cuts), np.split(per, cuts)):
+        p = np.repeat(ps, counts)
+        i = np.arange(1, len(p) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        k = i * p
+        inner = k <= r  # (n // i) // p = n // k is large[k], else small[n // k]
+        at = np.where(inner, k, n // np.maximum(k, r + 1))
+        g = gather[p % 10]
+        for j in range(4):
+            rows = g[:, j]
+            got = np.where(inner, large[rows, at], small[rows, at])
+            np.subtract.at(large[j], i, got - small[rows, p - 1])
+
+    def lookup(xs: np.ndarray) -> np.ndarray:
+        return np.where(xs <= r, small[:, np.minimum(xs, r)], large[:, n // np.maximum(xs, r + 1)])
+
+    return lookup
+
+
 def prime_pi(x: int) -> int:
     """Number of primes <= x, exact, by the floor-quotient table for x."""
     if x < 2:
@@ -159,11 +242,23 @@ def psp_count(n: int) -> int:
 
 
 def digit_census(n: int) -> DigitCensus:
-    """Tallies of SP numbers <= n by final decimal digit."""
-    counts = [0] * 10
-    for w in kp_enumerate(n, 2):
-        counts[w.n % 10] += 1
-    return DigitCensus(n, tuple(counts))
+    """Tallies of SP numbers <= n by final decimal digit.
+
+    The final digit of p * a^2 is (p mod 10) * (a^2 mod 10) mod 10, so
+    digit d collects pi(n // a^2; 10, c) over the bases a and classes c
+    with c * a^2 = d (mod 10), from one class table for n; p = 2 and p = 5
+    add one each where n // a^2 reaches them.
+    """
+    a_max = isqrt(n // 2) if n >= 2 else 0
+    if a_max < 2:
+        return DigitCensus(n, (0,) * 10)
+    a = np.arange(2, a_max + 1, dtype=np.int64)
+    x = n // (a * a)
+    # row j: how many primes = residues[j] (mod 10) each base a takes, and the digit they end in
+    residues = np.array(_CLASSES + (2, 5), dtype=np.int64)[:, None]
+    taken = np.vstack([_pi_mod10_table(n)(x), x >= 2, x >= 5])
+    digit = residues * (a * a % 10) % 10
+    return DigitCensus(n, tuple(int(taken[digit == d].sum()) for d in range(10)))
 
 
 def census_table(

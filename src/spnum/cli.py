@@ -21,7 +21,7 @@ from . import analytic, census, construct, pell
 from .classify import kp_decompose, sp_decompose
 
 MAX_CENSUS_BOUND = 10**12  # prime-count table: 3·isqrt(bound) int64 entries while built (24 MB)
-MAX_DIGITS_BOUND = 10**8  # enumeration: sieve to bound/4, then every SP number <= bound
+MAX_DIGITS_BOUND = 10**11  # class prime-count table: 8·isqrt(bound) int64 entries (20 MB)
 
 
 def _fmt6(x: float) -> str:
@@ -125,8 +125,9 @@ def cmd_digits(args: argparse.Namespace) -> int:
         return 2
     if bound > MAX_DIGITS_BOUND:
         print(
-            f"error: bound {bound} exceeds the enumeration budget ({MAX_DIGITS_BOUND}); "
-            "every SP number <= bound is generated, so time and memory grow with bound",
+            f"error: bound {bound} exceeds the class prime-count table budget ({MAX_DIGITS_BOUND}; "
+            "the table holds 8·isqrt(bound) int64 entries); "
+            "raise MAX_DIGITS_BOUND only with memory to spare",
             file=sys.stderr,
         )
         return 2

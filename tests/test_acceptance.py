@@ -27,6 +27,8 @@ KP_COUNTS = {
 }
 KP2_AT = {10**4: 1230, 10**5: 9036, 10**6: 69179, 10**7: 553539}
 PSP_AT = {10**4: 769, 10**5: 5637, 10**6: 43889, 10**7: 357613}
+DIGITS_1E9 = (1226011, 2910749, 5817886, 2921319, 5797707, 3191168, 5797787, 2921642,
+              5818342, 2910706)
 
 
 def _report(num: int, desc: str, ok: bool, elapsed: float | None = None,
@@ -215,3 +217,12 @@ def test_criterion_12_analytic_self_checks():
     _report(12, f"hurwitz(1)=zeta(2) ({d_plain:.1e}), "
                 f"hurwitz(1/2)=3*zeta(2) ({d_half:.1e}), "
                 f"prime zeta two-method ({d_p2:.1e})", ok)
+
+
+def test_criterion_13_digit_census_by_identity():
+    t0 = time.perf_counter()
+    dc = census.digit_census(10**9)
+    ok = dc.counts == DIGITS_1E9 and dc.total() == census.kp_count(10**9, 2)
+    _report(13, "digit tally at 1e9 from the per-class prime counts matches the "
+                "enumeration pin and sums to kp_count",
+            ok, time.perf_counter() - t0, 5.0)

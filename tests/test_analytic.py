@@ -148,10 +148,10 @@ def test_psp_and_pkp_estimates():
 
 def test_digit1_bracket_and_estimate():
     br = digit1_bracket()
-    assert br.value == pytest.approx(114.435252813072, abs=1e-9)
+    assert br.value == pytest.approx(18.435252813072, abs=1e-9)
     assert br.abs_error_bound <= 1e-9
     expect = br.value / 400.0 * 10**5 / log(10**5)
     assert digit1_estimate(10**5) == pytest.approx(expect, rel=1e-12)
-    assert digit1_estimate(10**5) == pytest.approx(2484.93, abs=0.01)
+    assert digit1_estimate(10**5) == pytest.approx(400.316, abs=0.001)
     with pytest.raises(ValueError):
         digit1_estimate(2)

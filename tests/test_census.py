@@ -9,6 +9,7 @@ from spnum import analytic
 from spnum.census import (
     CensusRow,
     DigitCensus,
+    _pi_mod10_table,
     _pi_table,
     census_table,
     digit_census,
@@ -82,6 +83,24 @@ PUBLISHED_PI = {
 }
 
 
+def digit_tally_enumerated(n: int) -> tuple[int, ...]:
+    """SP counts <= n by final digit, by enumeration: the test oracle for
+    the class-table identity behind `digit_census`."""
+    counts = [0] * 10
+    for w in kp_enumerate(n, 2):
+        counts[w.n % 10] += 1
+    return tuple(counts)
+
+
+# digit_census(n).counts; perfbench/oracle.digit_tally, a separate
+# enumeration, gives the same tallies.
+DIGITS_AT = {
+    10**8: (150173, 341025, 677948, 344490, 671649, 377309, 671740, 344347, 678016, 341146),
+    10**9: (1226011, 2910749, 5817886, 2921319, 5797707, 3191168, 5797787, 2921642, 5818342,
+            2910706),
+}
+
+
 def _kp_mask(limit: int, k: int) -> np.ndarray:
     """Bool mask of KP_k membership for 0..limit by exponent reduction.
 
@@ -141,6 +160,16 @@ def test_pi_table_at_every_floor_quotient():
         got = _pi_table(n)(np.array(quotients, dtype=np.int64)).tolist()
         oracle = pi_segmented(quotients, segment_size=4096)
         assert got == [oracle[q] for q in quotients], n
+
+
+def test_pi_mod10_table_at_every_floor_quotient():
+    for n in (*range(0, 50), 99, 100, 101, 9999, 10**4, 123456, 10**6 + 7):
+        quotients = sorted({n // m for m in range(1, isqrt(n) + 2)} | set(range(isqrt(n) + 1)))
+        got = _pi_mod10_table(n)(np.array(quotients, dtype=np.int64))
+        primes = np.flatnonzero(np.frombuffer(_prime_mask(max(n, 1)), dtype=np.uint8))
+        for row, c in zip(got.tolist(), (1, 3, 7, 9)):
+            want = np.searchsorted(primes[primes % 10 == c], quotients, side="right")
+            assert row == want.tolist(), (n, c)
 
 
 def test_kp_enumerate_examples():
@@ -242,6 +271,25 @@ def test_digit_census_1e5_frozen():
     dc = digit_census(10**5)
     assert dc.counts == (415, 623, 1381, 703, 1200, 808, 1204, 701, 1385, 616)
     assert dc.total() == kp_count(10**5, 2) == 9036
+
+
+def test_digit_census_matches_enumeration():
+    members = {w.n for w in kp_enumerate(3000, 2)}
+    counts = [0] * 10
+    for n in range(0, 3001):  # the enumeration tally at every bound, one member at a time
+        if n in members:
+            counts[n % 10] += 1
+        assert digit_census(n).counts == tuple(counts), n
+    for n in (10**5, 10**6 + 7):
+        assert digit_census(n).counts == digit_tally_enumerated(n), n
+
+
+def test_digit_census_pinned():
+    for n, want in DIGITS_AT.items():
+        dc = digit_census(n)
+        assert dc.counts == want, n
+        assert dc.total() == kp_count(n, 2), n
+    assert digit_census(10**10).total() == kp_count(10**10, 2) == 343574817
 
 
 def test_census_table_kp():

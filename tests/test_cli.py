@@ -190,11 +190,13 @@ def test_digits_budget_refused_before_enumeration(capsys, monkeypatch):
         raise AssertionError(f"digit_census({n}) called")
 
     monkeypatch.setattr(census, "digit_census", boom)
-    rc, out, err = run(capsys, "digits", "100000001")
+    rc, out, err = run(capsys, "digits", "100000000001")
     assert rc == 2 and out == ""
-    assert err.startswith("error: bound 100000001 exceeds the enumeration budget (100000000)")
-    with pytest.raises(AssertionError, match=r"digit_census\(100000000\)"):
-        main(["digits", "1e8"])  # the largest bound passes the guard
+    assert err.startswith(
+        "error: bound 100000000001 exceeds the class prime-count table budget (100000000000; "
+        "the table holds 8·isqrt(bound) int64 entries)")
+    with pytest.raises(AssertionError, match=r"digit_census\(100000000000\)"):
+        main(["digits", "1e11"])  # the largest bound passes the guard
 
 
 def test_witness_gap(capsys):

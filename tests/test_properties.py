@@ -10,10 +10,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from spnum.arith import is_prime  # noqa: E402
-from spnum.census import kp_count, kp_enumerate, prime_pi, psp_count  # noqa: E402
+from spnum.census import digit_census, kp_count, kp_enumerate, prime_pi, psp_count  # noqa: E402
 from spnum.classify import SpWitness, sp_decompose  # noqa: E402
 from spnum.construct import gap_witness  # noqa: E402
-from test_census import pi_segmented  # noqa: E402
+from test_census import digit_tally_enumerated, pi_segmented  # noqa: E402
 
 LIMIT = 10**9
 
@@ -66,3 +66,9 @@ def test_counts_match_enumeration(n, k):
     assert kp_count(n, k) == len(witnesses)
     if k == 2:  # p1 * p2^2 is exactly an SP number whose square base is prime
         assert psp_count(n) == sum(1 for w in witnesses if is_prime(w.a))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+def test_digit_census_matches_enumeration(n):
+    assert digit_census(n).counts == digit_tally_enumerated(n)
