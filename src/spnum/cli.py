@@ -11,6 +11,7 @@ constants).  Exit codes: 0 success/membership, 1 honest negative
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -22,6 +23,7 @@ from .classify import kp_decompose, sp_decompose
 
 MAX_CENSUS_BOUND = 10**12  # prime-count table: 3·isqrt(bound) int64 entries while built (24 MB)
 MAX_DIGITS_BOUND = 10**11  # class prime-count table: 8·isqrt(bound) int64 entries (20 MB)
+MAX_SCAN_X = 10**6  # x2p1/x3p1 --bound kernel sieve: a few int64 arrays of x_max entries
 
 
 def _fmt6(x: float) -> str:
@@ -159,6 +161,17 @@ def cmd_digits(args: argparse.Namespace) -> int:
 
 def cmd_witness(args: argparse.Namespace) -> int:
     kind = args.kind
+    if kind in ("x2p1", "x3p1") and args.bound is not None:
+        power = 2 if kind == "x2p1" else 3
+        if args.bound > MAX_SCAN_X**power + 1:
+            print(
+                f"error: bound {args.bound} exceeds the {kind} scan budget "
+                f"(x <= {MAX_SCAN_X}, so bound <= {MAX_SCAN_X**power + 1}; the kernel sieve "
+                "holds a few int64 arrays of x entries); "
+                "raise MAX_SCAN_X only with memory to spare",
+                file=sys.stderr,
+            )
+            return 2
     witnesses: list
     if kind == "gap":
         witnesses = [construct.gap_witness(args.x)]
@@ -289,7 +302,9 @@ def cmd_bunyakovsky(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- main
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The spnum parser, built on the first call and reused by every later one."""
     ap = argparse.ArgumentParser(
         prog="spnum",
         description="SP (p·a²), KP_k (p·aᵏ) and PSP (p₁·p₂²) numbers: "

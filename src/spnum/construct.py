@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import Callable
+
+import numpy as np
 
 from .arith import factorize, ikroot, is_prime, squarefree_decompose
 from .census import sieve_primes
-from .classify import SpWitness, sp_decompose
+from .classify import SpWitness
 from .pell import fundamental_solution, solution_stream
 
 __all__ = [
@@ -252,15 +255,24 @@ def x2p1_stream(count: int) -> list[X2p1Witness]:
 
 def x2p1_scan(bound: int) -> list[X2p1Witness]:
     """Every SP number of the form x^2 + 1 up to bound (any prime, not only
-    the Pell subfamily), by direct classification."""
-    out = []
-    x = 1
-    while x * x + 1 <= bound:
-        w = sp_decompose(x * x + 1)
-        if w is not None:
-            out.append(X2p1Witness(x, w))
-        x += 1
-    return out
+    the Pell subfamily), by a kernel sieve over x = 1..x_max.
+
+    A prime p divides x^2 + 1 exactly when p = 2 and x is odd, or
+    p = 1 (mod 4) and x = +-sqrt(-1) (mod p).  Stripping those classes for
+    every p <= x_max leaves 1 or one prime > x_max, since two such primes
+    would exceed (x_max + 1)^2 > x^2 + 1.
+    """
+    if bound < 2:
+        return []
+    xmax = isqrt(bound - 1)
+    classes = [(2, 1)]
+    for p in sieve_primes(xmax).tolist():
+        if p % 4 == 1:
+            s = _modsqrt(p - 1, p)
+            classes += [(p, s), (p, p - s)]
+    xs = np.arange(xmax + 1, dtype=np.int64)
+    count, prime = _odd_primes(xs * xs + 1, classes)
+    return [X2p1Witness(x, sp) for x, sp in _members(count, prime, lambda x: x * x + 1)]
 
 
 def between_squares(x: int) -> BetweenSquaresWitness:
@@ -353,88 +365,100 @@ def _modsqrt(a: int, p: int) -> int:
     return r
 
 
-def _strip_class(res: list, kern: list, start: int, p: int, xmax: int) -> None:
-    """Divide p out of res[i] for i = start, start+p, ...; odd exponents
-    go into the kernel."""
-    for i in range(start, xmax + 1, p):
-        v = res[i]
-        e = 0
-        while v % p == 0:
-            v //= p
-            e += 1
-        if e:
-            res[i] = v
-            if e & 1:
-                kern[i] *= p
+_PAIR_CHUNK = 1 << 16  # (x, p) pairs stripped at once by _odd_primes
+
+
+def _odd_primes(vals: np.ndarray, classes: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel sieve over an int64 array of polynomial values indexed by x.
+
+    Every class (p, r) names a prime p dividing vals[x] for x = r (mod p);
+    p is divided out of those entries completely, in place.  The caller
+    guarantees that what remains of each value is 1 or a single prime.
+    Returns, per x, the number of primes with odd exponent (the remainder
+    included) and one such prime; x is SP iff that count is 1 and the
+    prime is not the value itself.
+    """
+    ps = np.array([p for p, _ in classes], dtype=np.int64)
+    rs = np.array([r for _, r in classes], dtype=np.int64)
+    top = len(vals) - 1
+    per = np.where(rs <= top, (top - rs) // ps + 1, 0)
+    ends = np.cumsum(per)
+    total = int(ends[-1]) if len(ends) else 0
+    count = np.zeros(len(vals), dtype=np.int64)
+    prime = np.zeros(len(vals), dtype=np.int64)
+    for lo in range(0, total, _PAIR_CHUNK):
+        j = np.arange(lo, min(lo + _PAIR_CHUNK, total), dtype=np.int64)
+        c = np.searchsorted(ends, j, side="right")
+        p = ps[c]
+        x = rs[c] + (j - ends[c] + per[c]) * p
+        # divide every pair once per round, until its p no longer divides;
+        # .at applies repeated x in turn, and distinct primes divide in any order
+        odd = np.zeros(len(j), dtype=bool)
+        live = np.arange(len(j))
+        while live.size:
+            np.floor_divide.at(vals, x[live], p[live])
+            odd[live] ^= True
+            live = live[vals[x[live]] % p[live] == 0]
+        np.add.at(count, x[odd], 1)
+        prime[x[odd]] = p[odd]
+    rest = vals > 1
+    count += rest
+    prime[rest] = vals[rest]
+    return count, prime
+
+
+def _members(
+    count: np.ndarray, prime: np.ndarray, poly: Callable[[int], int]
+) -> list[tuple[int, SpWitness]]:
+    """(x, SP witness of n = poly(x)) for every x that _odd_primes marks SP.
+    Each is re-checked (k prime, n = k*a^2), so a faulty sieve raises."""
+    out = []
+    for x in np.flatnonzero(count == 1).tolist():
+        k, n = int(prime[x]), poly(x)
+        if k == n:
+            continue  # n is prime: no square part
+        a = isqrt(n // k)
+        if not is_prime(k) or k * a * a != n:
+            raise AssertionError(f"kernel sieve failed at x={x}")  # pragma: no cover
+        out.append((x, SpWitness(n, k, a)))
+    return out
 
 
 def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
     """All x with x^3 + 1 <= bound and x^3 + 1 an SP number.
 
-    Works on the split x^3 + 1 = (x+1)(x^2-x+1).  Prime divisors of the
-    quadratic factor B satisfy z^2 - z + 1 = 0 mod p, i.e. p = 3 or
-    p = 1 (mod 3), with roots (1 +- sqrt(-3))/2; sieving those residue
-    classes strips B completely up to one leftover prime > x_max (B < x^2
-    caps its exponent at 1).  The linear factor is stripped by primes up
-    to sqrt(x_max + 1) the same way.  gcd(A, B) divides 3, so only p = 3
-    needs the exponents of both factors summed.  The accumulated squarefree
-    kernel of x^3 + 1 then decides membership with one primality test
-    per x: SP iff the kernel is a prime different from x^3 + 1.
+    Works on the split x^3 + 1 = (x+1)(x^2-x+1), one kernel sieve per
+    factor.  Prime divisors of the quadratic factor B satisfy
+    z^2 - z + 1 = 0 mod p, i.e. p = 3 or p = 1 (mod 3), with roots
+    (1 +- sqrt(-3))/2; stripping those classes for p <= x_max leaves one
+    prime > x_max at most (B < (x_max + 1)^2).  The linear factor A is
+    stripped by primes up to sqrt(x_max + 1) the same way, which leaves 1
+    or a prime.  gcd(A, B) divides 3: for x = 2 (mod 3), B holds exactly
+    one 3, which is moved onto A so that p = 3 is stripped once with the
+    exponents of both factors summed.  Then x^3 + 1 is SP iff exactly one
+    prime has odd exponent, and it is not x^3 + 1 itself.
     """
     if bound < 2:
         return []
     xmax = ikroot(bound - 1, 3)
-    if xmax < 1:
-        return []
-    kern = [1] * (xmax + 1)
-    res_a = list(range(1, xmax + 2))  # res_a[x] = x + 1
-    res_b = [x * x - x + 1 for x in range(xmax + 1)]
-
-    # p = 2: divides x + 1 for odd x; x^2 - x + 1 is always odd
-    _strip_class(res_a, kern, 1, 2, xmax)
-    # p = 3: divides both factors exactly when x = 2 (mod 3); exponents sum
-    for i in range(2, xmax + 1, 3):
-        e = 0
-        v = res_a[i]
-        while v % 3 == 0:
-            v //= 3
-            e += 1
-        res_a[i] = v
-        v = res_b[i]
-        while v % 3 == 0:
-            v //= 3
-            e += 1
-        res_b[i] = v
-        if e & 1:
-            kern[i] *= 3
-    a_limit = isqrt(xmax + 1)
+    xs = np.arange(xmax + 1, dtype=np.int64)
+    a, b = xs + 1, xs * xs - xs + 1
+    a[2::3] *= 3
+    b[2::3] //= 3
+    primes = sieve_primes(max(3, isqrt(xmax + 1))).tolist()  # 3 always: A holds B's 3
+    a_count, a_prime = _odd_primes(a, [(p, p - 1) for p in primes])
+    b_classes = []
     for p in sieve_primes(xmax).tolist():
-        if p < 5:
-            continue
-        if p <= a_limit:
-            _strip_class(res_a, kern, p - 1, p, xmax)
         if p % 3 == 1:
             s = _modsqrt(p - 3, p)
             inv2 = (p + 1) // 2
-            r1 = (1 + s) * inv2 % p
-            r2 = (1 - s) * inv2 % p
-            _strip_class(res_b, kern, r1, p, xmax)
-            _strip_class(res_b, kern, r2, p, xmax)
-
-    out = []
-    for x in range(1, xmax + 1):
-        k = kern[x]
-        if res_a[x] > 1:
-            k *= res_a[x]  # leftover prime > sqrt(xmax+1), exponent 1
-        if res_b[x] > 1:
-            k *= res_b[x]  # leftover prime > xmax, exponent 1
-        n = x * x * x + 1
-        if k > 1 and k != n and is_prime(k):
-            a = isqrt(n // k)
-            if k * a * a != n:
-                raise AssertionError(f"kernel sieve failed at x={x}")  # pragma: no cover
-            out.append(X3p1ScanWitness(x, SpWitness(n, k, a), (k, x, k * a)))
-    return out
+            b_classes += [(p, (1 + s) * inv2 % p), (p, (1 - s) * inv2 % p)]
+    b_count, b_prime = _odd_primes(b, b_classes)
+    prime = np.where(a_count > 0, a_prime, b_prime)
+    return [
+        X3p1ScanWitness(x, sp, (sp.p, x, sp.p * sp.a))
+        for x, sp in _members(a_count + b_count, prime, lambda x: x**3 + 1)
+    ]
 
 
 @dataclass(frozen=True)

@@ -226,3 +226,12 @@ def test_criterion_13_digit_census_by_identity():
     _report(13, "digit tally at 1e9 from the per-class prime counts matches the "
                 "enumeration pin and sums to kp_count",
             ok, time.perf_counter() - t0, 5.0)
+
+
+def test_criterion_14_x2p1_scan_by_kernel_sieve():
+    t0 = time.perf_counter()
+    witnesses = construct.x2p1_scan(10**11)
+    ok = len(witnesses) == 3431 and all(not w.checks() for w in witnesses)
+    _report(14, f"x^2+1 kernel sieve to 1e11 found {len(witnesses)} = 3431 witnesses, "
+                "every one passes checks()",
+            ok, time.perf_counter() - t0, 5.0)

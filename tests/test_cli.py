@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import spnum
-from spnum import analytic, census, construct
+from spnum import analytic, census, cli, construct
 from spnum.classify import SpWitness
 from spnum.cli import main
 
@@ -77,6 +77,18 @@ def test_malformed_argument_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_parser_reused_after_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "abc"])  # usage error, raised inside the parser
+    assert exc.value.code == 2
+    assert run(capsys, "witness", "gap", "0")[0] == 2  # ValueError path
+    args = ("witness", "x2p1", "--bound", "1100", "--verify", "--format", "json")
+    reused = run(capsys, *args)
+    cli._build_parser.cache_clear()
+    assert run(capsys, *args) == reused
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_census_csv(capsys):
@@ -309,6 +321,21 @@ def test_witness_x3p1(capsys):
     rc, out, _ = run(capsys, "witness", "x3p1", "--bound", "28")
     assert rc == 0
     assert out.splitlines()[0] == "x=3: 28 = 7 · 2²  curve (p, x, y) = (7, 3, 14)"
+
+
+@pytest.mark.parametrize("kind, power", [("x2p1", 2), ("x3p1", 3)])
+def test_scan_budget_refused_before_scanning(capsys, monkeypatch, kind, power):
+    def boom(bound):
+        raise AssertionError(f"{kind}_scan({bound}) called")
+
+    monkeypatch.setattr(construct, f"{kind}_scan", boom)
+    cap = cli.MAX_SCAN_X**power + 1
+    rc, out, err = run(capsys, "witness", kind, "--bound", str(cap + 1))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: bound {cap + 1} exceeds the {kind} scan budget "
+                          f"(x <= 1000000, so bound <= {cap};")
+    with pytest.raises(AssertionError, match=rf"{kind}_scan\({cap}\)"):
+        main(["witness", kind, "--bound", str(cap)])  # the largest bound passes the guard
 
 
 def test_witness_x3p1_json(capsys):

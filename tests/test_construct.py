@@ -158,6 +158,43 @@ def test_x2p1_scan():
     assert x2p1_scan(49) == []
 
 
+def x2p1_classified(bound):
+    """The per-x route the kernel sieve replaced: sp_decompose(x^2 + 1) for each x."""
+    return [X2p1Witness(x, sp) for x in range(1, isqrt(max(bound - 1, 0)) + 1)
+            if (sp := sp_decompose(x * x + 1))]
+
+
+def x3p1_classified(bound):
+    """The per-x route for x^3 + 1: sp_decompose(x^3 + 1) for each x."""
+    out = []
+    x = 1
+    while x**3 + 1 <= bound:
+        sp = sp_decompose(x**3 + 1)
+        if sp is not None:
+            out.append(X3p1ScanWitness(x, sp, (sp.p, x, sp.p * sp.a)))
+        x += 1
+    return out
+
+
+def test_x2p1_scan_matches_classification():
+    every = x2p1_classified(10**9)
+    assert len(every) == 476
+    assert x2p1_scan(10**9) == every
+    assert x2p1_scan(544629723) == [w for w in every if w.sp.n <= 544629723]
+    for bound in range(3001):
+        assert x2p1_scan(bound) == [w for w in every if w.sp.n <= bound], bound
+
+
+def test_x3p1_scan_matches_classification():
+    every = x3p1_classified(2000**3 + 2)
+    for bound in range(3001):
+        assert x3p1_scan(bound) == [w for w in every if w.sp.n <= bound], bound
+    for x in range(1, 2001):
+        expect = [w for w in every if w.x <= x]
+        assert x3p1_scan(x**3 + 1) == expect, x
+        assert x3p1_scan(x**3 + 2) == expect, x
+
+
 def test_x2p1_stream():
     got = x2p1_stream(4)
     assert [w.sp.n for w in got] == [50, 1682, 57122, 1940450]

@@ -1,5 +1,6 @@
 """Property tests: witness checks round-trip and reject single-field tampering;
-the prime-counting routes agree with their oracles at random sizes."""
+the prime-counting routes and the x^2 + 1 / x^3 + 1 kernel sieves agree with
+their oracles at random sizes."""
 
 import dataclasses
 
@@ -12,8 +13,9 @@ from hypothesis import strategies as st  # noqa: E402
 from spnum.arith import is_prime  # noqa: E402
 from spnum.census import digit_census, kp_count, kp_enumerate, prime_pi, psp_count  # noqa: E402
 from spnum.classify import SpWitness, sp_decompose  # noqa: E402
-from spnum.construct import gap_witness  # noqa: E402
+from spnum.construct import gap_witness, x2p1_scan, x3p1_scan  # noqa: E402
 from test_census import digit_tally_enumerated, pi_segmented  # noqa: E402
+from test_construct import x2p1_classified, x3p1_classified  # noqa: E402
 
 LIMIT = 10**9
 
@@ -72,3 +74,15 @@ def test_counts_match_enumeration(n, k):
 @given(st.integers(0, 10**6))
 def test_digit_census_matches_enumeration(n):
     assert digit_census(n).counts == digit_tally_enumerated(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**8))
+def test_x2p1_scan_matches_classification(bound):
+    assert x2p1_scan(bound) == x2p1_classified(bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**12))
+def test_x3p1_scan_matches_classification(bound):
+    assert x3p1_scan(bound) == x3p1_classified(bound)
