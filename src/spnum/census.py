@@ -70,6 +70,16 @@ def _pi_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
     ``large[i] = pi(n // i)`` for 1 <= i <= r in O(n^(3/4)) time and
     O(sqrt(n)) memory, and returns a lookup that maps an int64 array of
     floor quotients of n to their prime counts.  Other x give wrong counts.
+
+    The primes p <= n^(1/3) are sifted one at a time, in order.  The rest
+    (p^3 > n, about 95% of them) are sifted together by `_tail_pairs`: such
+    a p writes only large[i] for i <= n // p^2 < p and nothing in small
+    (p^2 > r), and it reads large[i * p] with i * p >= p, or small.  So no
+    tail prime reads what another writes, and every read already holds its
+    final value: large[i * p] is only written by head primes, and
+    small[v] = pi(v) for all v once p <= sqrt(r) is sifted.  The tail
+    gathers its terms _TAIL_CHUNK pairs at a time and sums them per i with
+    `np.add.reduceat`, so its memory stays a few arrays of 2^12 entries.
     """
     r = isqrt(n)
     small = np.arange(-1, r, dtype=np.int64)  # v - 1 integers in [2, v] before sifting
@@ -97,8 +107,13 @@ def _pi_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
         if small[p] != small[p - 1]:
             sift(p)
     # small is final once every p <= sqrt(r) is sifted; it marks the rest
-    for p in (np.flatnonzero(np.diff(small[root:])) + root + 1).tolist():
+    primes = np.flatnonzero(np.diff(small[root:])) + root + 1
+    tail = primes[primes > ikroot(n, 3)]
+    for p in primes[: len(primes) - len(tail)].tolist():
         sift(p)
+    for lo, starts, p, inner, at in _tail_pairs(n, tail):
+        got = np.where(inner, large[at], small[at]) - small[p - 1]
+        large[lo : lo + len(starts)] -= np.add.reduceat(got, starts)
 
     def lookup(xs: np.ndarray) -> np.ndarray:
         return np.where(xs <= r, small[np.minimum(xs, r)], large[n // np.maximum(xs, r + 1)])
@@ -106,8 +121,44 @@ def _pi_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
     return lookup
 
 
+_TAIL_CHUNK = 1 << 12  # (i, p) pairs gathered at once by the batched tail
+
+
+def _tail_pairs(
+    n: int, tail: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The (i, p) updates of the batched tail, grouped by i, in chunks.
+
+    tail holds the ascending primes with p^3 > n; p updates large[i] for
+    i <= n // p^2, so the primes updating large[i] are the prefix of tail
+    with p^2 <= n // i.  Pairs are ordered by i, then p, and cut into
+    chunks of at most _TAIL_CHUNK pairs (a group may span chunks).  Each
+    chunk yields (lo, starts, p, inner, at): its groups update large[lo],
+    large[lo + 1], ..., group g starts at pair starts[g], and the pair
+    reads pi((n // i) // p) from large[at] where inner, else from small[at].
+    """
+    if len(tail) == 0:
+        return
+    r = isqrt(n)
+    squares = tail * tail
+    i_max = n // int(squares[0])
+    per = np.searchsorted(squares, n // np.arange(1, i_max + 1, dtype=np.int64), side="right")
+    ends = np.cumsum(per)  # pairs of i = g + 1 are ends[g] - per[g] .. ends[g] - 1
+    begins = ends - per
+    for a in range(0, int(ends[-1]), _TAIL_CHUNK):
+        b = min(a + _TAIL_CHUNK, int(ends[-1]))
+        g0 = int(np.searchsorted(ends, a, side="right"))
+        g1 = int(np.searchsorted(begins, b, side="left"))
+        first = np.maximum(begins[g0:g1], a)
+        sizes = np.minimum(ends[g0:g1], b) - first
+        t = np.arange(a, b) - np.repeat(begins[g0:g1], sizes)
+        p = tail[t]
+        k = np.repeat(np.arange(g0 + 1, g1 + 1, dtype=np.int64), sizes) * p
+        inner = k <= r  # (n // i) // p = n // k is large[k], else small[n // k]
+        yield g0 + 1, first - a, p, inner, np.where(inner, k, n // np.maximum(k, r + 1))
+
+
 _CLASSES = (1, 3, 7, 9)  # the residues mod 10 of every prime but 2 and 5
-_TAIL_CHUNK = 1 << 16  # (prime, index) pairs gathered at once by the batched tail
 
 
 def _pi_mod10_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -165,22 +216,13 @@ def _pi_mod10_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
     for p in primes[: len(primes) - len(tail)].tolist():
         sift(p)
 
-    # A tail prime p (p^3 > n) reads large[i * p] with i * p >= p, or small,
-    # and writes large[i] for i <= n // p^2 < p.  So no tail prime reads what
-    # another writes, and they sift all at once: one (p, i) pair per update.
-    per = n // (tail * tail)
-    cuts = np.searchsorted(np.cumsum(per), np.arange(_TAIL_CHUNK, per.sum(), _TAIL_CHUNK))
-    for ps, counts in zip(np.split(tail, cuts), np.split(per, cuts)):
-        p = np.repeat(ps, counts)
-        i = np.arange(1, len(p) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-        k = i * p
-        inner = k <= r  # (n // i) // p = n // k is large[k], else small[n // k]
-        at = np.where(inner, k, n // np.maximum(k, r + 1))
+    # the tail primes (p^3 > n) sift all at once, as in _pi_table
+    for lo, starts, p, inner, at in _tail_pairs(n, tail):
         g = gather[p % 10]
         for j in range(4):
             rows = g[:, j]
-            got = np.where(inner, large[rows, at], small[rows, at])
-            np.subtract.at(large[j], i, got - small[rows, p - 1])
+            got = np.where(inner, large[rows, at], small[rows, at]) - small[rows, p - 1]
+            large[j, lo : lo + len(starts)] -= np.add.reduceat(got, starts)
 
     def lookup(xs: np.ndarray) -> np.ndarray:
         return np.where(xs <= r, small[:, np.minimum(xs, r)], large[:, n // np.maximum(xs, r + 1)])

@@ -24,6 +24,7 @@ from .classify import kp_decompose, sp_decompose
 MAX_CENSUS_BOUND = 10**12  # prime-count table: 3·isqrt(bound) int64 entries while built (24 MB)
 MAX_DIGITS_BOUND = 10**11  # class prime-count table: 8·isqrt(bound) int64 entries (20 MB)
 MAX_SCAN_X = 10**6  # x2p1/x3p1 --bound kernel sieve: a few int64 arrays of x_max entries
+MAX_FAMILY_T = 10**5  # x3p1 --t-max: one is_prime per t (2.0 s at the cap)
 
 
 def _fmt6(x: float) -> str:
@@ -111,9 +112,12 @@ def cmd_census(args: argparse.Namespace) -> int:
         for r in rows:
             sys.stdout.write(f"{r.n},{r.exact},{_fmt6(r.estimate)},{_fmt6(r.ratio)}\n")
     else:
-        print(f"{'n':>12} {'exact':>10} {'estimate':>12} {'ratio':>10}")
+        # columns widen only for values that would overflow them (n = 10^12, counts >= 10^10)
+        wn = max([12] + [len(str(r.n)) for r in rows])
+        we = max([10] + [len(str(r.exact)) for r in rows])
+        print(f"{'n':>{wn}} {'exact':>{we}} {'estimate':>12} {'ratio':>10}")
         for r in rows:
-            print(f"{r.n:>12} {r.exact:>10} {_fmt6(r.estimate):>12} {_fmt6(r.ratio):>10}")
+            print(f"{r.n:>{wn}} {r.exact:>{we}} {_fmt6(r.estimate):>12} {_fmt6(r.ratio):>10}")
     return 0
 
 
@@ -172,6 +176,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    if kind == "x3p1" and args.bound is None and args.t_max > MAX_FAMILY_T:
+        print(
+            f"error: --t-max {args.t_max} exceeds the x3p1 family budget ({MAX_FAMILY_T}; "
+            "one primality test per t); raise MAX_FAMILY_T only with time to spare",
+            file=sys.stderr,
+        )
+        return 2
     witnesses: list
     if kind == "gap":
         witnesses = [construct.gap_witness(args.x)]

@@ -235,3 +235,11 @@ def test_criterion_14_x2p1_scan_by_kernel_sieve():
     _report(14, f"x^2+1 kernel sieve to 1e11 found {len(witnesses)} = 3431 witnesses, "
                 "every one passes checks()",
             ok, time.perf_counter() - t0, 5.0)
+
+
+def test_criterion_15_kp_count_by_batched_tail():
+    t0 = time.perf_counter()
+    got = census.kp_count(10**11)
+    _report(15, f"kp_count(1e11) = {got} = 3053140646, the digit census total at 1e11, "
+                "with the tail primes sifted in batches",
+            got == 3053140646, time.perf_counter() - t0, 5.0)

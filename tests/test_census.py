@@ -5,7 +5,7 @@ from math import isqrt, log
 import numpy as np
 import pytest
 
-from spnum import analytic
+from spnum import analytic, census
 from spnum.census import (
     CensusRow,
     DigitCensus,
@@ -153,23 +153,39 @@ def test_prime_pi_small_segments():
         assert oracle[x] == prime_pi(x) == _pi_brute(x), x
 
 
-def test_pi_table_at_every_floor_quotient():
+# n < 8 has no tail prime; p^3 - 1, p^3, p^3 + 1 put p on either side of the
+# head/tail split at ikroot(n, 3); for n = q^2 * (q - 1) the least tail prime
+# is q and n // (q - 1) = q^2, its last update.
+TABLE_NS = (*range(0, 50), 99, 100, 101, 9999, 10**4, 123456, 10**6 + 7,
+            *(p**3 + d for p in (2, 3, 5, 7, 11, 101) for d in (-1, 0, 1)),
+            *(q * q * (q - 1) for q in (11, 23, 101)))
+# (n, tail chunk): chunks of 1 and 3 pairs cross every chunk boundary of the tail
+TABLE_CASES = [(n, census._TAIL_CHUNK) for n in TABLE_NS] + [(10**6 + 7, 1), (10**6 + 7, 3)]
+
+
+def _floor_quotients(n: int) -> list[int]:
     # both halves of the table: quotients v <= isqrt(n) and n // i for i <= isqrt(n)
-    for n in (*range(0, 50), 99, 100, 101, 9999, 10**4, 123456, 10**6 + 7):
-        quotients = sorted({n // m for m in range(1, isqrt(n) + 2)} | set(range(isqrt(n) + 1)))
+    return sorted({n // m for m in range(1, isqrt(n) + 2)} | set(range(isqrt(n) + 1)))
+
+
+def test_pi_table_at_every_floor_quotient(monkeypatch):
+    for n, chunk in TABLE_CASES:
+        monkeypatch.setattr(census, "_TAIL_CHUNK", chunk)
+        quotients = _floor_quotients(n)
         got = _pi_table(n)(np.array(quotients, dtype=np.int64)).tolist()
         oracle = pi_segmented(quotients, segment_size=4096)
-        assert got == [oracle[q] for q in quotients], n
+        assert got == [oracle[q] for q in quotients], (n, chunk)
 
 
-def test_pi_mod10_table_at_every_floor_quotient():
-    for n in (*range(0, 50), 99, 100, 101, 9999, 10**4, 123456, 10**6 + 7):
-        quotients = sorted({n // m for m in range(1, isqrt(n) + 2)} | set(range(isqrt(n) + 1)))
+def test_pi_mod10_table_at_every_floor_quotient(monkeypatch):
+    for n, chunk in TABLE_CASES:
+        monkeypatch.setattr(census, "_TAIL_CHUNK", chunk)
+        quotients = _floor_quotients(n)
         got = _pi_mod10_table(n)(np.array(quotients, dtype=np.int64))
         primes = np.flatnonzero(np.frombuffer(_prime_mask(max(n, 1)), dtype=np.uint8))
         for row, c in zip(got.tolist(), (1, 3, 7, 9)):
             want = np.searchsorted(primes[primes % 10 == c], quotients, side="right")
-            assert row == want.tolist(), (n, c)
+            assert row == want.tolist(), (n, c, chunk)
 
 
 def test_kp_enumerate_examples():

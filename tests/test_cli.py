@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from math import log
@@ -154,6 +155,25 @@ def test_census_budget_refused_before_counting(capsys, monkeypatch):
     assert "exceeds the prime-count table budget (1000000000000" in err
     with pytest.raises(AssertionError, match=r"census_table\(\[1000000000000\]\)"):
         main(["census", "1e12"])  # the largest bound passes the guard
+
+
+def test_census_table_columns_align_at_13_digits(capsys, monkeypatch):
+    # the counts are kp_count's; stubbed so that only the layout is under test
+    exact = {10**11: 3053140646, 10**12: 27485515099}
+    monkeypatch.setattr(census, "census_table", lambda checkpoints, k, family: [
+        census.CensusRow(n, exact[n], analytic.kp_estimate(n, 2), exact[n] * log(n) / n)
+        for n in checkpoints
+    ])
+    rc, out, _ = run(capsys, "census", "1e12", "--checkpoints", "1e11,1e12")
+    assert rc == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["n", "100000000000", "1000000000000"]
+    ends = {tuple(m.end() for m in re.finditer(r"\S+", line)) for line in lines}
+    assert ends == {(13, 25, 38, 49)}  # n and exact columns widened by one each
+    # tables of n <= 999999999999 keep the 12-wide column
+    _, out, _ = run(capsys, "census", "1e11")
+    assert out.splitlines()[0] == f"{'n':>12} {'exact':>10} {'estimate':>12} {'ratio':>10}"
+    assert out.splitlines()[1].startswith("100000000000 3053140646 ")
 
 
 def test_census_deterministic(capsys):
@@ -336,6 +356,19 @@ def test_scan_budget_refused_before_scanning(capsys, monkeypatch, kind, power):
                           f"(x <= 1000000, so bound <= {cap};")
     with pytest.raises(AssertionError, match=rf"{kind}_scan\({cap}\)"):
         main(["witness", kind, "--bound", str(cap)])  # the largest bound passes the guard
+
+
+def test_family_budget_refused_before_looping(capsys, monkeypatch):
+    def boom(t_max):
+        raise AssertionError(f"x3p1_family({t_max}) called")
+
+    monkeypatch.setattr(construct, "x3p1_family", boom)
+    cap = cli.MAX_FAMILY_T
+    rc, out, err = run(capsys, "witness", "x3p1", "--t-max", str(cap + 1))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: --t-max {cap + 1} exceeds the x3p1 family budget ({cap};")
+    with pytest.raises(AssertionError, match=rf"x3p1_family\({cap}\)"):
+        main(["witness", "x3p1", "--t-max", str(cap)])  # the largest t passes the guard
 
 
 def test_witness_x3p1_json(capsys):
