@@ -39,7 +39,8 @@ _MR_TIERS: list[tuple[int, tuple[int, ...]]] = [
     (3_215_031_751, (2, 3, 5, 7)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 ]
 DETERMINISTIC_PRIME_BOUND = _MR_TIERS[-1][0]
 
@@ -136,22 +137,43 @@ def _rho_split(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
-def _factor_into(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    d = _rho_split(n)
-    _factor_into(d, out)
-    _factor_into(n // d, out)
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes of n > 1, by a loop over cofactors.
+
+    Each cofactor first loses every prime already found; a perfect square
+    is replaced by its root; Brent-rho runs only on a cofactor that neither
+    step nor a primality test resolves, and only once no other cofactor is
+    waiting.  So n = p*q^2 takes one rho run at most, whichever factor rho
+    returns (q, p*q, p or q^2), and none for q^2 alone.
+    """
+    found: list[int] = []
+    todo, hard = [n], []
+    while todo or hard:
+        easy = bool(todo)
+        m = (todo or hard).pop()
+        for p in found:
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            continue
+        if is_prime(m):
+            found.append(m)
+        elif (r := isqrt(m)) * r == m:
+            todo.append(r)
+        elif easy:
+            hard.append(m)
+        else:
+            d = _rho_split(m)
+            todo += [m // d, d]  # d, usually the smaller, comes off first
+    return found
 
 
 def factorize(n: int) -> Factorization:
     """Full prime factorization of n >= 2.
 
-    Trial division by sieved small primes, then Brent-rho on what is left.
-    Suited to smooth or moderate inputs, not cryptographic sizes.
+    Trial division by sieved small primes, then `_prime_divisors` (Brent-rho
+    on the cofactors that need it) on what is left.  Suited to smooth or
+    moderate inputs, not cryptographic sizes.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
@@ -165,7 +187,10 @@ def factorize(n: int) -> Factorization:
             n //= p
     if n > 1:
         # leftover cofactor: prime, or a product of primes > the trial cutoff
-        _factor_into(n, found)
+        for p in _prime_divisors(n):
+            while n % p == 0:
+                found[p] = found.get(p, 0) + 1
+                n //= p
     return Factorization(value, tuple(sorted(found.items())))
 
 

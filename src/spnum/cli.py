@@ -23,7 +23,7 @@ from .classify import kp_decompose, sp_decompose
 
 MAX_CENSUS_BOUND = 10**12  # prime-count table: 3·isqrt(bound) int64 entries while built (24 MB)
 MAX_DIGITS_BOUND = 10**11  # class prime-count table: 8·isqrt(bound) int64 entries (20 MB)
-MAX_SCAN_X = 10**6  # x2p1/x3p1 --bound kernel sieve: a few int64 arrays of x_max entries
+MAX_SCAN_X = 10**7  # x2p1/x3p1 --bound kernel sieve: windows of x, root classes of primes <= x
 MAX_FAMILY_T = 10**5  # x3p1 --t-max: one is_prime per t (2.0 s at the cap)
 
 
@@ -89,6 +89,9 @@ def cmd_census(args: argparse.Namespace) -> int:
         print("error: --family psp supports k = 2 only", file=sys.stderr)
         return 2
     checkpoints = args.checkpoints if args.checkpoints is not None else [bound]
+    if not checkpoints:
+        print("error: --checkpoints names no bound", file=sys.stderr)
+        return 2
     if any(c < 2 or c > bound for c in checkpoints) or checkpoints != sorted(checkpoints):
         print("error: checkpoints must be ascending and within [2, bound]", file=sys.stderr)
         return 2
@@ -171,8 +174,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
             print(
                 f"error: bound {args.bound} exceeds the {kind} scan budget "
                 f"(x <= {MAX_SCAN_X}, so bound <= {MAX_SCAN_X**power + 1}; the kernel sieve "
-                "holds a few int64 arrays of x entries); "
-                "raise MAX_SCAN_X only with memory to spare",
+                "runs over x in windows, its time growing with x); "
+                "raise MAX_SCAN_X only with time to spare",
                 file=sys.stderr,
             )
             return 2

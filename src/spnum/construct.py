@@ -255,7 +255,7 @@ def x2p1_stream(count: int) -> list[X2p1Witness]:
 
 def x2p1_scan(bound: int) -> list[X2p1Witness]:
     """Every SP number of the form x^2 + 1 up to bound (any prime, not only
-    the Pell subfamily), by a kernel sieve over x = 1..x_max.
+    the Pell subfamily), by a kernel sieve over x = 1..x_max in windows.
 
     A prime p divides x^2 + 1 exactly when p = 2 and x is odd, or
     p = 1 (mod 4) and x = +-sqrt(-1) (mod p).  Stripping those classes for
@@ -264,15 +264,11 @@ def x2p1_scan(bound: int) -> list[X2p1Witness]:
     """
     if bound < 2:
         return []
-    xmax = isqrt(bound - 1)
-    classes = [(2, 1)]
-    for p in sieve_primes(xmax).tolist():
-        if p % 4 == 1:
-            s = _modsqrt(p - 1, p)
-            classes += [(p, s), (p, p - s)]
-    xs = np.arange(xmax + 1, dtype=np.int64)
-    count, prime = _odd_primes(xs * xs + 1, classes)
-    return [X2p1Witness(x, sp) for x, sp in _members(count, prime, lambda x: x * x + 1)]
+    return [
+        X2p1Witness(x, sp)
+        for lo, count, prime in _x2p1_sieve(isqrt(bound - 1))
+        for x, sp in _members(lo, count, prime, lambda x: x * x + 1)
+    ]
 
 
 def between_squares(x: int) -> BetweenSquaresWitness:
@@ -338,59 +334,97 @@ def x3p1_family(t_max: int) -> list[X3p1Witness]:
     return out
 
 
-def _modsqrt(a: int, p: int) -> int:
-    """Square root of a mod odd prime p (a must be a quadratic residue)."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
-
-
+_WINDOW = 1 << 18  # x values sieved at once; a scan with x_max below it runs as one window
 _PAIR_CHUNK = 1 << 16  # (x, p) pairs stripped at once by _odd_primes
 
 
-def _odd_primes(vals: np.ndarray, classes: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel sieve over an int64 array of polynomial values indexed by x.
+def _pow_mod(g: int, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """g**e % p elementwise over int64 arrays, by squaring; exact while
+    p**2 < 2**63, far above the primes of any scan budget."""
+    out = np.ones_like(p)
+    base = np.full_like(p, g) % p
+    while e.any():
+        out = np.where(e & 1, out * base % p, out)
+        base = base * base % p
+        e = e >> 1
+    return out
 
-    Every class (p, r) names a prime p dividing vals[x] for x = r (mod p);
-    p is divided out of those entries completely, in place.  The caller
-    guarantees that what remains of each value is 1 or a single prime.
-    Returns, per x, the number of primes with odd exponent (the remainder
-    included) and one such prime; x is SP iff that count is 1 and the
-    prime is not the value itself.
+
+def _unity_root(ps: np.ndarray, order: int) -> np.ndarray:
+    """A primitive order-th root of unity (order 3 or 4) mod every prime of
+    ps, each p = 1 (mod order): w = g^((p-1)/order) for the least base
+    g = 2, 3, ... that makes w primitive.  Since w^order = 1, w is primitive
+    unless w = 1 (order 3) or w^2 = 1 (order 4)."""
+    w = np.zeros_like(ps)
+    todo = np.arange(len(ps))
+    g = 2
+    while todo.size:
+        p = ps[todo]
+        cand = _pow_mod(g, (p - 1) // order, p)
+        ok = (cand * cand % p if order == 4 else cand) != 1
+        w[todo[ok]] = cand[ok]
+        todo = todo[~ok]
+        g += 1
+    return w
+
+
+def _x2p1_classes(xmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classes (p, r), p <= xmax, with p | x^2 + 1 exactly when x = r (mod p):
+    (2, 1), and (p, s), (p, p - s) for p = 1 (mod 4) with s^2 = -1 (mod p)."""
+    primes = sieve_primes(xmax)
+    ps = primes[primes % 4 == 1]
+    s = _unity_root(ps, 4)
+    return np.concatenate(([2], ps, ps)), np.concatenate(([1], s, ps - s))
+
+
+def _x3p1_classes(xmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classes (p, r), p = 1 (mod 3) and p <= xmax, with p | x^2 - x + 1
+    exactly when x = r (mod p): the primitive sixth roots of unity -w and
+    -w^2, where w is a primitive cube root of unity mod p."""
+    primes = sieve_primes(xmax)
+    ps = primes[primes % 3 == 1]
+    w = _unity_root(ps, 3)
+    return np.concatenate((ps, ps)), np.concatenate((ps - w, ps - w * w % ps))
+
+
+def _windows(xmax: int):
+    """(lo, int64 array of x = lo..) for consecutive windows covering 0..xmax."""
+    for lo in range(0, xmax + 1, _WINDOW):
+        yield lo, np.arange(lo, min(lo + _WINDOW, xmax + 1), dtype=np.int64)
+
+
+def _x2p1_sieve(xmax: int):
+    """(lo, count, prime) as _odd_primes gives them for x^2 + 1, per window
+    of x = lo.. up to xmax."""
+    ps, rs = _x2p1_classes(xmax)
+    for lo, xs in _windows(xmax):
+        yield lo, *_odd_primes(xs * xs + 1, lo, ps, rs)
+
+
+def _odd_primes(
+    vals: np.ndarray, lo: int, ps: np.ndarray, rs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel sieve over an int64 array of polynomial values at x = lo, lo + 1, ...
+
+    Every class (ps[i], rs[i]) names a prime p dividing the value at every
+    x = r (mod p); p is divided out of those entries completely, in place.
+    The caller guarantees that what remains of each value is 1 or a single
+    prime.  Returns, per x, the number of primes with odd exponent (the
+    remainder included) and one such prime; x is SP iff that count is 1 and
+    the prime is not the value itself.
     """
-    ps = np.array([p for p, _ in classes], dtype=np.int64)
-    rs = np.array([r for _, r in classes], dtype=np.int64)
     top = len(vals) - 1
-    per = np.where(rs <= top, (top - rs) // ps + 1, 0)
+    first = (rs - lo) % ps  # index of the first x = r (mod p) in the window
+    per = (top - first) // ps + 1  # 0 when first > top, as first < p
     ends = np.cumsum(per)
     total = int(ends[-1]) if len(ends) else 0
     count = np.zeros(len(vals), dtype=np.int64)
     prime = np.zeros(len(vals), dtype=np.int64)
-    for lo in range(0, total, _PAIR_CHUNK):
-        j = np.arange(lo, min(lo + _PAIR_CHUNK, total), dtype=np.int64)
+    for start in range(0, total, _PAIR_CHUNK):
+        j = np.arange(start, min(start + _PAIR_CHUNK, total), dtype=np.int64)
         c = np.searchsorted(ends, j, side="right")
         p = ps[c]
-        x = rs[c] + (j - ends[c] + per[c]) * p
+        x = first[c] + (j - ends[c] + per[c]) * p
         # divide every pair once per round, until its p no longer divides;
         # .at applies repeated x in turn, and distinct primes divide in any order
         odd = np.zeros(len(j), dtype=bool)
@@ -408,13 +442,15 @@ def _odd_primes(vals: np.ndarray, classes: list[tuple[int, int]]) -> tuple[np.nd
 
 
 def _members(
-    count: np.ndarray, prime: np.ndarray, poly: Callable[[int], int]
+    lo: int, count: np.ndarray, prime: np.ndarray, poly: Callable[[int], int]
 ) -> list[tuple[int, SpWitness]]:
-    """(x, SP witness of n = poly(x)) for every x that _odd_primes marks SP.
-    Each is re-checked (k prime, n = k*a^2), so a faulty sieve raises."""
+    """(x, SP witness of n = poly(x)) for every x = lo + i that _odd_primes
+    marks SP at index i.  Each is re-checked (k prime, n = k*a^2) on Python
+    ints, so a faulty sieve raises and no value is bounded by int64."""
     out = []
-    for x in np.flatnonzero(count == 1).tolist():
-        k, n = int(prime[x]), poly(x)
+    for i in np.flatnonzero(count == 1).tolist():
+        x = lo + i
+        k, n = int(prime[i]), poly(x)
         if k == n:
             continue  # n is prime: no square part
         a = isqrt(n // k)
@@ -427,38 +463,46 @@ def _members(
 def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
     """All x with x^3 + 1 <= bound and x^3 + 1 an SP number.
 
-    Works on the split x^3 + 1 = (x+1)(x^2-x+1), one kernel sieve per
-    factor.  Prime divisors of the quadratic factor B satisfy
-    z^2 - z + 1 = 0 mod p, i.e. p = 3 or p = 1 (mod 3), with roots
-    (1 +- sqrt(-3))/2; stripping those classes for p <= x_max leaves one
-    prime > x_max at most (B < (x_max + 1)^2).  The linear factor A is
-    stripped by primes up to sqrt(x_max + 1) the same way, which leaves 1
-    or a prime.  gcd(A, B) divides 3: for x = 2 (mod 3), B holds exactly
-    one 3, which is moved onto A so that p = 3 is stripped once with the
-    exponents of both factors summed.  Then x^3 + 1 is SP iff exactly one
-    prime has odd exponent, and it is not x^3 + 1 itself.
+    Works on the split x^3 + 1 = A*B, A = x + 1 and B = x^2 - x + 1, over
+    x in windows.  gcd(A, B) divides 3: for x = 2 (mod 3), B holds exactly
+    one 3, which is moved onto A.  Then A and B are coprime, x^3 + 1 is SP
+    iff exactly one prime has odd exponent in A or B and it is not x^3 + 1
+    itself, and so A or B must be a perfect square.  Prime divisors of B
+    satisfy z^2 - z + 1 = 0 mod p, i.e. p = 3 or p = 1 (mod 3), with roots
+    the primitive sixth roots of unity; a kernel sieve strips those classes
+    for p <= x_max, which leaves one prime > x_max at most
+    (B < (x_max + 1)^2).  Where A is a square, B's count decides.  B is a
+    square (B's count is 0) only at a handful of x (0, 1 and the solutions of
+    x^2 - x + 1 = 3m^2); there A is factored.  Everywhere else both have a
+    prime of odd exponent.
     """
     if bound < 2:
         return []
-    xmax = ikroot(bound - 1, 3)
-    xs = np.arange(xmax + 1, dtype=np.int64)
-    a, b = xs + 1, xs * xs - xs + 1
-    a[2::3] *= 3
-    b[2::3] //= 3
-    primes = sieve_primes(max(3, isqrt(xmax + 1))).tolist()  # 3 always: A holds B's 3
-    a_count, a_prime = _odd_primes(a, [(p, p - 1) for p in primes])
-    b_classes = []
-    for p in sieve_primes(xmax).tolist():
-        if p % 3 == 1:
-            s = _modsqrt(p - 3, p)
-            inv2 = (p + 1) // 2
-            b_classes += [(p, (1 + s) * inv2 % p), (p, (1 - s) * inv2 % p)]
-    b_count, b_prime = _odd_primes(b, b_classes)
-    prime = np.where(a_count > 0, a_prime, b_prime)
     return [
         X3p1ScanWitness(x, sp, (sp.p, x, sp.p * sp.a))
-        for x, sp in _members(a_count + b_count, prime, lambda x: x**3 + 1)
+        for lo, count, prime in _x3p1_sieve(ikroot(bound - 1, 3))
+        for x, sp in _members(lo, count, prime, lambda x: x**3 + 1)
     ]
+
+
+def _x3p1_sieve(xmax: int):
+    """(lo, count, prime) as _odd_primes gives them for x^3 + 1, per window
+    of x = lo.. up to xmax; a count of 2 stands for "at least 2"."""
+    ps, rs = _x3p1_classes(xmax)
+    for lo, xs in _windows(xmax):
+        a, b = xs + 1, xs * xs - xs + 1
+        at_2 = (2 - lo) % 3  # index of the first x = 2 (mod 3)
+        a[at_2::3] *= 3
+        b[at_2::3] //= 3
+        root = np.rint(np.sqrt(a)).astype(np.int64)  # exact: a < 2^52
+        a_square = root * root == a
+        b_count, b_prime = _odd_primes(b, lo, ps, rs)
+        count = np.where(a_square, b_count, 2)
+        prime = np.where(a_square, b_prime, 0)
+        for i in np.flatnonzero(~a_square & (b_count == 0)).tolist():
+            odd = [p for p, e in factorize(int(a[i])).factors if e % 2]
+            count[i], prime[i] = len(odd), odd[0]
+        yield lo, count, prime
 
 
 @dataclass(frozen=True)

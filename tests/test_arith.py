@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from spnum import arith
 from spnum.arith import (
     DETERMINISTIC_PRIME_BOUND,
     Factorization,
@@ -49,6 +50,16 @@ def test_is_prime_large_inputs():
     assert not is_prime((2**31 - 1) * (2**61 - 1))
 
 
+def test_is_prime_rejects_the_tier_bounds():
+    # each is the least strong pseudoprime to the first 12, resp. 13, prime
+    # bases (Sorenson-Webster 2015), so the tier below it must not cover it
+    psi12 = 399165290221 * 798330580441
+    psi13 = 1287836182261 * 2575672364521
+    assert (psi12, psi13) == (318665857834031151167461, DETERMINISTIC_PRIME_BOUND)
+    assert not is_prime(psi12) and not is_prime(psi13)
+    assert factorize(4 * psi12).as_dict() == {2: 2, 399165290221: 1, 798330580441: 1}
+
+
 def test_factorize_examples():
     assert factorize(75).as_dict() == {3: 1, 5: 2}
     assert factorize(12).as_dict() == {2: 2, 3: 1}
@@ -76,6 +87,44 @@ def test_factorize_large_semiprime_via_rho():
     p, q = 10**9 + 7, 10**9 + 9
     assert factorize(p * q).as_dict() == {p: 1, q: 1}
     assert factorize(p * p).as_dict() == {p: 2}
+
+
+Q = 10000019  # a prime in [10^7, 10^8]: rho needs thousands of steps to find it
+
+
+def _count_rho(monkeypatch, answers=None):
+    """Wrap arith._rho_split in a call counter; `answers` fixes its factor
+    for the inputs it names."""
+    calls = []
+    real = arith._rho_split
+    answers = answers or {}
+
+    def counted(n):
+        calls.append(n)
+        return answers[n] if n in answers else real(n)
+
+    monkeypatch.setattr(arith, "_rho_split", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, most", [
+    (997, 0),  # p < 1000 falls to trial division; q^2 is a perfect square
+    (1000003, 1),  # 1000 < p < q
+    (99999989, 1),  # p > q
+])
+def test_factorize_pq2_runs_rho_at_most_once(monkeypatch, p, most):
+    calls = _count_rho(monkeypatch)
+    assert factorize(p * Q * Q).factors == tuple(sorted({p: 1, Q: 2}.items()))
+    assert len(calls) == most
+
+
+@pytest.mark.parametrize("part", ["q", "pq", "p", "qq"])
+def test_factorize_pq2_one_rho_whatever_it_returns(monkeypatch, part):
+    p = 1000003
+    factor = {"q": Q, "pq": p * Q, "p": p, "qq": Q * Q}[part]
+    calls = _count_rho(monkeypatch, {p * Q * Q: factor})
+    assert factorize(p * Q * Q).as_dict() == {p: 1, Q: 2}
+    assert calls == [p * Q * Q]
 
 
 def test_factorization_record():

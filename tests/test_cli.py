@@ -145,6 +145,17 @@ def test_census_validation_errors(capsys):
     assert run(capsys, "census", "1000000000001")[0] == 2
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("text", [",", ",,", ""])
+def test_census_empty_checkpoints_refused_before_counting(capsys, monkeypatch, text, fmt):
+    def boom(checkpoints, k, family):
+        raise AssertionError(f"census_table({checkpoints}) called")
+
+    monkeypatch.setattr(census, "census_table", boom)
+    rc, out, err = run(capsys, "census", "100", "--checkpoints", text, "--format", fmt)
+    assert (rc, out, err) == (2, "", "error: --checkpoints names no bound\n")
+
+
 def test_census_budget_refused_before_counting(capsys, monkeypatch):
     def boom(checkpoints, k, family):
         raise AssertionError(f"census_table({checkpoints}) called")
@@ -353,7 +364,8 @@ def test_scan_budget_refused_before_scanning(capsys, monkeypatch, kind, power):
     rc, out, err = run(capsys, "witness", kind, "--bound", str(cap + 1))
     assert rc == 2 and out == ""
     assert err.startswith(f"error: bound {cap + 1} exceeds the {kind} scan budget "
-                          f"(x <= 1000000, so bound <= {cap};")
+                          f"(x <= 10000000, so bound <= {cap}; the kernel sieve "
+                          "runs over x in windows")
     with pytest.raises(AssertionError, match=rf"{kind}_scan\({cap}\)"):
         main(["witness", kind, "--bound", str(cap)])  # the largest bound passes the guard
 

@@ -3,10 +3,12 @@
 import dataclasses
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from spnum import construct
 from spnum.arith import is_prime
+from spnum.census import sieve_primes
 from spnum.classify import SpWitness, sp_decompose, verify_sp_witness
 from spnum.construct import (
     BunyakovskyReport,
@@ -14,7 +16,6 @@ from spnum.construct import (
     SumWitness,
     X2p1Witness,
     X3p1ScanWitness,
-    _modsqrt,
     between_squares,
     bunyakovsky_report,
     gap_witness,
@@ -323,13 +324,50 @@ def test_x3p1_family_contained_in_scan():
         assert by_x[w.x] == w.sp
 
 
-def test_modsqrt_property():
-    from spnum.census import sieve_primes
+@pytest.mark.parametrize("classes, mod, poly, extra", [
+    (construct._x2p1_classes, 4, lambda r: r * r + 1, [(2, 1)]),
+    (construct._x3p1_classes, 3, lambda r: r * r - r + 1, []),
+], ids=["x2p1", "x3p1"])
+def test_root_classes_hold_two_roots_per_prime(classes, mod, poly, extra):
+    """Every class (p, r) below 10^6 is a root of its polynomial mod p, and
+    every prime p = 1 (mod 4), resp. (mod 3), has two distinct roots."""
+    primes = sieve_primes(10**6)
+    ps, rs = classes(10**6)
+    assert np.all((0 <= rs) & (rs < ps)) and np.all(poly(rs) % ps == 0)
+    odd = ps > 2
+    assert list(zip(ps[~odd].tolist(), rs[~odd].tolist())) == extra
+    order = np.lexsort((rs[odd], ps[odd]))
+    p, r = ps[odd][order].reshape(-1, 2), rs[odd][order].reshape(-1, 2)
+    assert np.array_equal(p[:, 0], primes[primes % mod == 1])
+    assert np.array_equal(p[:, 1], p[:, 0]) and np.all(r[:, 0] < r[:, 1])
 
-    for p in sieve_primes(500).tolist():
-        if p % 3 == 1:
-            s = _modsqrt(p - 3, p)
-            assert s * s % p == (p - 3) % p
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_unity_root_uses_the_least_working_base(order):
+    """g^((p-1)/order) for the least non-residue (order 4), resp. non-cube
+    (order 3) g, found one prime at a time with Python's pow."""
+    q = 2 if order == 4 else 3
+    ps = sieve_primes(10**4)
+    ps = ps[ps % order == 1]
+    got = construct._unity_root(ps, order).tolist()
+    for p, w in zip(ps.tolist(), got):
+        g = next(g for g in range(2, p) if pow(g, (p - 1) // q, p) != 1)
+        assert w == pow(g, (p - 1) // order, p), p
+
+
+@pytest.mark.parametrize("window, x3p1_top", [(1, 10**12), (7, 10**15), (4096, 10**15)])
+def test_scans_agree_across_window_sizes(monkeypatch, window, x3p1_top):
+    """A scan split into windows of any size finds what one default window
+    finds: the first x of each class and the 3 moved onto x + 1 follow the
+    window offset.  (Windows of one x stop the x^3 + 1 scan at 10^12: at
+    10^15 they would take 17 s.)"""
+    bounds = range(3001)
+    default = {f: [f(b) for b in bounds] for f in (x2p1_scan, x3p1_scan)}
+    big = (x2p1_scan(10**9), x3p1_scan(x3p1_top))
+    monkeypatch.setattr(construct, "_WINDOW", window)
+    for f, expect in default.items():
+        assert [f(b) for b in bounds] == expect, f.__name__
+    assert (x2p1_scan(10**9), x3p1_scan(x3p1_top)) == big
 
 
 def test_bunyakovsky_report():

@@ -1,8 +1,9 @@
 """Property tests: witness checks round-trip and reject single-field tampering;
 the prime-counting routes and the x^2 + 1 / x^3 + 1 kernel sieves agree with
-their oracles at random sizes."""
+their oracles at random sizes; factorize recovers repeated large primes."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from spnum.arith import is_prime  # noqa: E402
+from spnum.arith import factorize, is_prime  # noqa: E402
 from spnum.census import digit_census, kp_count, kp_enumerate, prime_pi, psp_count  # noqa: E402
 from spnum.classify import SpWitness, sp_decompose  # noqa: E402
 from spnum.construct import gap_witness, x2p1_scan, x3p1_scan  # noqa: E402
@@ -86,3 +87,24 @@ def test_x2p1_scan_matches_classification(bound):
 @given(st.integers(0, 10**12))
 def test_x3p1_scan_matches_classification(bound):
     assert x3p1_scan(bound) == x3p1_classified(bound)
+
+
+big_primes = st.integers(1000, 10**6).map(
+    lambda n: next(m for m in range(n, 2 * n) if is_prime(m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_primes, big_primes, big_primes, st.sampled_from(["q^2", "q^3", "p*q^2*r^2"]))
+def test_factorize_repeated_primes_above_trial_cutoff(p, q, r, shape):
+    """Cofactors above the trial cutoff that are squares, cubes or carry
+    repeated primes next to a single one come back whole and prime."""
+    exps = {"q^2": Counter({q: 2}), "q^3": Counter({q: 3}),
+            "p*q^2*r^2": Counter({p: 1}) + Counter({q: 2}) + Counter({r: 2})}[shape]
+    n = 1
+    for f, e in exps.items():
+        n *= f**e
+    got = factorize(n)
+    assert got.recombine() == n
+    assert got.as_dict() == dict(exps)
+    assert [f for f, _ in got.factors] == sorted(exps)
+    assert all(is_prime(f) for f, _ in got.factors)
