@@ -24,7 +24,6 @@ __all__ = [
     "hurwitz_zeta2",
     "kp_estimate",
     "psp_estimate",
-    "pkp_estimate",
     "digit1_estimate",
     "digit1_bracket",
 ]
@@ -150,8 +149,8 @@ def hurwitz_zeta2(q) -> Estimate:
 
 
 def _per_log(n: int) -> float:
-    if n < 3:
-        raise ValueError(f"estimators require n >= 3, got {n}")
+    if n < 2:
+        raise ValueError(f"estimators require n >= 2, got {n}")
     return n / log(n)
 
 
@@ -160,12 +159,7 @@ def kp_estimate(n: int, k: int = 2) -> float:
     return _zeta_excess(k).value * _per_log(n)
 
 
-def psp_estimate(n: int) -> float:
-    """P(2) * n / ln n, the p1*p2^2 count estimator."""
-    return prime_zeta(2).value * _per_log(n)
-
-
-def pkp_estimate(n: int, k: int) -> float:
+def psp_estimate(n: int, k: int = 2) -> float:
     """P(k) * n / ln n, the p1*p2^k count estimator."""
     return prime_zeta(k).value * _per_log(n)
 

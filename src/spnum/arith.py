@@ -1,7 +1,9 @@
-"""Exact integer primitives: primality, factorization, integer roots.
+"""Exact integer primitives: a prime sieve, primality, factorization,
+integer roots.
 
-Everything here works on arbitrary-precision Python ints and never goes
-through floating point, so floor/exactness guarantees hold at any size.
+Everything here works on arbitrary-precision Python ints, or for the sieve
+on int64/bool numpy arrays, and never goes through floating point, so
+floor/exactness guarantees hold at any size.
 """
 
 from __future__ import annotations
@@ -10,8 +12,11 @@ import random
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+import numpy as np
+
 __all__ = [
     "Factorization",
+    "sieve_primes",
     "is_prime",
     "factorize",
     "ikroot",
@@ -19,16 +24,19 @@ __all__ = [
 ]
 
 
-def _small_prime_list(limit: int) -> list[int]:
-    sieve = bytearray([1]) * limit
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [i for i in range(limit) if sieve[i]]
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit as an int64 array (plain sieve, fits in memory)."""
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.nonzero(mask)[0].astype(np.int64)
 
 
-_TRIAL_PRIMES = _small_prime_list(1000)
+_TRIAL_PRIMES = sieve_primes(1000).tolist()
 
 # Deterministic Miller-Rabin witness tiers.  Each entry (bound, bases) is a
 # published exhaustively-verified result: testing against `bases` is exact for

@@ -1,4 +1,4 @@
-"""Exact counting and enumeration of p*a^k and p1*p2^2 numbers up to n.
+"""Exact counting and enumeration of p*a^k and p1*p2^k numbers up to n.
 
 Two independent routes are kept deliberately separate: pair enumeration
 (`kp_enumerate`, merging per-base streams of p*a^k products) and the
@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import analytic
-from .arith import ikroot
+from .arith import ikroot, sieve_primes
 from .classify import KpWitness
 
 __all__ = [
@@ -49,18 +49,6 @@ class DigitCensus:
 
     def total(self) -> int:
         return sum(self.counts)
-
-
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (plain sieve, fits in memory)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
 
 
 def _pi_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -271,16 +259,18 @@ def kp_count(n: int, k: int = 2) -> int:
     return int(_pi_table(n)(n // a**k).sum())
 
 
-def psp_count(n: int) -> int:
-    """Count of p1*p2^2 numbers <= n via the sum over p2 of pi(n/p2^2).
+def psp_count(n: int, k: int = 2) -> int:
+    """Count of p1*p2^k numbers <= n via the sum over p2 of pi(n/p2^k).
 
     The inner pi runs over all primes, so p1 = p2 cases (8 = 2*2^2) are
-    counted, matching `psp_decompose`.
+    counted, matching `psp_decompose` for k = 2.
     """
-    if n < 8:
+    if k < 2:
+        raise ValueError(f"psp_count requires k >= 2, got {k}")
+    ps = sieve_primes(ikroot(n // 2, k) if n >= 2 else 0)
+    if len(ps) == 0:
         return 0
-    ps = sieve_primes(isqrt(n // 2))
-    return int(_pi_table(n)(n // (ps * ps)).sum())
+    return int(_pi_table(n)(n // ps**k).sum())
 
 
 def digit_census(n: int) -> DigitCensus:
@@ -309,31 +299,21 @@ def census_table(
     """One CensusRow per checkpoint: exact count, analytic estimate, ratio.
 
     family "kp" counts p*a^k against the (zeta(k)-1)*n/ln n estimate;
-    family "psp" (k = 2 only) counts p1*p2^2 against P(2)*n/ln n.
+    family "psp" counts p1*p2^k against P(k)*n/ln n.
     """
     fam = family.lower()
     if fam not in ("kp", "psp"):
         raise ValueError(f"family must be 'kp' or 'psp', got {family!r}")
-    if fam == "psp" and k != 2:
-        raise ValueError("psp census is defined for k = 2 only")
     if any(b < 2 for b in checkpoints):
         raise ValueError("checkpoints must be >= 2")
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must be ascending")
+    if fam == "kp":
+        count, estimate = kp_count, analytic.kp_estimate
+    else:
+        count, estimate = psp_count, analytic.psp_estimate
     rows = []
     for n in checkpoints:
-        if fam == "kp":
-            exact = kp_count(n, k)
-            if n >= 3:
-                estimate = analytic.kp_estimate(n, k)
-            else:
-                # below the estimator's n >= 3 contract; same formula
-                estimate = (analytic.zeta(k).value - 1.0) * n / log(n)
-        else:
-            exact = psp_count(n)
-            if n >= 3:
-                estimate = analytic.psp_estimate(n)
-            else:
-                estimate = analytic.prime_zeta(2).value * n / log(n)
-        rows.append(CensusRow(n, exact, estimate, exact * log(n) / n))
+        exact = count(n, k)
+        rows.append(CensusRow(n, exact, estimate(n, k), exact * log(n) / n))
     return rows

@@ -19,7 +19,6 @@ __all__ = [
     "sp_decompose",
     "kp_decompose",
     "psp_decompose",
-    "verify_sp_witness",
 ]
 
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -34,7 +33,8 @@ class SpWitness:
     a: int
 
     def checks(self) -> list[str]:
-        """Names of the failed invariants, empty iff valid.  Never factors n, so
+        """Names of the failed invariants, empty iff valid, which by uniqueness
+        of the decomposition means sp_decompose(n) == self.  Never factors n, so
         it stays cheap for hundred-digit square bases (Pell-built gap pairs)."""
         conditions = (("a >= 2", self.a >= 2), ("n = p·a²", self.n == self.p * self.a**2),
                       ("p prime", is_prime(self.p)))
@@ -96,15 +96,6 @@ def sp_decompose(n: int) -> SpWitness | None:
     if w is None:
         return None
     return SpWitness(w.n, w.p, w.a)
-
-
-def verify_sp_witness(w: SpWitness) -> bool:
-    """True iff w is a valid SP certificate: p prime, a >= 2, n = p*a^2.
-
-    By uniqueness of the decomposition this is equivalent to
-    sp_decompose(w.n) == w, but it never factors w.n (see SpWitness.checks).
-    """
-    return not w.checks()
 
 
 def psp_decompose(n: int) -> PspWitness | None:

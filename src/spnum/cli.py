@@ -46,6 +46,12 @@ def _emit_json(command: str, parameters: dict, results: list) -> None:
     print(json.dumps({"command": command, "parameters": parameters, "results": results}, indent=2))
 
 
+def _emit_lines(lines: list[str]) -> None:
+    """Write lines rendered in full beforehand, so a value that fails to
+    render (an int past the interpreter's digit limit) leaves stdout empty."""
+    sys.stdout.write("".join(line + "\n" for line in lines))
+
+
 # ---------------------------------------------------------------- classify
 
 
@@ -84,9 +90,6 @@ def cmd_census(args: argparse.Namespace) -> int:
             "raise MAX_CENSUS_BOUND only with memory to spare",
             file=sys.stderr,
         )
-        return 2
-    if args.family == "psp" and args.k != 2:
-        print("error: --family psp supports k = 2 only", file=sys.stderr)
         return 2
     checkpoints = args.checkpoints if args.checkpoints is not None else [bound]
     if not checkpoints:
@@ -226,11 +229,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
         }
         _emit_json(f"witness {kind}", params, results)
     else:
+        lines = []
         for i, w in enumerate(witnesses):
-            for line in w.lines():
-                print(line)
+            lines += w.lines()
             if failed is not None:
-                print(f"  verify: FAIL ({'; '.join(failed[i])})" if failed[i] else "  verify: PASS")
+                lines.append(
+                    f"  verify: FAIL ({'; '.join(failed[i])})" if failed[i] else "  verify: PASS")
+        _emit_lines(lines)
     if failed is not None and any(failed):
         return 1
     return 0
@@ -255,8 +260,7 @@ def cmd_pell(args: argparse.Namespace) -> int:
             [asdict(s) for s in sols],
         )
     else:
-        for s in sols:
-            print(f"x={s.x} y={s.y}  [x² - {s.D}·y² = {s.norm:+d}]")
+        _emit_lines([f"x={s.x} y={s.y}  [x² - {s.D}·y² = {s.norm:+d}]" for s in sols])
     return 0
 
 

@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import factorize, ikroot, is_prime, squarefree_decompose
-from .census import sieve_primes
+from .arith import factorize, ikroot, is_prime, sieve_primes, squarefree_decompose
 from .classify import SpWitness
 from .pell import fundamental_solution, solution_stream
 
@@ -28,7 +27,6 @@ __all__ = [
     "X3p1ScanWitness",
     "BunyakovskyReport",
     "gap_witness",
-    "verify_gap_witness",
     "x2p1_stream",
     "x2p1_scan",
     "between_squares",
@@ -71,6 +69,9 @@ class GapWitness:
     aux: dict
 
     def checks(self) -> list[str]:
+        """Names of the failed invariants, empty iff valid.  Ignores the
+        constructor's case data and never factors the Pell-sized PRIME-case
+        members."""
         return _failed({"hi.n - lo.n = x": self.hi.n - self.lo.n == self.x}, hi=self.hi, lo=self.lo)
 
     def lines(self) -> list[str]:
@@ -232,13 +233,6 @@ def gap_witness(x: int) -> GapWitness:
     hi = SpWitness(p1 * (k + 1) ** 2, p1, k + 1)
     lo = SpWitness(p1 * k * k, p1, k)
     return GapWitness(x, hi, lo, "ODD_COMPOSITE_SF", {"p1": p1, "k": k})
-
-
-def verify_gap_witness(w: GapWitness) -> bool:
-    """True iff both members are valid SP certificates (which by uniqueness
-    pins the decomposition) and hi.n - lo.n == x.  Ignores the constructor's
-    case data and never factors the Pell-sized PRIME-case members."""
-    return not w.checks()
 
 
 def x2p1_stream(count: int) -> list[X2p1Witness]:

@@ -13,8 +13,8 @@ from math import isqrt
 import numpy as np
 
 from spnum import analytic, census, construct, pell
-from spnum.arith import factorize
-from spnum.classify import SpWitness, sp_decompose, verify_sp_witness
+from spnum.arith import factorize, sieve_primes
+from spnum.classify import SpWitness, sp_decompose
 
 GOLDEN_25 = [
     8, 12, 18, 20, 27, 28, 32, 44, 45, 48, 50, 52, 63, 68, 72, 75, 76, 80,
@@ -44,7 +44,7 @@ def _report(num: int, desc: str, ok: bool, elapsed: float | None = None,
 @lru_cache(maxsize=None)
 def _prime_zeta2_direct() -> float:
     """P(2) by direct summation over all primes below 1e8 (tail < 1e-9)."""
-    ps = census.sieve_primes(10**8).astype(np.float64)
+    ps = sieve_primes(10**8).astype(np.float64)
     return float(np.sum(1.0 / (ps * ps)))
 
 
@@ -104,7 +104,7 @@ def test_criterion_05_x2p1_family():
     scanned = [w.sp.n for w in construct.x2p1_scan(1100)]
     stream = construct.x2p1_stream(4)
     ok = scanned == [50, 325, 1025] and all(
-        w.x**2 + 1 == 2 * w.sp.a**2 and verify_sp_witness(w.sp)
+        w.x**2 + 1 == 2 * w.sp.a**2 and w.sp.checks() == []
         for w in stream
     )
     _report(5, "x^2+1 scan to 1100 gives {50, 325, 1025}; Pell stream "
@@ -117,7 +117,7 @@ def test_criterion_06_gap_witnesses():
     ok = True
     for x in range(1, 1001):
         w = construct.gap_witness(x)
-        ok = ok and construct.verify_gap_witness(w)
+        ok = ok and w.checks() == []
     w1 = construct.gap_witness(1)
     w6 = construct.gap_witness(6)
     ok = ok and (w1.hi, w1.lo) == (SpWitness(28, 7, 2), SpWitness(27, 3, 3))
@@ -146,7 +146,7 @@ def test_criterion_08_between_squares():
     for x in range(1, 10**5 + 1):
         w = construct.between_squares(x)
         ok = ok and x * x < w.sp.n < (x + 2) ** 2 and w.sp.n == 2 * w.n**2
-        ok = ok and verify_sp_witness(w.sp)
+        ok = ok and w.sp.checks() == []
     _report(8, "2n^2 witness strictly between x^2 and (x+2)^2 for "
                "x=1..1e5",
             ok, time.perf_counter() - t0, 5.0)

@@ -12,12 +12,11 @@ from spnum.analytic import (
     digit1_estimate,
     hurwitz_zeta2,
     kp_estimate,
-    pkp_estimate,
     prime_zeta,
     psp_estimate,
     zeta,
 )
-from spnum.census import sieve_primes
+from spnum.arith import sieve_primes
 
 
 def test_zeta_closed_forms():
@@ -134,16 +133,17 @@ def test_kp_estimate():
     assert kp_estimate(1000, 3) == pytest.approx(expect, rel=1e-12)
     assert kp_estimate(100, 50) < 1e-12
     with pytest.raises(ValueError):
-        kp_estimate(2, 2)
+        kp_estimate(1, 2)
 
 
 def test_psp_and_pkp_estimates():
     for n in (10, 1000, 10**6):
         assert 0 < psp_estimate(n) < kp_estimate(n, 2)
-        assert pkp_estimate(n, 2) == psp_estimate(n)
-        assert pkp_estimate(n, 3) < pkp_estimate(n, 2)
+        assert psp_estimate(n, 2) == psp_estimate(n)
+        assert psp_estimate(n, 3) < psp_estimate(n, 2)
+        assert psp_estimate(n, 3) == pytest.approx(prime_zeta(3).value * n / log(n), rel=1e-12)
     with pytest.raises(ValueError):
-        psp_estimate(2)
+        psp_estimate(1)
 
 
 def test_digit1_bracket_and_estimate():
@@ -154,4 +154,4 @@ def test_digit1_bracket_and_estimate():
     assert digit1_estimate(10**5) == pytest.approx(expect, rel=1e-12)
     assert digit1_estimate(10**5) == pytest.approx(400.316, abs=0.001)
     with pytest.raises(ValueError):
-        digit1_estimate(2)
+        digit1_estimate(1)

@@ -2,6 +2,7 @@
 
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from spnum import arith
@@ -22,6 +23,17 @@ def _sieve(limit: int) -> bytearray:
         if mask[p]:
             mask[p * p :: p] = b"\x00" * len(mask[p * p :: p])
     return mask
+
+
+def test_sieve_primes_edges_and_trial_primes():
+    assert arith.sieve_primes(0).tolist() == arith.sieve_primes(1).tolist() == []
+    assert arith.sieve_primes(2).tolist() == [2]
+    assert arith.sieve_primes(3).tolist() == [2, 3]
+    got = arith.sieve_primes(1000)
+    assert got.dtype == np.int64 == arith.sieve_primes(0).dtype
+    mask = _sieve(1000)
+    assert got.tolist() == [n for n in range(1001) if mask[n]]
+    assert len(got) == 168 and arith._TRIAL_PRIMES == got.tolist()
 
 
 def test_is_prime_examples():

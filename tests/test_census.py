@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spnum import analytic, census
+from spnum.arith import sieve_primes
 from spnum.census import (
     CensusRow,
     DigitCensus,
@@ -17,7 +18,6 @@ from spnum.census import (
     kp_enumerate,
     prime_pi,
     psp_count,
-    sieve_primes,
 )
 from spnum.classify import kp_decompose, psp_decompose
 
@@ -329,6 +329,11 @@ def test_census_table_small_checkpoint():
     (row,) = census_table([2], 2, "kp")
     assert row.exact == 0 and row.ratio == 0.0
     assert row.estimate == pytest.approx((analytic.zeta(2).value - 1) * 2 / log(2))
+    # zeta(k) - 1.0 in floats cancels: its 6th digit is off at k = 35 and all of it lost at k = 60
+    for k in (35, 60):
+        (row,) = census_table([2], k, "kp")
+        excess = sum(j**-k for j in range(2, 40))  # zeta(k) - 1 to double precision
+        assert row.estimate == pytest.approx(excess * 2 / log(2), rel=1e-12)
 
 
 def test_census_table_validation():
@@ -339,6 +344,6 @@ def test_census_table_validation():
     with pytest.raises(ValueError):
         census_table([1, 10], 2, "kp")
     with pytest.raises(ValueError):
-        census_table([10], 3, "psp")
+        census_table([10], 1, "psp")
     with pytest.raises(ValueError):
         census_table([10], 2, "nope")

@@ -12,7 +12,6 @@ from spnum.classify import (
     kp_decompose,
     psp_decompose,
     sp_decompose,
-    verify_sp_witness,
 )
 
 # first 25 SP numbers; the 25th is 117
@@ -137,7 +136,7 @@ def test_verify_sp_witness_accepts_real_witnesses():
     for n in range(2, 10**4 + 1):
         w = sp_decompose(n)
         if w is not None:
-            assert verify_sp_witness(w)
+            assert w.checks() == []
 
 
 def test_verify_sp_witness_equivalent_to_decompose():
@@ -146,15 +145,15 @@ def test_verify_sp_witness_equivalent_to_decompose():
         for a in range(2, isqrt(n) + 1):
             if n % (a * a) == 0:
                 claim = SpWitness(n, n // (a * a), a)
-                assert verify_sp_witness(claim) == (sp_decompose(n) == claim)
+                assert (claim.checks() == []) == (sp_decompose(n) == claim)
 
 
 def test_verify_sp_witness_rejects_tampering():
-    assert not verify_sp_witness(SpWitness(75, 5, 3))  # swapped roles: 5*9 != 75
-    assert not verify_sp_witness(SpWitness(76, 3, 5))  # wrong product
-    assert not verify_sp_witness(SpWitness(100, 4, 5))  # 4 not prime
-    assert not verify_sp_witness(SpWitness(3, 3, 1))  # a < 2
-    assert verify_sp_witness(SpWitness(75, 3, 5))
+    assert SpWitness(75, 5, 3).checks()  # swapped roles: 5*9 != 75
+    assert SpWitness(76, 3, 5).checks()  # wrong product
+    assert SpWitness(100, 4, 5).checks()  # 4 not prime
+    assert SpWitness(3, 3, 1).checks()  # a < 2
+    assert SpWitness(75, 3, 5).checks() == []
 
 
 def test_sp_checks_name_failed_invariants():

@@ -1,8 +1,10 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 
 import spnum
 from spnum import analytic, census, cli, construct
+from spnum.arith import is_prime
 from spnum.classify import SpWitness
 from spnum.cli import main
 
@@ -137,11 +140,20 @@ def test_census_psp_family(capsys):
     assert out.splitlines()[1].startswith("100,17,")
 
 
+def test_census_psp_family_k3(capsys):
+    rc, out, _ = run(capsys, "census", "1000", "--family", "psp", "--k", "3", "--format", "csv")
+    assert rc == 0
+    # p1 * p2^3: the KP_3 numbers whose base is prime
+    exact = sum(1 for w in census.kp_enumerate(1000, 3) if is_prime(w.a))
+    estimate = cli._fmt6(analytic.psp_estimate(1000, 3))
+    assert out.splitlines()[1].startswith(f"1000,{exact},{estimate},")
+
+
 def test_census_validation_errors(capsys):
     assert run(capsys, "census", "1")[0] == 2
     assert run(capsys, "census", "100", "--checkpoints", "50,20")[0] == 2
     assert run(capsys, "census", "100", "--checkpoints", "50,200")[0] == 2
-    assert run(capsys, "census", "100", "--family", "psp", "--k", "3")[0] == 2
+    assert run(capsys, "census", "100", "--family", "psp", "--k", "1")[0] == 2
     assert run(capsys, "census", "1000000000001")[0] == 2
 
 
@@ -417,6 +429,31 @@ def test_pell_square_d(capsys):
     assert "non-square" in err
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int-to-str digit limit in this interpreter")
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_pell_past_digit_limit_writes_nothing(capsys, fmt):
+    # the D = 61 solutions gain 9.5 digits each, so the last one passes the limit
+    count = str(_DIGIT_LIMIT // 9 + 1)
+    rc, out, err = run(capsys, "pell", "61", "--count", count, "--format", fmt)
+    assert (rc, out) == (2, "")
+    assert f"limit ({_DIGIT_LIMIT} digits)" in err
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int-to-str digit limit in this interpreter")
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_witness_past_digit_limit_writes_nothing(capsys, monkeypatch, verify):
+    big = 10**_DIGIT_LIMIT  # one digit past the limit
+    huge = construct.X2p1Witness(big, SpWitness(big**2 + 1, 2, big))
+    stream = [construct.x2p1_stream(1)[0], huge]
+    monkeypatch.setattr(construct, "x2p1_stream", lambda count: stream)
+    rc, out, err = run(capsys, "witness", "x2p1", *verify)
+    assert (rc, out) == (2, "")
+    assert f"limit ({_DIGIT_LIMIT} digits)" in err
+
+
 def test_pell_json(capsys):
     rc, out, _ = run(capsys, "pell", "6", "--format", "json")
     assert rc == 0
@@ -482,6 +519,12 @@ def test_bunyakovsky_json(capsys):
     assert row["irreducible"] is True
     assert row["variant_irreducible"] is False
     assert row["running_gcd"] == [[1, 1]]
+
+
+def test_every_exported_name_exists():
+    for info in pkgutil.iter_modules(spnum.__path__):
+        mod = importlib.import_module(f"spnum.{info.name}")
+        assert [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)] == [], info.name
 
 
 def test_module_entry_point():

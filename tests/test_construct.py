@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from spnum import construct
-from spnum.arith import is_prime
-from spnum.census import sieve_primes
-from spnum.classify import SpWitness, sp_decompose, verify_sp_witness
+from spnum.arith import is_prime, sieve_primes
+from spnum.classify import SpWitness, sp_decompose
 from spnum.construct import (
     BunyakovskyReport,
     GapWitness,
@@ -20,7 +19,6 @@ from spnum.construct import (
     bunyakovsky_report,
     gap_witness,
     sum_decompose,
-    verify_gap_witness,
     x2p1_scan,
     x2p1_stream,
     x3p1_family,
@@ -64,7 +62,7 @@ def test_gap_roundtrip_and_case_tags():
     for x in range(1, 601):
         w = gap_witness(x)
         assert isinstance(w, GapWitness) and w.x == x
-        assert verify_gap_witness(w), x
+        assert w.checks() == [], x
         t, s = squarefree_decompose(x)
         if t > 1:
             expect = "NONSQUAREFREE"
@@ -82,16 +80,14 @@ def test_gap_roundtrip_and_case_tags():
 def test_gap_rejects_tampering():
     w = gap_witness(6)
     # wrong difference, both members still valid
-    assert not verify_gap_witness(dataclasses.replace(w, x=5))
-    assert not verify_gap_witness(
-        dataclasses.replace(w, hi=SpWitness(20, 5, 2)))
+    assert dataclasses.replace(w, x=5).checks()
+    assert dataclasses.replace(w, hi=SpWitness(20, 5, 2)).checks()
     # difference and product hold, but the claimed prime is composite
     fake = GapWitness(4, SpWitness(16, 4, 2), SpWitness(12, 3, 2),
                       "EVEN_COMPOSITE_SF", {})
-    assert not verify_gap_witness(fake)
+    assert fake.checks()
     # product holds with a unit base
-    assert not verify_gap_witness(
-        dataclasses.replace(w, lo=SpWitness(12, 12, 1)))
+    assert dataclasses.replace(w, lo=SpWitness(12, 12, 1)).checks()
     with pytest.raises(ValueError):
         gap_witness(0)
 
@@ -202,7 +198,7 @@ def test_x2p1_stream():
     for w in got:
         assert w.sp.p == 2
         assert w.x**2 + 1 == 2 * w.sp.a**2 == w.sp.n
-        assert verify_sp_witness(w.sp)
+        assert w.sp.checks() == []
     assert x2p1_stream(0) == []
     with pytest.raises(ValueError):
         x2p1_stream(-1)
@@ -229,7 +225,7 @@ def test_between_squares_strict_and_minimal():
         m = w.sp.n
         assert m == 2 * w.n**2
         assert x * x < m < (x + 2) ** 2, x
-        assert verify_sp_witness(w.sp)
+        assert w.sp.checks() == []
         assert w.n == 2 or 2 * (w.n - 1) ** 2 <= x * x, x
 
 
@@ -258,7 +254,7 @@ def test_sum_decompose_all_small_sp():
         assert w.u > w.v >= 1 and w.u**2 + w.v**2 == w.q
         assert w.q % 4 == 1 and is_prime(w.q) and sp.a % w.q == 0
         assert w.part1.n + w.part2.n == n
-        assert verify_sp_witness(w.part1) and verify_sp_witness(w.part2)
+        assert w.part1.checks() == w.part2.checks() == []
         assert w.part1.p == w.part2.p == sp.p
 
 
@@ -277,7 +273,7 @@ def test_x3p1_family():
         assert w.x == w.t**2 - 1
         assert w.x**3 + 1 == w.f_t * w.t**2 == w.sp.n
         assert w.sp == SpWitness(w.sp.n, w.f_t, w.t)
-        assert verify_sp_witness(w.sp)
+        assert w.sp.checks() == []
         p, x, y = w.curve_point
         assert y * y == p * x**3 + p
     with pytest.raises(ValueError):

@@ -67,8 +67,8 @@ def test_prime_pi_matches_segmented_sieve(x):
 def test_counts_match_enumeration(n, k):
     witnesses = list(kp_enumerate(n, k))
     assert kp_count(n, k) == len(witnesses)
-    if k == 2:  # p1 * p2^2 is exactly an SP number whose square base is prime
-        assert psp_count(n) == sum(1 for w in witnesses if is_prime(w.a))
+    # p1 * p2^k is exactly a KP_k number whose base is prime
+    assert psp_count(n, k) == sum(1 for w in witnesses if is_prime(w.a))
 
 
 @settings(max_examples=20, deadline=None)
