@@ -23,7 +23,7 @@ from .classify import kp_decompose, sp_decompose
 
 MAX_CENSUS_BOUND = 10**12  # prime-count table: 3·isqrt(bound) int64 entries while built (24 MB)
 MAX_DIGITS_BOUND = 10**11  # class prime-count table: 8·isqrt(bound) int64 entries (20 MB)
-MAX_SCAN_X = 10**7  # x2p1/x3p1 --bound kernel sieve: windows of x, root classes of primes <= x
+MAX_SCAN_X = 10**7  # x2p1/x3p1 --bound: x2p1 sieves every x <= it in windows; x3p1 about 1.6·sqrt(it) x
 MAX_FAMILY_T = 10**5  # x3p1 --t-max: one is_prime per t (2.0 s at the cap)
 
 
@@ -37,6 +37,8 @@ def _nat(text: str) -> int:
         d = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not d.is_finite():
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     if d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(d)
@@ -44,6 +46,22 @@ def _nat(text: str) -> int:
 
 def _emit_json(command: str, parameters: dict, results: list) -> None:
     print(json.dumps({"command": command, "parameters": parameters, "results": results}, indent=2))
+
+
+def _past_digit_limit(count: int, what: str, log10_value: float) -> bool:
+    """Refuse a --count whose largest printed integer, `what`, has log10 at
+    least log10_value, when that certainly passes the interpreter's
+    int-to-str digit limit: print why and return True."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or log10_value < limit:
+        return False
+    print(
+        f"error: --count {count} exceeds the digit budget: the last {what} would have more "
+        f"than {limit} digits, past the interpreter's int-to-str limit ({limit} digits), "
+        "which PYTHONINTMAXSTRDIGITS sets",
+        file=sys.stderr,
+    )
+    return True
 
 
 def _emit_lines(lines: list[str]) -> None:
@@ -182,6 +200,10 @@ def cmd_witness(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    # n = x^2 + 1 of the last member, where x runs over the x^2 - 2y^2 = -1 stream after (1, 1)
+    if kind == "x2p1" and args.bound is None and _past_digit_limit(
+            args.count, "n = x²+1", 2 * pell.stream_log10(2, -1, args.count + 1)):
+        return 2
     if kind == "x3p1" and args.bound is None and args.t_max > MAX_FAMILY_T:
         print(
             f"error: --t-max {args.t_max} exceeds the x3p1 family budget ({MAX_FAMILY_T}; "
@@ -246,6 +268,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_pell(args: argparse.Namespace) -> int:
     try:
+        if _past_digit_limit(args.count, "x", pell.stream_log10(args.D, args.norm, args.count)):
+            return 2
         sols = pell.solution_stream(args.D, args.norm, args.count)
     except ValueError as exc:
         if "no integer solution" in str(exc):

@@ -260,8 +260,8 @@ def x2p1_scan(bound: int) -> list[X2p1Witness]:
         return []
     return [
         X2p1Witness(x, sp)
-        for lo, count, prime in _x2p1_sieve(isqrt(bound - 1))
-        for x, sp in _members(lo, count, prime, lambda x: x * x + 1)
+        for xs, ks in _x2p1_sieve(isqrt(bound - 1))
+        for x, sp in _members(xs, ks, lambda x: x * x + 1)
     ]
 
 
@@ -329,7 +329,7 @@ def x3p1_family(t_max: int) -> list[X3p1Witness]:
 
 
 _WINDOW = 1 << 18  # x values sieved at once; a scan with x_max below it runs as one window
-_PAIR_CHUNK = 1 << 16  # (x, p) pairs stripped at once by _odd_primes
+_PAIR_CHUNK = 1 << 16  # (x, p) pairs stripped at once by _strip's callers
 
 
 def _pow_mod(g: int, e: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -344,18 +344,17 @@ def _pow_mod(g: int, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unity_root(ps: np.ndarray, order: int) -> np.ndarray:
-    """A primitive order-th root of unity (order 3 or 4) mod every prime of
-    ps, each p = 1 (mod order): w = g^((p-1)/order) for the least base
-    g = 2, 3, ... that makes w primitive.  Since w^order = 1, w is primitive
-    unless w = 1 (order 3) or w^2 = 1 (order 4)."""
+def _unity_root(ps: np.ndarray) -> np.ndarray:
+    """A square root of -1 (a primitive fourth root of unity) mod every prime
+    of ps, each p = 1 (mod 4): w = g^((p-1)/4) for the least base g = 2, 3, ...
+    that makes w primitive.  Since w^4 = 1, w is primitive unless w^2 = 1."""
     w = np.zeros_like(ps)
     todo = np.arange(len(ps))
     g = 2
     while todo.size:
         p = ps[todo]
-        cand = _pow_mod(g, (p - 1) // order, p)
-        ok = (cand * cand % p if order == 4 else cand) != 1
+        cand = _pow_mod(g, (p - 1) // 4, p)
+        ok = cand * cand % p != 1
         w[todo[ok]] = cand[ok]
         todo = todo[~ok]
         g += 1
@@ -367,18 +366,8 @@ def _x2p1_classes(xmax: int) -> tuple[np.ndarray, np.ndarray]:
     (2, 1), and (p, s), (p, p - s) for p = 1 (mod 4) with s^2 = -1 (mod p)."""
     primes = sieve_primes(xmax)
     ps = primes[primes % 4 == 1]
-    s = _unity_root(ps, 4)
+    s = _unity_root(ps)
     return np.concatenate(([2], ps, ps)), np.concatenate(([1], s, ps - s))
-
-
-def _x3p1_classes(xmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classes (p, r), p = 1 (mod 3) and p <= xmax, with p | x^2 - x + 1
-    exactly when x = r (mod p): the primitive sixth roots of unity -w and
-    -w^2, where w is a primitive cube root of unity mod p."""
-    primes = sieve_primes(xmax)
-    ps = primes[primes % 3 == 1]
-    w = _unity_root(ps, 3)
-    return np.concatenate((ps, ps)), np.concatenate((ps - w, ps - w * w % ps))
 
 
 def _windows(xmax: int):
@@ -388,11 +377,31 @@ def _windows(xmax: int):
 
 
 def _x2p1_sieve(xmax: int):
-    """(lo, count, prime) as _odd_primes gives them for x^2 + 1, per window
-    of x = lo.. up to xmax."""
+    """(x, prime) arrays of the x whose x^2 + 1 _odd_primes marks with one
+    prime of odd exponent, per window of x up to xmax."""
     ps, rs = _x2p1_classes(xmax)
     for lo, xs in _windows(xmax):
-        yield lo, *_odd_primes(xs * xs + 1, lo, ps, rs)
+        count, prime = _odd_primes(xs * xs + 1, lo, ps, rs)
+        marked = np.flatnonzero(count == 1)
+        yield xs[marked], prime[marked]
+
+
+def _strip(
+    vals: np.ndarray, x: np.ndarray, p: np.ndarray, count: np.ndarray, prime: np.ndarray
+) -> None:
+    """Divide p out of vals[x] completely, in place, for every pair (x, p)
+    with p | vals[x]; where p has odd exponent, count[x] gains 1 and
+    prime[x] becomes p.  Each round divides every live pair once, until its
+    p no longer divides; .at applies repeated x in turn, and distinct
+    primes divide in any order."""
+    odd = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
+    while live.size:
+        np.floor_divide.at(vals, x[live], p[live])
+        odd[live] ^= True
+        live = live[vals[x[live]] % p[live] == 0]
+    np.add.at(count, x[odd], 1)
+    prime[x[odd]] = p[odd]
 
 
 def _odd_primes(
@@ -418,17 +427,7 @@ def _odd_primes(
         j = np.arange(start, min(start + _PAIR_CHUNK, total), dtype=np.int64)
         c = np.searchsorted(ends, j, side="right")
         p = ps[c]
-        x = first[c] + (j - ends[c] + per[c]) * p
-        # divide every pair once per round, until its p no longer divides;
-        # .at applies repeated x in turn, and distinct primes divide in any order
-        odd = np.zeros(len(j), dtype=bool)
-        live = np.arange(len(j))
-        while live.size:
-            np.floor_divide.at(vals, x[live], p[live])
-            odd[live] ^= True
-            live = live[vals[x[live]] % p[live] == 0]
-        np.add.at(count, x[odd], 1)
-        prime[x[odd]] = p[odd]
+        _strip(vals, first[c] + (j - ends[c] + per[c]) * p, p, count, prime)
     rest = vals > 1
     count += rest
     prime[rest] = vals[rest]
@@ -436,67 +435,105 @@ def _odd_primes(
 
 
 def _members(
-    lo: int, count: np.ndarray, prime: np.ndarray, poly: Callable[[int], int]
+    xs: np.ndarray, ks: np.ndarray, poly: Callable[[int], int]
 ) -> list[tuple[int, SpWitness]]:
-    """(x, SP witness of n = poly(x)) for every x = lo + i that _odd_primes
-    marks SP at index i.  Each is re-checked (k prime, n = k*a^2) on Python
-    ints, so a faulty sieve raises and no value is bounded by int64."""
+    """(x, SP witness of n = poly(x)) for every x of xs whose n has the one
+    prime of odd exponent k of ks, skipping n = k prime.  Each is re-checked
+    (k prime, n = k*a^2) on Python ints, so a faulty scan raises and no
+    value is bounded by int64."""
     out = []
-    for i in np.flatnonzero(count == 1).tolist():
-        x = lo + i
-        k, n = int(prime[i]), poly(x)
+    for x, k in zip(xs.tolist(), ks.tolist()):
+        n = poly(x)
         if k == n:
             continue  # n is prime: no square part
         a = isqrt(n // k)
         if not is_prime(k) or k * a * a != n:
-            raise AssertionError(f"kernel sieve failed at x={x}")  # pragma: no cover
+            raise AssertionError(f"scan failed at x={x}")  # pragma: no cover
         out.append((x, SpWitness(n, k, a)))
     return out
+
+
+def _b_square_xs(xmax: int) -> list[int]:
+    """The x in [2, xmax] with (x^2 - x + 1)/3 a square m^2: x = (X + 1)/2
+    for X^2 - 12m^2 = -3.  X = 3v turns that into (2m)^2 - 3v^2 = 1, whose
+    solutions with 2m even are the odd powers of 2 + sqrt(3), so all of
+    them come from (X, m) = (3, 1) by (X, m) -> (7X + 24m, 2X + 7m)."""
+    out = []
+    big_x, m = 3, 1
+    while (x := (big_x + 1) // 2) <= xmax:
+        out.append(x)
+        big_x, m = 7 * big_x + 24 * m, 2 * big_x + 7 * m
+    return out
+
+
+def _trial_odd_primes(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trial division of an int64 array of values of x^2 - x + 1 (or a third
+    of it) by the primes p = 1 (mod 3) up to the cube root of its largest
+    entry, in place.  Returns, per entry, the number of those primes with
+    odd exponent and one such prime; what is left of each entry has only
+    prime factors above the cube root, so it is 1, q, q^2 or q*r."""
+    primes = sieve_primes(ikroot(int(vals.max(initial=1)), 3))
+    ps = primes[primes % 3 == 1]
+    count = np.zeros(len(vals), dtype=np.int64)
+    prime = np.zeros(len(vals), dtype=np.int64)
+    rows = _PAIR_CHUNK // (len(ps) + 1) + 1  # entries per chunk: about _PAIR_CHUNK pairs
+    for lo in range(0, len(vals), rows):
+        i, j = np.nonzero(vals[lo : lo + rows, None] % ps == 0)
+        _strip(vals, lo + i, ps[j], count, prime)
+    return count, prime
 
 
 def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
     """All x with x^3 + 1 <= bound and x^3 + 1 an SP number.
 
-    Works on the split x^3 + 1 = A*B, A = x + 1 and B = x^2 - x + 1, over
-    x in windows.  gcd(A, B) divides 3: for x = 2 (mod 3), B holds exactly
-    one 3, which is moved onto A.  Then A and B are coprime, x^3 + 1 is SP
-    iff exactly one prime has odd exponent in A or B and it is not x^3 + 1
-    itself, and so A or B must be a perfect square.  Prime divisors of B
-    satisfy z^2 - z + 1 = 0 mod p, i.e. p = 3 or p = 1 (mod 3), with roots
-    the primitive sixth roots of unity; a kernel sieve strips those classes
-    for p <= x_max, which leaves one prime > x_max at most
-    (B < (x_max + 1)^2).  Where A is a square, B's count decides.  B is a
-    square (B's count is 0) only at a handful of x (0, 1 and the solutions of
-    x^2 - x + 1 = 3m^2); there A is factored.  Everywhere else both have a
-    prime of odd exponent.
+    Works on the split x^3 + 1 = A*B, A = x + 1 and B = x^2 - x + 1.
+    gcd(A, B) divides 3: for x = 2 (mod 3), B holds exactly one 3, which is
+    moved onto A (A' = 3(x + 1), B' = B/3).  Then the two parts are
+    coprime, x^3 + 1 is SP iff exactly one prime has odd exponent in them,
+    and so one part must be a perfect square.  That leaves three candidate
+    sets, about 1.6*sqrt(x_max) x in all:
+
+      x = t^2 - 1, 3 ∤ t:  A = t^2 and B = t^4 - 3t^2 + 3 (the family
+                           polynomial f(t) of x3p1_family);
+      x = 3s^2 - 1:        A' = 9s^2 and B' = 3s^4 - 3s^2 + 1;
+      B or B' a square:    B = m^2 only at x = 0 and 1 ((2x - 1)^2 + 3 =
+                           (2m)^2), where x^3 + 1 is 1 or the prime 2;
+                           B' = m^2 at x = (X + 1)/2 for X^2 - 12m^2 = -3,
+                           i.e. (X, m) = (3, 1) and its images under
+                           (X, m) -> (7X + 24m, 2X + 7m): x = 2, 23, 314,
+                           4367, 60818, ...  There A' is factored.
+
+    For the first two sets B (or B') < (x_max + 1)^2 is trial-divided by the
+    primes p = 1 (mod 3) up to its cube root (every other prime divisor of
+    x^2 - x + 1 is 3).  What is left, R, is 1, q, q^2 or q*r, so the x is SP
+    iff the trial part has one prime of odd exponent and R is 1 or a square,
+    or it has none and R is prime.
     """
     if bound < 2:
         return []
+    xmax = ikroot(bound - 1, 3)
+    t = np.arange(2, isqrt(xmax + 1) + 1, dtype=np.int64)
+    t = t[t % 3 != 0]
+    s = np.arange(1, isqrt((xmax + 1) // 3) + 1, dtype=np.int64)
+    xs = np.concatenate((t * t - 1, 3 * s * s - 1))
+    vals = np.concatenate((t**4 - 3 * t * t + 3, 3 * s**4 - 3 * s * s + 1))
+    count, prime = _trial_odd_primes(vals)
+    root = np.rint(np.sqrt(vals)).astype(np.int64)  # exact: vals < 2^52
+    square = root * root == vals
+    ks = np.where(count == 1, prime, vals)
+    sp = (count == 1) & square
+    for i in np.flatnonzero((count == 0) & ~square).tolist():
+        sp[i] = is_prime(int(vals[i]))
+    xs, ks = xs[sp], ks[sp]
+    for x in _b_square_xs(xmax):
+        odd = [p for p, e in factorize(3 * (x + 1)).factors if e % 2]
+        if len(odd) == 1:
+            xs, ks = np.append(xs, x), np.append(ks, odd[0])
+    order = np.argsort(xs)
     return [
-        X3p1ScanWitness(x, sp, (sp.p, x, sp.p * sp.a))
-        for lo, count, prime in _x3p1_sieve(ikroot(bound - 1, 3))
-        for x, sp in _members(lo, count, prime, lambda x: x**3 + 1)
+        X3p1ScanWitness(x, w, (w.p, x, w.p * w.a))
+        for x, w in _members(xs[order], ks[order], lambda x: x**3 + 1)
     ]
-
-
-def _x3p1_sieve(xmax: int):
-    """(lo, count, prime) as _odd_primes gives them for x^3 + 1, per window
-    of x = lo.. up to xmax; a count of 2 stands for "at least 2"."""
-    ps, rs = _x3p1_classes(xmax)
-    for lo, xs in _windows(xmax):
-        a, b = xs + 1, xs * xs - xs + 1
-        at_2 = (2 - lo) % 3  # index of the first x = 2 (mod 3)
-        a[at_2::3] *= 3
-        b[at_2::3] //= 3
-        root = np.rint(np.sqrt(a)).astype(np.int64)  # exact: a < 2^52
-        a_square = root * root == a
-        b_count, b_prime = _odd_primes(b, lo, ps, rs)
-        count = np.where(a_square, b_count, 2)
-        prime = np.where(a_square, b_prime, 0)
-        for i in np.flatnonzero(~a_square & (b_count == 0)).tolist():
-            odd = [p for p, e in factorize(int(a[i])).factors if e % 2]
-            count[i], prime[i] = len(odd), odd[0]
-        yield lo, count, prime
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ pin them against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import inf, isqrt, log10, sqrt
 
 __all__ = [
     "PellSolution",
@@ -19,6 +19,7 @@ __all__ = [
     "cf_fundamental",
     "compose",
     "solution_stream",
+    "stream_log10",
 ]
 
 
@@ -125,23 +126,49 @@ def compose(s1: PellSolution, s2: PellSolution) -> PellSolution:
     )
 
 
+def _stream_start(d: int, norm: int) -> tuple[PellSolution, PellSolution]:
+    """(first solution of the stream for norm, fundamental +1 solution)."""
+    if norm not in (1, -1):
+        raise ValueError(f"norm must be +1 or -1, got {norm}")
+    fund = fundamental_solution(d)
+    if norm == 1:
+        return fund, fund
+    neg = negative_fundamental(d)
+    if neg is None:
+        raise ValueError(f"x^2 - {d}*y^2 = -1 has no integer solution")
+    return neg, fund
+
+
 def solution_stream(d: int, norm: int, count: int) -> list[PellSolution]:
     """The `count` smallest solutions of x^2 - D*y^2 = norm, ascending in x,
     generated by repeated composition with the fundamental +1 solution."""
-    if norm not in (1, -1):
-        raise ValueError(f"norm must be +1 or -1, got {norm}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    fund = fundamental_solution(d)
-    if norm == 1:
-        cur = fund
-    else:
-        neg = negative_fundamental(d)
-        if neg is None:
-            raise ValueError(f"x^2 - {d}*y^2 = -1 has no integer solution")
-        cur = neg
+    cur, fund = _stream_start(d, norm)
     out = []
     for _ in range(count):
         out.append(cur)
         cur = compose(cur, fund)
     return out
+
+
+def _log10_unit(s: PellSolution) -> float:
+    """log10(x + y*sqrt(D)), from x alone since D*y^2 = x^2 - norm."""
+    return log10(s.x) + log10(1 + sqrt(1 - s.norm / (s.x * s.x)))
+
+
+def stream_log10(d: int, norm: int, count: int) -> float:
+    """A lower bound on log10 of the largest x of solution_stream(d, norm,
+    count), without composing; -inf when count < 1.
+
+    The last solution's unit u = x + y*sqrt(D) is the first one's times
+    the fundamental unit to the power count - 1, and x >= (u - 1)/2 >= u/4
+    since u >= 1 + sqrt(2).  The float sum is shrunk by a relative 1e-12,
+    far above its rounding error, and count is capped at 10^9 so that it
+    stays finite; both keep it a lower bound.
+    """
+    if count < 1:
+        return -inf
+    first, fund = _stream_start(d, norm)
+    steps = min(count, 10**9) - 1
+    return (_log10_unit(first) + steps * _log10_unit(fund)) * (1 - 1e-12) - log10(4)

@@ -245,24 +245,18 @@ def test_criterion_15_kp_count_by_batched_tail():
             got == 3053140646, time.perf_counter() - t0, 5.0)
 
 
-def _sieve_marks(sieve, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every x <= top that a scan's kernel sieve marks SP, with its prime."""
-    parts = [(lo + i, prime[i]) for lo, count, prime in sieve(top)
-             for i in [np.flatnonzero(count == 1)]]
-    return np.concatenate([x for x, _ in parts]), np.concatenate([k for _, k in parts])
-
-
 def test_criterion_16_scans_to_2e6_in_windows(monkeypatch):
     t0 = time.perf_counter()
-    top = 2 * 10**6  # x^3 + 1 <= 8e18 + 1 still fits int64
-    scans = ((construct._x2p1_sieve, lambda x: x * x + 1), (construct._x3p1_sieve, lambda x: x**3 + 1))
+    top = 2 * 10**6
     marks = []
     for window in (construct._WINDOW, 1 << 16):  # the default windows, then 31 of 2^16
         monkeypatch.setattr(construct, "_WINDOW", window)
-        marks.append([_sieve_marks(sieve, top) for sieve, _ in scans])
-    same = all(np.array_equal(a, b) for m0, m1 in zip(*marks) for a, b in zip(m0, m1))
+        parts = list(construct._x2p1_sieve(top))
+        marks.append([np.concatenate([part[i] for part in parts]) for i in (0, 1)])
+    same = all(np.array_equal(a, b) for a, b in zip(*marks))
     # a scan keeps every marked x whose prime is not the value itself
-    found = [int(np.count_nonzero(k != poly(x))) for (x, k), (_, poly) in zip(marks[0], scans)]
-    _report(16, f"kernel sieve scans to x = 2e6 find {found[0]} = 17705 SP numbers x^2+1 "
-                f"and {found[1]} = 317 SP numbers x^3+1, the same in windows of 2^18 and 2^16",
+    x, k = marks[0]
+    found = [int(np.count_nonzero(k != x * x + 1)), len(construct.x3p1_scan(top**3 + 1))]
+    _report(16, f"scans to x = 2e6 find {found[0]} = 17705 SP numbers x^2+1, the same "
+                f"in kernel-sieve windows of 2^18 and 2^16, and {found[1]} = 317 SP numbers x^3+1",
             found == [17705, 317] and same, time.perf_counter() - t0, 5.0)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import spnum
-from spnum import analytic, census, cli, construct
+from spnum import analytic, census, cli, construct, pell
 from spnum.arith import is_prime
 from spnum.classify import SpWitness
 from spnum.cli import main
@@ -81,6 +81,16 @@ def test_malformed_argument_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["classify", "inf"], ["census", "Infinity"],
+                                  ["classify", "--", "-inf"], ["pell", "2", "--count", "nan"]],
+                         ids=["inf", "Infinity", "-inf", "nan"])
+def test_non_finite_argument_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
 
 
 def test_parser_reused_after_errors(capsys):
@@ -452,6 +462,27 @@ def test_witness_past_digit_limit_writes_nothing(capsys, monkeypatch, verify):
     rc, out, err = run(capsys, "witness", "x2p1", *verify)
     assert (rc, out) == (2, "")
     assert f"limit ({_DIGIT_LIMIT} digits)" in err
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="counts pinned at the default digit limit")
+def test_pell_count_below_digit_limit_still_answers(capsys):
+    # the x of solution 5617 of x² - 2y² = 1 has 4300 digits, that of 5618 has 4301
+    rc, out, _ = run(capsys, "pell", "2", "--count", "5617")
+    assert rc == 0 and len(out.splitlines()) == 5617
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="counts pinned at the default digit limit")
+@pytest.mark.parametrize("argv", [["pell", "2", "--count", "6000"],
+                                  ["witness", "x2p1", "--count", "6000", "--verify"]],
+                         ids=["pell", "x2p1"])
+def test_count_past_digit_limit_refused_before_composing(capsys, monkeypatch, argv):
+    calls = []
+    real = pell.compose
+    monkeypatch.setattr(pell, "compose", lambda s1, s2: calls.append(1) or real(s1, s2))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, calls) == (2, "", [])
+    assert err.startswith("error: --count 6000 exceeds the digit budget: the last ")
+    assert "limit (4300 digits)" in err
 
 
 def test_pell_json(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spnum import construct
-from spnum.arith import is_prime, sieve_primes
+from spnum.arith import factorize, ikroot, is_prime, sieve_primes
 from spnum.classify import SpWitness, sp_decompose
 from spnum.construct import (
     BunyakovskyReport,
@@ -322,11 +322,10 @@ def test_x3p1_family_contained_in_scan():
 
 @pytest.mark.parametrize("classes, mod, poly, extra", [
     (construct._x2p1_classes, 4, lambda r: r * r + 1, [(2, 1)]),
-    (construct._x3p1_classes, 3, lambda r: r * r - r + 1, []),
-], ids=["x2p1", "x3p1"])
+], ids=["x2p1"])
 def test_root_classes_hold_two_roots_per_prime(classes, mod, poly, extra):
     """Every class (p, r) below 10^6 is a root of its polynomial mod p, and
-    every prime p = 1 (mod 4), resp. (mod 3), has two distinct roots."""
+    every prime p = 1 (mod 4) has two distinct roots."""
     primes = sieve_primes(10**6)
     ps, rs = classes(10**6)
     assert np.all((0 <= rs) & (rs < ps)) and np.all(poly(rs) % ps == 0)
@@ -338,32 +337,119 @@ def test_root_classes_hold_two_roots_per_prime(classes, mod, poly, extra):
     assert np.array_equal(p[:, 1], p[:, 0]) and np.all(r[:, 0] < r[:, 1])
 
 
-@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("order", [4])
 def test_unity_root_uses_the_least_working_base(order):
-    """g^((p-1)/order) for the least non-residue (order 4), resp. non-cube
-    (order 3) g, found one prime at a time with Python's pow."""
-    q = 2 if order == 4 else 3
+    """g^((p-1)/order) for the least quadratic non-residue g, found one
+    prime at a time with Python's pow."""
     ps = sieve_primes(10**4)
     ps = ps[ps % order == 1]
-    got = construct._unity_root(ps, order).tolist()
+    got = construct._unity_root(ps).tolist()
     for p, w in zip(ps.tolist(), got):
-        g = next(g for g in range(2, p) if pow(g, (p - 1) // q, p) != 1)
+        g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) != 1)
         assert w == pow(g, (p - 1) // order, p), p
 
 
-@pytest.mark.parametrize("window, x3p1_top", [(1, 10**12), (7, 10**15), (4096, 10**15)])
-def test_scans_agree_across_window_sizes(monkeypatch, window, x3p1_top):
-    """A scan split into windows of any size finds what one default window
-    finds: the first x of each class and the 3 moved onto x + 1 follow the
-    window offset.  (Windows of one x stop the x^3 + 1 scan at 10^12: at
-    10^15 they would take 17 s.)"""
-    bounds = range(3001)
-    default = {f: [f(b) for b in bounds] for f in (x2p1_scan, x3p1_scan)}
-    big = (x2p1_scan(10**9), x3p1_scan(x3p1_top))
+@pytest.mark.parametrize("window", [1, 7, 4096])
+def test_scans_agree_across_window_sizes(monkeypatch, window):
+    """An x^2 + 1 scan split into windows of any size finds what one default
+    window finds: the first x of each class follows the window offset."""
+    default = [x2p1_scan(b) for b in range(3001)]
+    big = x2p1_scan(10**9)
     monkeypatch.setattr(construct, "_WINDOW", window)
-    for f, expect in default.items():
-        assert [f(b) for b in bounds] == expect, f.__name__
-    assert (x2p1_scan(10**9), x3p1_scan(x3p1_top)) == big
+    assert [x2p1_scan(b) for b in range(3001)] == default
+    assert x2p1_scan(10**9) == big
+
+
+def _cube_root_of_unity(ps):
+    """A primitive cube root of unity mod every prime p = 1 (mod 3) of ps:
+    g^((p-1)/3) for the least base g = 2, 3, ... where that is not 1."""
+    w = np.zeros_like(ps)
+    todo = np.arange(len(ps))
+    g = 2
+    while todo.size:
+        p = ps[todo]
+        cand = construct._pow_mod(g, (p - 1) // 3, p)
+        ok = cand != 1
+        w[todo[ok]] = cand[ok]
+        todo = todo[~ok]
+        g += 1
+    return w
+
+
+def x3p1_kernel_scan(bound):
+    """The route x3p1_scan replaced: a kernel sieve of x^2 - x + 1 at every
+    x <= x_max, in windows.  Its prime divisors p = 1 (mod 3) divide it
+    exactly at the primitive sixth roots of unity -w, -w^2 mod p; for
+    x = 2 (mod 3) its one 3 is moved onto x + 1.  Where x + 1 is a square
+    the sieve's count decides; where x^2 - x + 1 is one, x + 1 is factored."""
+    if bound < 2:
+        return []
+    xmax = ikroot(bound - 1, 3)
+    primes = sieve_primes(xmax)
+    ps = primes[primes % 3 == 1]
+    w = _cube_root_of_unity(ps)
+    ps, rs = np.concatenate((ps, ps)), np.concatenate((ps - w, ps - w * w % ps))
+    out = []
+    for lo, xs in construct._windows(xmax):
+        a, b = xs + 1, xs * xs - xs + 1
+        at_2 = (2 - lo) % 3  # index of the first x = 2 (mod 3)
+        a[at_2::3] *= 3
+        b[at_2::3] //= 3
+        root = np.rint(np.sqrt(a)).astype(np.int64)
+        a_square = root * root == a
+        b_count, b_prime = construct._odd_primes(b, lo, ps, rs)
+        count = np.where(a_square, b_count, 2)
+        prime = np.where(a_square, b_prime, 0)
+        for i in np.flatnonzero(~a_square & (b_count == 0)).tolist():
+            odd = [p for p, e in factorize(int(a[i])).factors if e % 2]
+            count[i], prime[i] = len(odd), odd[0]
+        marked = np.flatnonzero(count == 1)
+        out += [X3p1ScanWitness(x, sp, (sp.p, x, sp.p * sp.a))
+                for x, sp in construct._members(xs[marked], prime[marked], lambda x: x**3 + 1)]
+    return out
+
+
+def test_x3p1_scan_matches_kernel_route():
+    old = x3p1_kernel_scan((2 * 10**6) ** 3 + 1)
+    assert len(old) == 317
+    assert x3p1_scan((2 * 10**6) ** 3 + 1) == old
+    below = [w for w in old if w.x <= 10**6]
+    assert len(below) == 243
+    assert x3p1_scan(10**18 + 1) == below
+    assert x3p1_kernel_scan(3000) == x3p1_scan(3000) == x3p1_classified(3000)
+
+
+def test_b_square_xs_by_brute_force():
+    """The Pell-generated x are exactly the x <= 10^6 with (x^2 - x + 1)/3 a
+    square, and x^2 - x + 1 itself is a square only at x = 0 and 1."""
+    x = np.arange(10**6 + 1, dtype=np.int64)
+    b = x * x - x + 1
+
+    def square(v):
+        r = np.rint(np.sqrt(v)).astype(np.int64)  # exact: v < 2^52
+        return r * r == v
+
+    third = b % 3 == 0
+    assert construct._b_square_xs(10**6) == x[third][square(b[third] // 3)].tolist()
+    assert construct._b_square_xs(10**6) == [2, 23, 314, 4367, 60818, 847079]
+    assert x[square(b)].tolist() == [0, 1]
+
+
+def test_trial_odd_primes_cofactors():
+    """The primes 103 and 109 (both 1 mod 3) lie above the cube root of every
+    entry, so trial division leaves them as the cofactor R: q^2 after an odd
+    trial prime (SP-shaped), q*r alone (two odd primes, not SP), a prime
+    after an odd trial prime (two, not SP), and q^2 alone (none)."""
+    vals = np.array([7 * 103**2, 103 * 109, 7**2 * 13 * 103, 103**2], dtype=np.int64)
+    count, prime = construct._trial_odd_primes(vals)
+    assert count.tolist() == [1, 0, 1, 0]
+    assert prime.tolist() == [7, 0, 13, 0]
+    assert vals.tolist() == [103**2, 103 * 109, 103, 103**2]
+    # a scan candidate with R = q*r: x = 169^2 - 1 and x^2 - x + 1 = 12763 * 63907
+    x = 28560
+    assert factorize(x * x - x + 1).factors == ((12763, 1), (63907, 1))
+    assert sp_decompose(x**3 + 1) is None
+    assert x not in {w.x for w in x3p1_scan(x**3 + 1)}
 
 
 def test_bunyakovsky_report():

@@ -1,6 +1,6 @@
 """Pell equation solver against brute-force minimal solutions."""
 
-from math import isqrt
+from math import inf, isqrt, log10
 
 import pytest
 
@@ -11,6 +11,7 @@ from spnum.pell import (
     fundamental_solution,
     negative_fundamental,
     solution_stream,
+    stream_log10,
 )
 
 
@@ -126,3 +127,18 @@ def test_solution_stream_unsolvable():
         solution_stream(3, -1, 2)
     with pytest.raises(ValueError):
         solution_stream(2, 5, 1)
+
+
+def test_stream_log10_is_a_tight_lower_bound():
+    """Below log10 of every x of the stream, by less than log10(4) + 0.01."""
+    for d, norm in ((2, 1), (2, -1), (3, 1), (5, -1), (61, 1), (61, -1), (94, 1), (999999, 1)):
+        sols = solution_stream(d, norm, 40)
+        for count, s in enumerate(sols, 1):
+            lb = stream_log10(d, norm, count)
+            assert 0 <= log10(s.x) - lb < log10(4) + 0.01, (d, norm, count)
+    assert stream_log10(2, 1, 0) == stream_log10(2, 1, -1) == -inf
+    assert stream_log10(2, 1, 10**30) == stream_log10(2, 1, 10**9)
+    with pytest.raises(ValueError, match="no integer solution"):
+        stream_log10(3, -1, 2)
+    with pytest.raises(ValueError, match="norm must be"):
+        stream_log10(2, 5, 2)
