@@ -3,7 +3,9 @@ integer roots.
 
 Everything here works on arbitrary-precision Python ints, or for the sieve
 on int64/bool numpy arrays, and never goes through floating point, so
-floor/exactness guarantees hold at any size.
+floor/exactness guarantees hold at any size.  Only the sieve uses numpy,
+and it imports it when called: classification, factorization and Pell
+solving answer without loading it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Factorization",
@@ -26,6 +30,8 @@ __all__ = [
 
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (plain sieve, fits in memory)."""
+    import numpy as np
+
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -34,9 +40,6 @@ def sieve_primes(limit: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.nonzero(mask)[0].astype(np.int64)
-
-
-_TRIAL_PRIMES = sieve_primes(1000).tolist()
 
 # Deterministic Miller-Rabin witness tiers.  Each entry (bound, bases) is a
 # published exhaustively-verified result: testing against `bases` is exact for
@@ -96,6 +99,9 @@ def is_prime(n: int) -> bool:
         if _mr_witness(n, a, d, s):
             return False
     return True
+
+
+_TRIAL_PRIMES = [p for p in range(2, 1000) if is_prime(p)]
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,7 @@ def _prime_divisors(n: int) -> list[int]:
 def factorize(n: int) -> Factorization:
     """Full prime factorization of n >= 2.
 
-    Trial division by sieved small primes, then `_prime_divisors` (Brent-rho
+    Trial division by the primes below 1000, then `_prime_divisors` (Brent-rho
     on the cofactors that need it) on what is left.  Suited to smooth or
     moderate inputs, not cryptographic sizes.
     """

@@ -2,6 +2,10 @@
 generation with independent re-verification, Pell solving, and the analytic
 constants.
 
+`census` and `construct` are imported by the commands that use them, and
+numpy only by a census, digit table or --bound scan, so the other commands
+start without loading it.
+
 Output is deterministic: stable ordering and fixed float formatting
 (6 significant digits in census/digit tables, 12 for the analytic
 constants).  Exit codes: 0 success/membership, 1 honest negative
@@ -18,13 +22,17 @@ from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from . import analytic, census, construct, pell
+from . import analytic, pell
 from .classify import kp_decompose, sp_decompose
 
 MAX_CENSUS_BOUND = 10**12  # prime-count table: 3·isqrt(bound) int64 entries while built (24 MB)
 MAX_DIGITS_BOUND = 10**11  # class prime-count table: 8·isqrt(bound) int64 entries (20 MB)
 MAX_SCAN_X = 10**7  # x2p1/x3p1 --bound: x2p1 sieves every x <= it in windows; x3p1 about 1.6·sqrt(it) x
 MAX_FAMILY_T = 10**5  # x3p1 --t-max: one is_prime per t (2.0 s at the cap)
+_SCAN_COST = {  # why a --bound scan past MAX_SCAN_X is refused, per kind
+    "x2p1": "the kernel sieve runs over x in windows, its time growing with x",
+    "x3p1": "the candidate scan trial-divides about 1.6·√x_max values",
+}
 
 
 def _fmt6(x: float) -> str:
@@ -116,6 +124,8 @@ def cmd_census(args: argparse.Namespace) -> int:
     if any(c < 2 or c > bound for c in checkpoints) or checkpoints != sorted(checkpoints):
         print("error: checkpoints must be ascending and within [2, bound]", file=sys.stderr)
         return 2
+    from . import census
+
     rows = census.census_table(checkpoints, args.k, args.family)
     if args.format == "json":
         _emit_json(
@@ -161,6 +171,8 @@ def cmd_digits(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from . import census
+
     dc = census.digit_census(bound)
     est = analytic.digit1_estimate(bound) if bound >= 3 else None
     if args.format == "json":
@@ -194,8 +206,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         if args.bound > MAX_SCAN_X**power + 1:
             print(
                 f"error: bound {args.bound} exceeds the {kind} scan budget "
-                f"(x <= {MAX_SCAN_X}, so bound <= {MAX_SCAN_X**power + 1}; the kernel sieve "
-                "runs over x in windows, its time growing with x); "
+                f"(x <= {MAX_SCAN_X}, so bound <= {MAX_SCAN_X**power + 1}; {_SCAN_COST[kind]}); "
                 "raise MAX_SCAN_X only with time to spare",
                 file=sys.stderr,
             )
@@ -211,6 +222,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from . import construct
+
     witnesses: list
     if kind == "gap":
         witnesses = [construct.gap_witness(args.x)]
@@ -268,9 +281,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_pell(args: argparse.Namespace) -> int:
     try:
-        if _past_digit_limit(args.count, "x", pell.stream_log10(args.D, args.norm, args.count)):
+        # one solve serves the digit budget and the stream; solution_stream
+        # refuses a negative count before solving
+        start = pell.stream_start(args.D, args.norm) if args.count >= 0 else None
+        if _past_digit_limit(
+                args.count, "x", pell.stream_log10(args.D, args.norm, args.count, start)):
             return 2
-        sols = pell.solution_stream(args.D, args.norm, args.count)
+        sols = pell.solution_stream(args.D, args.norm, args.count, start)
     except ValueError as exc:
         if "no integer solution" in str(exc):
             print(str(exc), file=sys.stderr)
@@ -322,6 +339,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_bunyakovsky(args: argparse.Namespace) -> int:
+    from . import construct
+
     rep = construct.bunyakovsky_report()
     if args.format == "json":
         _emit_json("bunyakovsky-report", {}, [asdict(rep)])

@@ -4,19 +4,23 @@ families, between-squares witnesses, and two-term sum decompositions.
 Every constructor returns a witness object carrying all the data a third
 party needs to re-check it: its checks() name the failed invariants through
 `classify` only, never trusting the construction path; its lines() render it.
+The two exhaustive scans run their numpy kernels from `_scan`, imported on
+the first scan, so the other constructions never load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from .arith import factorize, ikroot, is_prime, sieve_primes, squarefree_decompose
+from .arith import factorize, ikroot, is_prime, squarefree_decompose
+from .arith import sieve_primes  # noqa: F401  (perfbench's tracer test reaches it here)
 from .classify import SpWitness
 from .pell import fundamental_solution, solution_stream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GapWitness",
@@ -258,9 +262,11 @@ def x2p1_scan(bound: int) -> list[X2p1Witness]:
     """
     if bound < 2:
         return []
+    from . import _scan
+
     return [
         X2p1Witness(x, sp)
-        for xs, ks in _x2p1_sieve(isqrt(bound - 1))
+        for xs, ks in _scan._x2p1_sieve(isqrt(bound - 1))
         for x, sp in _members(xs, ks, lambda x: x * x + 1)
     ]
 
@@ -328,112 +334,6 @@ def x3p1_family(t_max: int) -> list[X3p1Witness]:
     return out
 
 
-_WINDOW = 1 << 18  # x values sieved at once; a scan with x_max below it runs as one window
-_PAIR_CHUNK = 1 << 16  # (x, p) pairs stripped at once by _strip's callers
-
-
-def _pow_mod(g: int, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """g**e % p elementwise over int64 arrays, by squaring; exact while
-    p**2 < 2**63, far above the primes of any scan budget."""
-    out = np.ones_like(p)
-    base = np.full_like(p, g) % p
-    while e.any():
-        out = np.where(e & 1, out * base % p, out)
-        base = base * base % p
-        e = e >> 1
-    return out
-
-
-def _unity_root(ps: np.ndarray) -> np.ndarray:
-    """A square root of -1 (a primitive fourth root of unity) mod every prime
-    of ps, each p = 1 (mod 4): w = g^((p-1)/4) for the least base g = 2, 3, ...
-    that makes w primitive.  Since w^4 = 1, w is primitive unless w^2 = 1."""
-    w = np.zeros_like(ps)
-    todo = np.arange(len(ps))
-    g = 2
-    while todo.size:
-        p = ps[todo]
-        cand = _pow_mod(g, (p - 1) // 4, p)
-        ok = cand * cand % p != 1
-        w[todo[ok]] = cand[ok]
-        todo = todo[~ok]
-        g += 1
-    return w
-
-
-def _x2p1_classes(xmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classes (p, r), p <= xmax, with p | x^2 + 1 exactly when x = r (mod p):
-    (2, 1), and (p, s), (p, p - s) for p = 1 (mod 4) with s^2 = -1 (mod p)."""
-    primes = sieve_primes(xmax)
-    ps = primes[primes % 4 == 1]
-    s = _unity_root(ps)
-    return np.concatenate(([2], ps, ps)), np.concatenate(([1], s, ps - s))
-
-
-def _windows(xmax: int):
-    """(lo, int64 array of x = lo..) for consecutive windows covering 0..xmax."""
-    for lo in range(0, xmax + 1, _WINDOW):
-        yield lo, np.arange(lo, min(lo + _WINDOW, xmax + 1), dtype=np.int64)
-
-
-def _x2p1_sieve(xmax: int):
-    """(x, prime) arrays of the x whose x^2 + 1 _odd_primes marks with one
-    prime of odd exponent, per window of x up to xmax."""
-    ps, rs = _x2p1_classes(xmax)
-    for lo, xs in _windows(xmax):
-        count, prime = _odd_primes(xs * xs + 1, lo, ps, rs)
-        marked = np.flatnonzero(count == 1)
-        yield xs[marked], prime[marked]
-
-
-def _strip(
-    vals: np.ndarray, x: np.ndarray, p: np.ndarray, count: np.ndarray, prime: np.ndarray
-) -> None:
-    """Divide p out of vals[x] completely, in place, for every pair (x, p)
-    with p | vals[x]; where p has odd exponent, count[x] gains 1 and
-    prime[x] becomes p.  Each round divides every live pair once, until its
-    p no longer divides; .at applies repeated x in turn, and distinct
-    primes divide in any order."""
-    odd = np.zeros(len(x), dtype=bool)
-    live = np.arange(len(x))
-    while live.size:
-        np.floor_divide.at(vals, x[live], p[live])
-        odd[live] ^= True
-        live = live[vals[x[live]] % p[live] == 0]
-    np.add.at(count, x[odd], 1)
-    prime[x[odd]] = p[odd]
-
-
-def _odd_primes(
-    vals: np.ndarray, lo: int, ps: np.ndarray, rs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel sieve over an int64 array of polynomial values at x = lo, lo + 1, ...
-
-    Every class (ps[i], rs[i]) names a prime p dividing the value at every
-    x = r (mod p); p is divided out of those entries completely, in place.
-    The caller guarantees that what remains of each value is 1 or a single
-    prime.  Returns, per x, the number of primes with odd exponent (the
-    remainder included) and one such prime; x is SP iff that count is 1 and
-    the prime is not the value itself.
-    """
-    top = len(vals) - 1
-    first = (rs - lo) % ps  # index of the first x = r (mod p) in the window
-    per = (top - first) // ps + 1  # 0 when first > top, as first < p
-    ends = np.cumsum(per)
-    total = int(ends[-1]) if len(ends) else 0
-    count = np.zeros(len(vals), dtype=np.int64)
-    prime = np.zeros(len(vals), dtype=np.int64)
-    for start in range(0, total, _PAIR_CHUNK):
-        j = np.arange(start, min(start + _PAIR_CHUNK, total), dtype=np.int64)
-        c = np.searchsorted(ends, j, side="right")
-        p = ps[c]
-        _strip(vals, first[c] + (j - ends[c] + per[c]) * p, p, count, prime)
-    rest = vals > 1
-    count += rest
-    prime[rest] = vals[rest]
-    return count, prime
-
-
 def _members(
     xs: np.ndarray, ks: np.ndarray, poly: Callable[[int], int]
 ) -> list[tuple[int, SpWitness]]:
@@ -466,23 +366,6 @@ def _b_square_xs(xmax: int) -> list[int]:
     return out
 
 
-def _trial_odd_primes(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trial division of an int64 array of values of x^2 - x + 1 (or a third
-    of it) by the primes p = 1 (mod 3) up to the cube root of its largest
-    entry, in place.  Returns, per entry, the number of those primes with
-    odd exponent and one such prime; what is left of each entry has only
-    prime factors above the cube root, so it is 1, q, q^2 or q*r."""
-    primes = sieve_primes(ikroot(int(vals.max(initial=1)), 3))
-    ps = primes[primes % 3 == 1]
-    count = np.zeros(len(vals), dtype=np.int64)
-    prime = np.zeros(len(vals), dtype=np.int64)
-    rows = _PAIR_CHUNK // (len(ps) + 1) + 1  # entries per chunk: about _PAIR_CHUNK pairs
-    for lo in range(0, len(vals), rows):
-        i, j = np.nonzero(vals[lo : lo + rows, None] % ps == 0)
-        _strip(vals, lo + i, ps[j], count, prime)
-    return count, prime
-
-
 def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
     """All x with x^3 + 1 <= bound and x^3 + 1 an SP number.
 
@@ -511,28 +394,13 @@ def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
     """
     if bound < 2:
         return []
+    from . import _scan
+
     xmax = ikroot(bound - 1, 3)
-    t = np.arange(2, isqrt(xmax + 1) + 1, dtype=np.int64)
-    t = t[t % 3 != 0]
-    s = np.arange(1, isqrt((xmax + 1) // 3) + 1, dtype=np.int64)
-    xs = np.concatenate((t * t - 1, 3 * s * s - 1))
-    vals = np.concatenate((t**4 - 3 * t * t + 3, 3 * s**4 - 3 * s * s + 1))
-    count, prime = _trial_odd_primes(vals)
-    root = np.rint(np.sqrt(vals)).astype(np.int64)  # exact: vals < 2^52
-    square = root * root == vals
-    ks = np.where(count == 1, prime, vals)
-    sp = (count == 1) & square
-    for i in np.flatnonzero((count == 0) & ~square).tolist():
-        sp[i] = is_prime(int(vals[i]))
-    xs, ks = xs[sp], ks[sp]
-    for x in _b_square_xs(xmax):
-        odd = [p for p, e in factorize(3 * (x + 1)).factors if e % 2]
-        if len(odd) == 1:
-            xs, ks = np.append(xs, x), np.append(ks, odd[0])
-    order = np.argsort(xs)
+    xs, ks = _scan._x3p1_candidates(xmax, _b_square_xs(xmax))
     return [
         X3p1ScanWitness(x, w, (w.p, x, w.p * w.a))
-        for x, w in _members(xs[order], ks[order], lambda x: x**3 + 1)
+        for x, w in _members(xs, ks, lambda x: x**3 + 1)
     ]
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "negative_fundamental",
     "cf_fundamental",
     "compose",
+    "stream_start",
     "solution_stream",
     "stream_log10",
 ]
@@ -126,8 +127,11 @@ def compose(s1: PellSolution, s2: PellSolution) -> PellSolution:
     )
 
 
-def _stream_start(d: int, norm: int) -> tuple[PellSolution, PellSolution]:
-    """(first solution of the stream for norm, fundamental +1 solution)."""
+def stream_start(d: int, norm: int) -> tuple[PellSolution, PellSolution]:
+    """(first solution of the stream for norm, fundamental +1 solution).
+
+    solution_stream and stream_log10 solve it themselves unless handed it,
+    so a caller that needs both solves once."""
     if norm not in (1, -1):
         raise ValueError(f"norm must be +1 or -1, got {norm}")
     fund = fundamental_solution(d)
@@ -139,12 +143,15 @@ def _stream_start(d: int, norm: int) -> tuple[PellSolution, PellSolution]:
     return neg, fund
 
 
-def solution_stream(d: int, norm: int, count: int) -> list[PellSolution]:
+def solution_stream(
+    d: int, norm: int, count: int, start: tuple[PellSolution, PellSolution] | None = None
+) -> list[PellSolution]:
     """The `count` smallest solutions of x^2 - D*y^2 = norm, ascending in x,
-    generated by repeated composition with the fundamental +1 solution."""
+    generated by repeated composition with the fundamental +1 solution;
+    start is stream_start(d, norm), solved here when not given."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    cur, fund = _stream_start(d, norm)
+    cur, fund = start or stream_start(d, norm)
     out = []
     for _ in range(count):
         out.append(cur)
@@ -157,9 +164,12 @@ def _log10_unit(s: PellSolution) -> float:
     return log10(s.x) + log10(1 + sqrt(1 - s.norm / (s.x * s.x)))
 
 
-def stream_log10(d: int, norm: int, count: int) -> float:
+def stream_log10(
+    d: int, norm: int, count: int, start: tuple[PellSolution, PellSolution] | None = None
+) -> float:
     """A lower bound on log10 of the largest x of solution_stream(d, norm,
-    count), without composing; -inf when count < 1.
+    count), without composing; -inf when count < 1.  start is as for
+    solution_stream.
 
     The last solution's unit u = x + y*sqrt(D) is the first one's times
     the fundamental unit to the power count - 1, and x >= (u - 1)/2 >= u/4
@@ -169,6 +179,6 @@ def stream_log10(d: int, norm: int, count: int) -> float:
     """
     if count < 1:
         return -inf
-    first, fund = _stream_start(d, norm)
+    first, fund = start or stream_start(d, norm)
     steps = min(count, 10**9) - 1
     return (_log10_unit(first) + steps * _log10_unit(fund)) * (1 - 1e-12) - log10(4)

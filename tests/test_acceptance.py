@@ -5,14 +5,19 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line
 text.  Criteria with runtime budgets measure wall time and fail if over.
 """
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 
-from spnum import analytic, census, construct, pell
+import spnum
+from spnum import _scan, analytic, census, construct, pell
 from spnum.arith import factorize, sieve_primes
 from spnum.classify import SpWitness, sp_decompose
 
@@ -249,9 +254,9 @@ def test_criterion_16_scans_to_2e6_in_windows(monkeypatch):
     t0 = time.perf_counter()
     top = 2 * 10**6
     marks = []
-    for window in (construct._WINDOW, 1 << 16):  # the default windows, then 31 of 2^16
-        monkeypatch.setattr(construct, "_WINDOW", window)
-        parts = list(construct._x2p1_sieve(top))
+    for window in (_scan._WINDOW, 1 << 16):  # the default windows, then 31 of 2^16
+        monkeypatch.setattr(_scan, "_WINDOW", window)
+        parts = list(_scan._x2p1_sieve(top))
         marks.append([np.concatenate([part[i] for part in parts]) for i in (0, 1)])
     same = all(np.array_equal(a, b) for a, b in zip(*marks))
     # a scan keeps every marked x whose prime is not the value itself
@@ -260,3 +265,17 @@ def test_criterion_16_scans_to_2e6_in_windows(monkeypatch):
     _report(16, f"scans to x = 2e6 find {found[0]} = 17705 SP numbers x^2+1, the same "
                 f"in kernel-sieve windows of 2^18 and 2^16, and {found[1]} = 317 SP numbers x^3+1",
             found == [17705, 317] and same, time.perf_counter() - t0, 5.0)
+
+
+def test_criterion_17_classify_starts_without_numpy():
+    t0 = time.perf_counter()
+    src = str(Path(spnum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from spnum.cli import main; rc = main(['classify', '75']); "
+            "print(rc, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    _report(17, f"classify 75 in a fresh interpreter prints {proc.stdout.splitlines()[:1]} "
+                "= ['75 = 3 · 5²'] and exits 0 without loading numpy",
+            proc.stdout == "75 = 3 · 5²\n0 False\n", time.perf_counter() - t0, 5.0)

@@ -385,9 +385,10 @@ def test_scan_budget_refused_before_scanning(capsys, monkeypatch, kind, power):
     cap = cli.MAX_SCAN_X**power + 1
     rc, out, err = run(capsys, "witness", kind, "--bound", str(cap + 1))
     assert rc == 2 and out == ""
+    cost = {"x2p1": "the kernel sieve runs over x in windows",
+            "x3p1": "the candidate scan trial-divides about 1.6·√x_max values"}[kind]
     assert err.startswith(f"error: bound {cap + 1} exceeds the {kind} scan budget "
-                          f"(x <= 10000000, so bound <= {cap}; the kernel sieve "
-                          "runs over x in windows")
+                          f"(x <= 10000000, so bound <= {cap}; {cost}")
     with pytest.raises(AssertionError, match=rf"{kind}_scan\({cap}\)"):
         main(["witness", kind, "--bound", str(cap)])  # the largest bound passes the guard
 
@@ -485,6 +486,24 @@ def test_count_past_digit_limit_refused_before_composing(capsys, monkeypatch, ar
     assert "limit (4300 digits)" in err
 
 
+@pytest.mark.parametrize("argv, solves", [
+    (["pell", "61", "--count", "3"], {"fundamental_solution": [61]}),
+    (["pell", "13", "--count", "0"], {"fundamental_solution": [13]}),
+    (["pell", "2", "--norm", "-1", "--count", "4"],
+     {"fundamental_solution": [2], "negative_fundamental": [2]}),
+], ids=["norm+1", "count0", "norm-1"])
+def test_pell_solves_once_per_request(capsys, monkeypatch, argv, solves):
+    """The digit budget and the stream share one stream_start solve."""
+    calls = {}
+    for name in ("fundamental_solution", "negative_fundamental"):
+        real = getattr(pell, name)
+        monkeypatch.setattr(pell, name, lambda d, name=name, real=real:
+                            calls.setdefault(name, []).append(d) or real(d))
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and len(out.splitlines()) == int(argv[-1])
+    assert calls == solves
+
+
 def test_pell_json(capsys):
     rc, out, _ = run(capsys, "pell", "6", "--format", "json")
     assert rc == 0
@@ -568,3 +587,55 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "75 = 3 · 5²"
+
+
+# One shell invocation per command: which modules it leaves loaded.
+_COLD_CHILD = """
+import contextlib, io, json, sys
+from spnum.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    rc = main(json.loads(sys.argv[1]))
+print(json.dumps([rc, "numpy" in sys.modules, "spnum._scan" in sys.modules]))
+"""
+
+
+def _cold_run(argv: list[str]) -> tuple[int, bool, bool]:
+    """(exit code, numpy loaded, spnum._scan loaded) after main(argv) in a
+    fresh interpreter importing spnum from where this process did."""
+    src = str(Path(spnum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _COLD_CHILD, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "75"],
+    ["classify", "24", "--k", "3"],
+    ["pell", "61", "--count", "3"],
+    ["pell", "2", "--norm", "-1", "--count", "3"],
+    ["estimate", "zeta", "3"],
+    ["estimate", "prime-zeta", "2"],
+    ["estimate", "hurwitz", "1/3"],
+    ["witness", "gap", "1000", "--verify"],
+    ["witness", "sum", "2450", "--verify"],
+    ["witness", "between-squares", "1000000", "--verify"],
+    ["witness", "x2p1", "--count", "5", "--verify"],
+    ["witness", "x3p1", "--t-max", "30", "--verify"],
+    ["bunyakovsky-report"],
+], ids=" ".join)
+def test_cold_path_answers_without_numpy(argv):
+    assert _cold_run(argv) == (0, False, False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "1e4"],
+    ["digits", "1e4"],
+    ["witness", "x2p1", "--bound", "1000"],
+    ["witness", "x3p1", "--bound", "1000"],
+], ids=" ".join)
+def test_tables_and_scans_load_numpy(argv):
+    rc, numpy_loaded, _ = _cold_run(argv)
+    assert (rc, numpy_loaded) == (0, True)

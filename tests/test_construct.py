@@ -6,7 +6,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from spnum import construct
+from spnum import _scan, construct
 from spnum.arith import factorize, ikroot, is_prime, sieve_primes
 from spnum.classify import SpWitness, sp_decompose
 from spnum.construct import (
@@ -321,7 +321,7 @@ def test_x3p1_family_contained_in_scan():
 
 
 @pytest.mark.parametrize("classes, mod, poly, extra", [
-    (construct._x2p1_classes, 4, lambda r: r * r + 1, [(2, 1)]),
+    (_scan._x2p1_classes, 4, lambda r: r * r + 1, [(2, 1)]),
 ], ids=["x2p1"])
 def test_root_classes_hold_two_roots_per_prime(classes, mod, poly, extra):
     """Every class (p, r) below 10^6 is a root of its polynomial mod p, and
@@ -343,7 +343,7 @@ def test_unity_root_uses_the_least_working_base(order):
     prime at a time with Python's pow."""
     ps = sieve_primes(10**4)
     ps = ps[ps % order == 1]
-    got = construct._unity_root(ps).tolist()
+    got = _scan._unity_root(ps).tolist()
     for p, w in zip(ps.tolist(), got):
         g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) != 1)
         assert w == pow(g, (p - 1) // order, p), p
@@ -355,7 +355,7 @@ def test_scans_agree_across_window_sizes(monkeypatch, window):
     window finds: the first x of each class follows the window offset."""
     default = [x2p1_scan(b) for b in range(3001)]
     big = x2p1_scan(10**9)
-    monkeypatch.setattr(construct, "_WINDOW", window)
+    monkeypatch.setattr(_scan, "_WINDOW", window)
     assert [x2p1_scan(b) for b in range(3001)] == default
     assert x2p1_scan(10**9) == big
 
@@ -368,7 +368,7 @@ def _cube_root_of_unity(ps):
     g = 2
     while todo.size:
         p = ps[todo]
-        cand = construct._pow_mod(g, (p - 1) // 3, p)
+        cand = _scan._pow_mod(g, (p - 1) // 3, p)
         ok = cand != 1
         w[todo[ok]] = cand[ok]
         todo = todo[~ok]
@@ -390,14 +390,14 @@ def x3p1_kernel_scan(bound):
     w = _cube_root_of_unity(ps)
     ps, rs = np.concatenate((ps, ps)), np.concatenate((ps - w, ps - w * w % ps))
     out = []
-    for lo, xs in construct._windows(xmax):
+    for lo, xs in _scan._windows(xmax):
         a, b = xs + 1, xs * xs - xs + 1
         at_2 = (2 - lo) % 3  # index of the first x = 2 (mod 3)
         a[at_2::3] *= 3
         b[at_2::3] //= 3
         root = np.rint(np.sqrt(a)).astype(np.int64)
         a_square = root * root == a
-        b_count, b_prime = construct._odd_primes(b, lo, ps, rs)
+        b_count, b_prime = _scan._odd_primes(b, lo, ps, rs)
         count = np.where(a_square, b_count, 2)
         prime = np.where(a_square, b_prime, 0)
         for i in np.flatnonzero(~a_square & (b_count == 0)).tolist():
@@ -441,7 +441,7 @@ def test_trial_odd_primes_cofactors():
     trial prime (SP-shaped), q*r alone (two odd primes, not SP), a prime
     after an odd trial prime (two, not SP), and q^2 alone (none)."""
     vals = np.array([7 * 103**2, 103 * 109, 7**2 * 13 * 103, 103**2], dtype=np.int64)
-    count, prime = construct._trial_odd_primes(vals)
+    count, prime = _scan._trial_odd_primes(vals)
     assert count.tolist() == [1, 0, 1, 0]
     assert prime.tolist() == [7, 0, 13, 0]
     assert vals.tolist() == [103**2, 103 * 109, 103, 103**2]
