@@ -31,18 +31,22 @@ def _pow_mod(g: int, e: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _unity_root(ps: np.ndarray) -> np.ndarray:
     """A square root of -1 (a primitive fourth root of unity) mod every prime
-    of ps, each p = 1 (mod 4): w = g^((p-1)/4) for the least base g = 2, 3, ...
-    that makes w primitive.  Since w^4 = 1, w is primitive unless w^2 = 1."""
+    of ps, each p = 1 (mod 4): w = g^((p-1)/4) for the least base g that
+    makes w primitive.  Since w^4 = 1, w is primitive unless
+    w^2 = g^((p-1)/2) = 1, i.e. unless g is a square mod p.  So g is the
+    least non-square n, which is prime (a product of squares is a square)
+    and at most isqrt(p) + 1 (with m = ceil(p/n), mn - p < n is a square, so
+    m is not and n <= m < p/n + 1), and only those primes are tried."""
     w = np.zeros_like(ps)
     todo = np.arange(len(ps))
-    g = 2
-    while todo.size:
+    for g in sieve_primes(isqrt(int(ps.max(initial=0))) + 1).tolist():
+        if not todo.size:
+            break
         p = ps[todo]
         cand = _pow_mod(g, (p - 1) // 4, p)
         ok = cand * cand % p != 1
         w[todo[ok]] = cand[ok]
         todo = todo[~ok]
-        g += 1
     return w
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,13 +43,21 @@ def sieve_primes(limit: int) -> np.ndarray:
 
 # Deterministic Miller-Rabin witness tiers.  Each entry (bound, bases) is a
 # published exhaustively-verified result: testing against `bases` is exact for
-# all n < bound.  The last tier covers everything below ~3.3e24, far past 2^64.
+# all n < bound, and each tier takes the least known base set for its range.
+# Sources: Pomerance-Selfridge-Wagstaff 1980 (2047, 1373653); Jaeschke 1993,
+# Math. Comp. 61 (4759123141, 1122004669633, 3474749660383, 341550071728321);
+# Jiang-Deng 2014, Math. Comp. 83 (3825123056546413051); Sorenson-Webster
+# 2017, Math. Comp. 86 (the last two).  Every base is below the bound of the
+# tier before it, so below every n its tier sees.  The last tier covers
+# everything below ~3.3e24, far past 2^64.
 _MR_TIERS: list[tuple[int, tuple[int, ...]]] = [
     (2_047, (2,)),
     (1_373_653, (2, 3)),
-    (3_215_031_751, (2, 3, 5, 7)),
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1662803)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 ]
@@ -137,7 +145,7 @@ def _rho_split(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # ±(q·|x - y|) mod n: the same gcd with n
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -145,67 +153,75 @@ def _rho_split(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
-def _prime_divisors(n: int) -> list[int]:
-    """The distinct primes of n > 1, by a loop over cofactors.
+def _prime_divisors(n: int) -> Iterator[tuple[int, int]]:
+    """The factoring loop of n > 1: yields (p, e) for each prime power p^e
+    exactly dividing n as soon as p is proven, so that a caller needing
+    only part of the factorization can stop early.
 
+    Trial division by the primes below 1000 comes first, so every cofactor
+    of the loop after it has only prime factors above 1000.
     Each cofactor first loses every prime already found; a perfect square
-    is replaced by its root; Brent-rho runs only on a cofactor that neither
-    step nor a primality test resolves, and only once no other cofactor is
-    waiting.  So n = p*q^2 takes one rho run at most, whichever factor rho
-    returns (q, p*q, p or q^2), and none for q^2 alone.
+    is replaced by its root; a composite is set aside, and rho splits it
+    only once no other cofactor is waiting, with no second primality test
+    if it comes back unchanged.  So n = p*q^2 takes one rho run at most,
+    whichever factor rho returns (q, p*q, p or q^2), and none for q^2 alone.
     """
+    rest = n  # n without the prime powers yielded so far
+
+    def take(p: int) -> tuple[int, int]:
+        nonlocal rest
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        return p, e
+
+    for p in _TRIAL_PRIMES:
+        if p * p > rest:
+            if rest > 1:  # no prime factor below p, so rest is prime
+                yield take(rest)
+            return
+        if rest % p == 0:
+            yield take(p)
     found: list[int] = []
-    todo, hard = [n], []
-    while todo or hard:
+    todo, hard = [rest], []  # hard: composite non-square cofactors
+    while rest > 1:  # each prime of rest divides a waiting cofactor
         easy = bool(todo)
         m = (todo or hard).pop()
+        before = m
         for p in found:
             while m % p == 0:
                 m //= p
-        if m == 1:
-            continue
-        if is_prime(m):
-            found.append(m)
-        elif (r := isqrt(m)) * r == m:
-            todo.append(r)
-        elif easy:
-            hard.append(m)
-        else:
+        if not easy and m == before:
             d = _rho_split(m)
             todo += [m // d, d]  # d, usually the smaller, comes off first
-    return found
+        elif m == 1:
+            continue
+        elif is_prime(m):
+            found.append(m)
+            yield take(m)
+        elif (r := isqrt(m)) * r == m:
+            todo.append(r)
+        else:
+            hard.append(m)
 
 
 def factorize(n: int) -> Factorization:
-    """Full prime factorization of n >= 2.
+    """Full prime factorization of n >= 2: `_prime_divisors` drained.
 
-    Trial division by the primes below 1000, then `_prime_divisors` (Brent-rho
-    on the cofactors that need it) on what is left.  Suited to smooth or
-    moderate inputs, not cryptographic sizes.
+    Suited to smooth or moderate inputs, not cryptographic sizes: Brent-rho
+    needs about sqrt(q) steps to find a prime factor q above the trial
+    division limit.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
-    value = n
-    found: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        # leftover cofactor: prime, or a product of primes > the trial cutoff
-        for p in _prime_divisors(n):
-            while n % p == 0:
-                found[p] = found.get(p, 0) + 1
-                n //= p
-    return Factorization(value, tuple(sorted(found.items())))
+    return Factorization(n, tuple(sorted(_prime_divisors(n))))
 
 
 def ikroot(n: int, k: int) -> int:

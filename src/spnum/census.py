@@ -24,7 +24,6 @@ from .classify import KpWitness
 __all__ = [
     "CensusRow",
     "DigitCensus",
-    "prime_pi",
     "kp_enumerate",
     "kp_count",
     "psp_count",
@@ -218,13 +217,6 @@ def _pi_mod10_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
     return lookup
 
 
-def prime_pi(x: int) -> int:
-    """Number of primes <= x, exact, by the floor-quotient table for x."""
-    if x < 2:
-        return 0
-    return int(_pi_table(x)(np.array([x], dtype=np.int64))[0])
-
-
 def kp_enumerate(n: int, k: int = 2) -> Iterator[KpWitness]:
     """Every KP_k number <= n exactly once, ascending, with its witness.
 
@@ -263,7 +255,7 @@ def psp_count(n: int, k: int = 2) -> int:
     """Count of p1*p2^k numbers <= n via the sum over p2 of pi(n/p2^k).
 
     The inner pi runs over all primes, so p1 = p2 cases (8 = 2*2^2) are
-    counted, matching `psp_decompose` for k = 2.
+    counted, as the defining form allows.
     """
     if k < 2:
         raise ValueError(f"psp_count requires k >= 2, got {k}")

@@ -1,24 +1,21 @@
-"""Recognition and unique decomposition of p*a^2, p*a^k, and p1*p2^2 numbers.
+"""Recognition and unique decomposition of p*a^2 and p*a^k numbers.
 
 An SP number is p*a^2 with p prime and a >= 2; KP_k generalizes the square
-to a k-th power; PSP restricts the square's base to a prime.  Each
-decomposition, when it exists, is unique, so the witness types below carry
-the full certificate.
+to a k-th power.  Each decomposition, when it exists, is unique, so the
+witness types below carry the full certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import factorize, ikroot, is_prime
+from .arith import _prime_divisors, ikroot, is_prime
 
 __all__ = [
     "SpWitness",
     "KpWitness",
-    "PspWitness",
     "sp_decompose",
     "kp_decompose",
-    "psp_decompose",
 ]
 
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -57,15 +54,6 @@ class KpWitness:
         return f"{self.n} = {self.p} · {self.a}{str(self.k).translate(_SUP)}"
 
 
-@dataclass(frozen=True)
-class PspWitness:
-    """Certificate n = p1 * p2^2 with both factors prime."""
-
-    n: int
-    p1: int
-    p2: int
-
-
 def kp_decompose(n: int, k: int) -> KpWitness | None:
     """The unique (p, a) with n = p*a^k, p prime, a >= 2, if it exists.
 
@@ -73,19 +61,27 @@ def kp_decompose(n: int, k: int) -> KpWitness | None:
     not divisible by k, that exponent is 1 mod k, and n is not p itself.
     The stray prime is forced to be p and a is then the exact k-th root of
     n/p, which makes the decomposition unique.
+
+    n is factored only until the answer is certain.  Let rest be the part
+    of n not yet factored: coprime to the primes found, so its exponents are
+    n's.  At the first stray prime p, n is a member iff p's exponent is
+    1 mod k, rest is a perfect k-th power and n != p.
     """
     if k < 2:
         raise ValueError(f"kp_decompose requires k >= 2, got {k}")
     if n < 4:
         return None
-    stray = [(p, e) for p, e in factorize(n).factors if e % k != 0]
-    if len(stray) != 1 or stray[0][1] % k != 1:
-        return None
-    p = stray[0][0]
-    if n == p:
-        return None
-    a = ikroot(n // p, k)
-    return KpWitness(n, k, p, a)
+    rest = n
+    for p, e in _prime_divisors(n):
+        rest //= p**e
+        if e % k == 0:
+            continue
+        if e % k != 1 or ikroot(rest, k) ** k != rest:
+            return None
+        if n == p:
+            return None
+        return KpWitness(n, k, p, ikroot(n // p, k))
+    return None
 
 
 def sp_decompose(n: int) -> SpWitness | None:
@@ -96,15 +92,3 @@ def sp_decompose(n: int) -> SpWitness | None:
     if w is None:
         return None
     return SpWitness(w.n, w.p, w.a)
-
-
-def psp_decompose(n: int) -> PspWitness | None:
-    """The (p1, p2) with n = p1 * p2^2, both prime, if n has that form.
-
-    p1 = p2 is allowed (the smallest case is 8 = 2 * 2^2), matching the
-    defining form and the census identity that counts these numbers.
-    """
-    w = sp_decompose(n)
-    if w is None or not is_prime(w.a):
-        return None
-    return PspWitness(n, w.p, w.a)

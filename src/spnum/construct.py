@@ -258,17 +258,18 @@ def x2p1_scan(bound: int) -> list[X2p1Witness]:
     A prime p divides x^2 + 1 exactly when p = 2 and x is odd, or
     p = 1 (mod 4) and x = +-sqrt(-1) (mod p).  Stripping those classes for
     every p <= x_max leaves 1 or one prime > x_max, since two such primes
-    would exceed (x_max + 1)^2 > x^2 + 1.
+    would exceed (x_max + 1)^2 > x^2 + 1.  Every witness returned has
+    passed its checks().
     """
     if bound < 2:
         return []
     from . import _scan
 
-    return [
+    return _checked([
         X2p1Witness(x, sp)
         for xs, ks in _scan._x2p1_sieve(isqrt(bound - 1))
         for x, sp in _members(xs, ks, lambda x: x * x + 1)
-    ]
+    ])
 
 
 def between_squares(x: int) -> BetweenSquaresWitness:
@@ -337,20 +338,22 @@ def x3p1_family(t_max: int) -> list[X3p1Witness]:
 def _members(
     xs: np.ndarray, ks: np.ndarray, poly: Callable[[int], int]
 ) -> list[tuple[int, SpWitness]]:
-    """(x, SP witness of n = poly(x)) for every x of xs whose n has the one
-    prime of odd exponent k of ks, skipping n = k prime.  Each is re-checked
-    (k prime, n = k*a^2) on Python ints, so a faulty scan raises and no
-    value is bounded by int64."""
-    out = []
-    for x, k in zip(xs.tolist(), ks.tolist()):
-        n = poly(x)
-        if k == n:
-            continue  # n is prime: no square part
-        a = isqrt(n // k)
-        if not is_prime(k) or k * a * a != n:
-            raise AssertionError(f"scan failed at x={x}")  # pragma: no cover
-        out.append((x, SpWitness(n, k, a)))
-    return out
+    """(x, the SP witness n = k*a^2 the scan claims for n = poly(x)) for every
+    x of xs, with its one prime k of odd exponent from ks, skipping n = k
+    prime.  Built on Python ints, so no value is bounded by int64, and not
+    yet checked: each scan passes its witnesses through `_checked`."""
+    return [(x, SpWitness(n, k, isqrt(n // k)))
+            for x, k in zip(xs.tolist(), ks.tolist()) if (n := poly(x)) != k]
+
+
+def _checked(witnesses: list) -> list:
+    """The witnesses of a scan, each having passed its own checks(), so a
+    faulty scan raises instead of answering, and --verify can report the
+    pass without proving each prime again."""
+    for w in witnesses:
+        if failed := w.checks():
+            raise AssertionError(f"scan failed at x={w.x}: {'; '.join(failed)}")
+    return witnesses
 
 
 def _b_square_xs(xmax: int) -> list[int]:
@@ -390,7 +393,8 @@ def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
     primes p = 1 (mod 3) up to its cube root (every other prime divisor of
     x^2 - x + 1 is 3).  What is left, R, is 1, q, q^2 or q*r, so the x is SP
     iff the trial part has one prime of odd exponent and R is 1 or a square,
-    or it has none and R is prime.
+    or it has none and R is prime.  Every witness returned has passed its
+    checks().
     """
     if bound < 2:
         return []
@@ -398,10 +402,10 @@ def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
 
     xmax = ikroot(bound - 1, 3)
     xs, ks = _scan._x3p1_candidates(xmax, _b_square_xs(xmax))
-    return [
+    return _checked([
         X3p1ScanWitness(x, w, (w.p, x, w.p * w.a))
         for x, w in _members(xs, ks, lambda x: x**3 + 1)
-    ]
+    ])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Integer primitives against brute-force oracles."""
 
-from math import isqrt
+import random
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -70,6 +71,108 @@ def test_is_prime_rejects_the_tier_bounds():
     assert (psi12, psi13) == (318665857834031151167461, DETERMINISTIC_PRIME_BOUND)
     assert not is_prime(psi12) and not is_prime(psi13)
     assert factorize(4 * psi12).as_dict() == {2: 2, 399165290221: 1, 798330580441: 1}
+
+
+def is_prime_12_bases(n: int) -> bool:
+    """The strong pseudoprime test to the first 12 prime bases that is_prime
+    ran below 318665857834031151167461 before its tiers took the least
+    published base sets; exact below that bound (Sorenson-Webster)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % p == 0 for p in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    return not any(arith._mr_witness(n, a, d, s) for a in bases)
+
+
+@pytest.mark.parametrize("bound, bases", arith._MR_TIERS)
+def test_every_tier_bound_is_a_rejected_strong_pseudoprime(bound, bases):
+    """Each tier's bound is a strong pseudoprime to its bases, so the tier
+    must stop below it, and is_prime must reject it."""
+    d, s = bound - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    assert not any(arith._mr_witness(bound, a, d, s) for a in bases)
+    assert not is_prime(bound)
+
+
+# the tiers that the least base sets brought in, with their bounds' factors
+NEW_TIERS = [
+    (4759123141, (2, 7, 61), (48781, 97561)),  # Jaeschke 1993
+    (1122004669633, (2, 13, 23, 1662803), (611557, 1834669)),  # Jaeschke 1993
+    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23),
+     (149491, 747451, 34233211)),  # Jiang-Deng 2014
+]
+
+
+@pytest.mark.parametrize("bound, bases, factors", NEW_TIERS)
+def test_new_tier_bounds_factor_as_published(bound, bases, factors):
+    assert (bound, bases) in arith._MR_TIERS
+    assert bound == prod(factors) and all(map(is_prime, factors))
+
+
+def test_tiers_ascend_with_every_base_below_its_range():
+    bounds = [b for b, _ in arith._MR_TIERS]
+    assert bounds == sorted(bounds) and bounds[-1] == DETERMINISTIC_PRIME_BOUND
+    for (low, _), (_, bases) in zip(arith._MR_TIERS, arith._MR_TIERS[1:]):
+        assert max(bases) < low
+
+
+@pytest.mark.parametrize("bound", [bound for bound, _, _ in NEW_TIERS])
+def test_is_prime_matches_12_base_test_in_new_tiers(bound):
+    low = max(b for b, _ in arith._MR_TIERS if b < bound)
+    rng = random.Random(bound)
+    sample = [rng.randrange(low, bound) | 1 for _ in range(3000)]
+    # hard composites: products of two primes of about half the size
+    half = isqrt(bound)
+    for _ in range(100):
+        p, q = (next(filter(is_prime_12_bases, range(rng.randrange(half // 4, half), bound)))
+                for _ in range(2))
+        if low <= p * q < bound:
+            sample.append(p * q)
+    assert sum(map(is_prime_12_bases, sample)) > 50
+    for n in sample:
+        assert is_prime(n) == is_prime_12_bases(n), n
+
+
+def test_factorize_pq_tests_the_deferred_cofactor_once(monkeypatch):
+    p, q = 1000003, 10000019
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    assert factorize(p * q).as_dict() == {p: 1, q: 1}
+    assert calls.count(p * q) == 1
+    assert sorted(calls) == [p, q, p * q]
+
+
+def test_rho_split_divisors_pinned():
+    """Brent-rho's factor for a sample of odd and even composites: the same
+    divisor whether |x - y| or x - y enters the product."""
+    pinned = {
+        8051: 97, 10403: 101, 455459: 743, 1000003 * 1000033: 1000033,
+        99999989 * 10000019: 10000019, 10000019**2 * 1000003: 1000003,
+        2**4 * 1009 * 1013: 2, (10**9 + 7) * (10**9 + 9): 10**9 + 9,
+        1009 * 1013 * 1019: 1013 * 1019, 7919 * 104729: 7919,
+    }
+    assert {n: arith._rho_split(n) for n in pinned} == pinned
+
+
+def test_prime_divisors_yields_as_it_proves():
+    """Trial primes come first with their exponents, then the primes past
+    trial division as the cofactor loop proves them."""
+    p, q = 1000003, 10000019
+    assert list(arith._prime_divisors(2**3 * 3 * 5**2)) == [(2, 3), (3, 1), (5, 2)]
+    assert list(arith._prime_divisors(12 * p)) == [(2, 2), (3, 1), (p, 1)]
+    events = list(arith._prime_divisors(4 * p * p * q))
+    assert events[0] == (2, 2)
+    assert sorted(events[1:]) == [(p, 2), (q, 1)]
 
 
 def test_factorize_examples():

@@ -1,18 +1,49 @@
 """Membership tests and decomposition uniqueness for the p * a^k families."""
 
+from dataclasses import dataclass
 from math import isqrt
 
 import pytest
 
-from spnum.arith import is_prime
-from spnum.classify import (
-    KpWitness,
-    PspWitness,
-    SpWitness,
-    kp_decompose,
-    psp_decompose,
-    sp_decompose,
-)
+from spnum.arith import factorize, ikroot, is_prime
+from spnum.census import kp_enumerate
+from spnum.classify import KpWitness, SpWitness, kp_decompose, sp_decompose
+from test_arith import _count_rho
+
+
+def kp_decompose_full(n: int, k: int) -> KpWitness | None:
+    """The route kp_decompose replaced: factor n completely, then read the
+    criterion (one prime of exponent not divisible by k, that exponent
+    1 mod k, n not that prime) off the factorization."""
+    if n < 4:
+        return None
+    stray = [(p, e) for p, e in factorize(n).factors if e % k != 0]
+    if len(stray) != 1 or stray[0][1] % k != 1:
+        return None
+    p = stray[0][0]
+    if n == p:
+        return None
+    return KpWitness(n, k, p, ikroot(n // p, k))
+
+
+@dataclass(frozen=True)
+class PspWitness:
+    """Certificate n = p1 * p2^2 with both factors prime."""
+
+    n: int
+    p1: int
+    p2: int
+
+
+def psp_decompose(n: int) -> PspWitness | None:
+    """The (p1, p2) with n = p1 * p2^2, both prime, if n has that form: the
+    oracle of census.psp_count.  p1 = p2 is allowed (the smallest case is
+    8 = 2 * 2^2), matching the defining form and the census identity."""
+    w = sp_decompose(n)
+    if w is None or not is_prime(w.a):
+        return None
+    return PspWitness(n, w.p, w.a)
+
 
 # first 25 SP numbers; the 25th is 117
 GOLDEN_25 = [
@@ -100,6 +131,36 @@ def test_kp_uniqueness_and_agreement_to_1e5():
                 assert w == KpWitness(n, k, p, aa)
             else:
                 assert w is None, (n, k, w)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_early_exit_matches_enumeration_to_1e6(k):
+    """kp_decompose, which stops factoring once certain, against
+    census.kp_enumerate, which builds every p*a^k <= 10^6 from a prime sieve
+    with no factoring.  Below 10^6 the factoring loop ends in trial division;
+    the hypothesis property and the rho-count cases reach the paths past it."""
+    limit = 10**6
+    members = {w.n: w for w in kp_enumerate(limit, k)}
+    for n in range(limit + 1):
+        assert kp_decompose(n, k) == members.get(n), n
+    assert [kp_decompose(n, k) for n in range(10**4)] == [
+        kp_decompose_full(n, k) for n in range(10**4)]
+
+
+P20, Q20 = 10**19 + 51, 3 * 10**19 + 41  # 20-digit primes: rho on P20 * Q20 never ends
+
+
+@pytest.mark.parametrize("n, k, p, rho_runs", [
+    (3 * P20 * Q20, 2, None, 0),  # stray 3 found by trial; rest = P*Q is no square
+    (3 * 5**3 * P20 * Q20, 3, None, 0),  # the same for k = 3
+    (4 * 1009 * 1000003, 2, None, 1),  # rest = q*r: one split finds a stray prime
+    (1009 * 1000003 * 10000019, 2, None, 1),  # p*q*r: the first split decides
+    (7 * (1000003 * P20) ** 2, 2, 7, 0),  # member: stray 7, rest a square
+])
+def test_kp_decompose_stops_once_certain(monkeypatch, n, k, p, rho_runs):
+    calls = _count_rho(monkeypatch)
+    assert kp_decompose(n, k) == (p and KpWitness(n, k, p, ikroot(n // p, k)))
+    assert len(calls) == rho_runs
 
 
 def test_psp_examples():

@@ -415,6 +415,28 @@ def test_witness_x3p1_json(capsys):
     assert doc["results"][0]["curve_point"] == [7, 3, 14]
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("kind, bound", [("x2p1", 10**7), ("x3p1", 10**12)])
+def test_scan_verify_checks_each_witness_once(capsys, monkeypatch, kind, bound, fmt):
+    """--verify on a --bound scan reports the scan's own checks() gate: one
+    checks() call per witness, not a second proof of its prime."""
+    cls = {"x2p1": construct.X2p1Witness, "x3p1": construct.X3p1ScanWitness}[kind]
+    checked = []
+    real = cls.checks
+    monkeypatch.setattr(cls, "checks", lambda self: checked.append(self.x) or real(self))
+    rc, out, _ = run(capsys, "witness", kind, "--bound", str(bound), "--verify", "--format", fmt)
+    assert rc == 0
+    if fmt == "json":
+        results = json.loads(out)["results"]
+        assert all(r["verified"] for r in results)
+        xs = [r["x"] for r in results]
+    else:
+        lines = out.splitlines()
+        assert lines[1::2] == ["  verify: PASS"] * (len(lines) // 2)
+        xs = [int(line.split(":")[0][2:]) for line in lines[::2]]
+    assert len(xs) > 10 and checked == xs
+
+
 def test_pell(capsys):
     rc, out, _ = run(capsys, "pell", "61")
     assert rc == 0
@@ -577,14 +599,18 @@ def test_every_exported_name_exists():
         assert [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)] == [], info.name
 
 
-def test_module_entry_point():
-    # the child imports spnum from wherever this process did (src/ or an install)
+def _child_env() -> dict:
+    """The environment of a child that imports spnum from wherever this
+    process did (src/ or an install)."""
     src = str(Path(spnum.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "spnum.cli", "classify", "75"],
-        capture_output=True, text=True, timeout=60, env=env)
+        capture_output=True, text=True, timeout=60, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "75 = 3 · 5²"
 
@@ -602,11 +628,8 @@ print(json.dumps([rc, "numpy" in sys.modules, "spnum._scan" in sys.modules]))
 def _cold_run(argv: list[str]) -> tuple[int, bool, bool]:
     """(exit code, numpy loaded, spnum._scan loaded) after main(argv) in a
     fresh interpreter importing spnum from where this process did."""
-    src = str(Path(spnum.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _COLD_CHILD, json.dumps(argv)],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     return tuple(json.loads(proc.stdout))
 
@@ -639,3 +662,26 @@ def test_cold_path_answers_without_numpy(argv):
 def test_tables_and_scans_load_numpy(argv):
     rc, numpy_loaded, _ = _cold_run(argv)
     assert (rc, numpy_loaded) == (0, True)
+
+
+_TIMED_CHILD = """
+import contextlib, io, json, sys, time
+from spnum.cli import main
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = main(json.loads(sys.argv[1]))
+print(json.dumps([rc, out.getvalue(), time.perf_counter() - start]))
+"""
+
+
+def test_classify_3pq_answers_without_rho():
+    """3·P·Q with 20-digit primes P, Q: the stray 3 and a rest P·Q that is no
+    square decide "not SP" at once, where rho on P·Q would not end.  (4·P·Q
+    and P·Q alone still need rho.)"""
+    n = 3 * (10**19 + 51) * (3 * 10**19 + 41)
+    proc = subprocess.run([sys.executable, "-c", _TIMED_CHILD, json.dumps(["classify", str(n)])],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    rc, out, seconds = json.loads(proc.stdout)
+    assert (rc, out) == (1, f"{n} is not a KP_2 number\n")
+    assert seconds < 1

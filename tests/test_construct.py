@@ -1,6 +1,7 @@
 """Constructive certificates: gaps, quadratic/cubic families, sums."""
 
 import dataclasses
+import re
 from math import isqrt
 
 import numpy as np
@@ -153,6 +154,27 @@ def test_x2p1_scan():
         assert sp_decompose(w.sp.n) == w.sp
     assert [w.sp.n for w in x2p1_scan(50)] == [50]
     assert x2p1_scan(49) == []
+
+
+@pytest.mark.parametrize("kind, kernel, x, claim, failed", [
+    ("x2p1", "_x2p1_sieve", 7, 5, "sp.n = p·a²"),  # 50 = 2·5², claimed as 5·3²
+    ("x3p1", "_x3p1_candidates", 3, 4,  # 28 = 7·2², claimed as 4·2²
+     "y² = p·x³ + p; sp.n = p·a²; sp.p prime"),
+])
+def test_scan_with_a_bad_witness_raises(monkeypatch, kind, kernel, x, claim, failed):
+    """A kernel that names the wrong prime makes the scan raise, naming the
+    failed checks, instead of answering."""
+    real = getattr(_scan, kernel)
+
+    def wrong(*args):
+        out = real(*args)
+        batches = [out] if kind == "x3p1" else out
+        fixed = [(xs, np.where(xs == x, claim, ks)) for xs, ks in batches]
+        return fixed[0] if kind == "x3p1" else iter(fixed)
+
+    monkeypatch.setattr(_scan, kernel, wrong)
+    with pytest.raises(AssertionError, match=re.escape(f"scan failed at x={x}: {failed}")):
+        getattr(construct, f"{kind}_scan")(1100)
 
 
 def x2p1_classified(bound):

@@ -12,10 +12,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from spnum.arith import factorize, is_prime  # noqa: E402
-from spnum.census import digit_census, kp_count, kp_enumerate, prime_pi, psp_count  # noqa: E402
-from spnum.classify import SpWitness, sp_decompose  # noqa: E402
+from spnum.census import digit_census, kp_count, kp_enumerate, psp_count  # noqa: E402
+from spnum.classify import SpWitness, kp_decompose, sp_decompose  # noqa: E402
 from spnum.construct import gap_witness, x2p1_scan, x3p1_scan  # noqa: E402
-from test_census import digit_tally_enumerated, pi_segmented  # noqa: E402
+from test_census import digit_tally_enumerated, pi_segmented, prime_pi  # noqa: E402
+from test_classify import kp_decompose_full  # noqa: E402
 from test_construct import x2p1_classified, x3p1_classified  # noqa: E402
 
 LIMIT = 10**9
@@ -108,3 +109,20 @@ def test_factorize_repeated_primes_above_trial_cutoff(p, q, r, shape):
     assert got.as_dict() == dict(exps)
     assert [f for f, _ in got.factors] == sorted(exps)
     assert all(is_prime(f) for f, _ in got.factors)
+
+
+# primes in [10^3, 10^9], log-uniform in size
+spread_primes = st.integers(3, 8).flatmap(lambda d: st.integers(10**d, 10 ** (d + 1))).map(
+    lambda n: next(m for m in range(n, 2 * n) if is_prime(m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(spread_primes, st.integers(1, 3)), min_size=2, max_size=4,
+                unique_by=lambda pe: pe[0]), st.sampled_from([2, 3]))
+def test_kp_decompose_matches_full_factorization(prime_powers, k):
+    """Stopping the factorization once the answer is certain gives the
+    answer of the complete factorization, for products of large primes."""
+    n = 1
+    for p, e in prime_powers:
+        n *= p**e
+    assert kp_decompose(n, k) == kp_decompose_full(n, k)
