@@ -50,13 +50,50 @@ class DigitCensus:
         return sum(self.counts)
 
 
-def _pi_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """pi(x) for every floor quotient x = n // m of n, by Lucy_Hedgehog.
+def _kept(r: int, divisors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending i <= r that are multiples of some divisor, and pos with
+    pos[i] = the index of i among them (meaningless for any other i).
 
-    Builds ``small[v] = pi(v)`` for v <= r = isqrt(n) and
-    ``large[i] = pi(n // i)`` for 1 <= i <= r in O(n^(3/4)) time and
-    O(sqrt(n)) memory, and returns a lookup that maps an int64 array of
-    floor quotients of n to their prime counts.  Other x give wrong counts.
+    Divisors are marked ascending, skipping any that a smaller one already
+    covers, so for the a^k of kp_count only the primes a mark.
+    """
+    mark = np.zeros(r + 1, dtype=bool)
+    for d in sorted(set(divisors[divisors <= r].tolist())):
+        if not mark[d]:
+            mark[d::d] = True
+    kept = mark.nonzero()[0]
+    pos = np.zeros(r + 1, dtype=np.int32 if r < 2**31 else np.int64)
+    pos[kept] = np.arange(len(kept), dtype=pos.dtype)
+    return kept, pos
+
+
+def _head_bounds(n: int, kept: np.ndarray) -> tuple[int, list[int], list[int]]:
+    """(n^(1/3), lims, heads) for the head sift: a prime p <= n^(1/3) updates
+    large[:lims[p - 2]], the kept i <= n // p^2, and large[:heads[p - 2]]
+    are those with i * p <= isqrt(n), read back from large (the rest read small)."""
+    r, cube = isqrt(n), ikroot(n, 3)
+    cand = np.arange(2, cube + 1, dtype=np.int64)
+    top = n // (cand * cand)  # every kept i is <= r already
+    lims = kept.searchsorted(top, side="right").tolist()
+    heads = kept.searchsorted(np.minimum(top, r // cand), side="right").tolist()
+    return cube, lims, heads
+
+
+def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """pi(n // m) for the divisors m asked for, by Lucy_Hedgehog.
+
+    Builds ``small[v] = pi(v)`` for v <= r = isqrt(n), and
+    ``large[pos[i]] = pi(n // i)`` only for the i <= r in ``kept``, the
+    multiples of a requested divisor, in O(n^(3/4)) time and O(sqrt(n))
+    memory.  It returns a lookup that maps an int64 array of divisors m to
+    pi(n // m).  The lookup is right for every multiple m of a requested
+    divisor and for every m > r; ``divisors=[1]`` keeps every i, the full
+    table of every floor quotient.
+
+    The recurrence updates large[i] from large[i * p] (or from small), and
+    i * p is a multiple of d whenever i is, so the kept set is closed under
+    it and nothing else is computed.  For an m <= r outside it the lookup
+    reads an entry that was never built and answers wrong.
 
     The primes p <= n^(1/3) are sifted one at a time, in order.  The rest
     (p^3 > n, about 95% of them) are sifted together by `_tail_pairs`: such
@@ -69,68 +106,83 @@ def _pi_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
     `np.add.reduceat`, so its memory stays a few arrays of 2^12 entries.
     """
     r = isqrt(n)
-    small = np.arange(-1, r, dtype=np.int64)  # v - 1 integers in [2, v] before sifting
-    small[0] = 0
-    quot = np.zeros(r + 1, dtype=np.int64)  # quot[i] = n // i; index 0 unused
-    quot[1:] = n // np.arange(1, r + 1, dtype=np.int64)
-    large = quot - 1
+    kept, pos = _kept(r, divisors)
+    quot = n // kept
+    # small and large share one buffer: small[v] = vals[v], large[j] = vals[r + 1 + j];
+    # each starts as v - 1, the integers in [2, v] before sifting
+    vals = np.arange(-1, r + len(kept), dtype=np.int64)
+    vals[0] = 0
+    small, large = vals[: r + 1], vals[r + 1 :]
+    np.subtract(quot, 1, out=large)
+    cube, lims, heads = _head_bounds(n, kept)
 
     def sift(p: int) -> None:
-        # pi(v) -= pi(v // p) - pi(p - 1) for every quotient v >= p^2, where
-        # (n // i) // p is large[i * p] while i * p <= r and small[...] beyond.
-        # Each right-hand side is read in full before its in-place update, so
+        # pi(v) -= pi(v // p) - pi(p - 1) for every quotient v >= p^2.  Each
+        # right-hand side is read in full before its in-place update, so
         # every term sees the table as it stood before p.
         sp = small[p - 1]
-        lim = min(r, n // (p * p))
-        b = min(lim, r // p)
-        large[1 : b + 1] -= large[p : b * p + 1 : p] - sp
-        large[b + 1 : lim + 1] -= small[quot[b + 1 : lim + 1] // p] - sp
+        lim, head = lims[p - 2], heads[p - 2]
+        large[:head] -= large.take(pos.take(kept[:head] * p)) - sp
+        large[head:lim] -= small.take(quot[head:lim] // p) - sp
         if p * p <= r:
             # v // p for v = p^2..r is p, p, ..., p + 1, ... (p copies each)
-            small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - sp
+            drop = np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p]
+            drop -= sp
+            small[p * p :] -= drop
 
     root = isqrt(r)
     for p in range(2, root + 1):
         if small[p] != small[p - 1]:
             sift(p)
     # small is final once every p <= sqrt(r) is sifted; it marks the rest
-    primes = np.flatnonzero(np.diff(small[root:])) + root + 1
-    tail = primes[primes > ikroot(n, 3)]
+    primes = (small[root + 1 :] != small[root:-1]).nonzero()[0] + root + 1
+    tail = primes[primes > cube]
     for p in primes[: len(primes) - len(tail)].tolist():
         sift(p)
-    for lo, starts, p, inner, at in _tail_pairs(n, tail):
-        got = np.where(inner, large[at], small[at]) - small[p - 1]
-        large[lo : lo + len(starts)] -= np.add.reduceat(got, starts)
+    for lo, starts, p, at in _tail_pairs(n, tail, kept, pos):
+        large[lo : lo + len(starts)] -= np.add.reduceat(vals.take(at) - small[p - 1], starts)
 
-    def lookup(xs: np.ndarray) -> np.ndarray:
-        return np.where(xs <= r, small[np.minimum(xs, r)], large[n // np.maximum(xs, r + 1)])
+    def lookup(ms: np.ndarray) -> np.ndarray:
+        return vals[_at(n, r, pos, ms)]
 
     return lookup
+
+
+def _at(n: int, r: int, pos: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Where a table's vals buffer holds pi(n // m), for each divisor m."""
+    at = n // ms
+    big = at > r  # then m <= n // (r + 1) <= r, and pi(n // m) is large[pos[m]]
+    at[big] = r + 1 + pos[ms[big]]
+    return at
 
 
 _TAIL_CHUNK = 1 << 12  # (i, p) pairs gathered at once by the batched tail
 
 
 def _tail_pairs(
-    n: int, tail: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The (i, p) updates of the batched tail, grouped by i, in chunks.
+    n: int, tail: np.ndarray, kept: np.ndarray, pos: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The (i, p) updates of the batched tail over the kept i, grouped by i, in chunks.
 
     tail holds the ascending primes with p^3 > n; p updates large[i] for
     i <= n // p^2, so the primes updating large[i] are the prefix of tail
-    with p^2 <= n // i.  Pairs are ordered by i, then p, and cut into
-    chunks of at most _TAIL_CHUNK pairs (a group may span chunks).  Each
-    chunk yields (lo, starts, p, inner, at): its groups update large[lo],
-    large[lo + 1], ..., group g starts at pair starts[g], and the pair
-    reads pi((n // i) // p) from large[at] where inner, else from small[at].
+    with p^2 <= n // i.  Only the kept i (a closed set, see `_pi_table`) are
+    grouped, so i * p of a kept i is kept too.  Pairs are ordered by i, then
+    p, and cut into chunks of at most _TAIL_CHUNK pairs (a group may span
+    chunks).  Each chunk yields (lo, starts, p, at): its groups update the
+    large entries lo, lo + 1, ..., group g starts at pair starts[g], and the
+    pair reads pi((n // i) // p) from vals[at], the table's buffer that
+    holds small[v] at v and large[j] at r + 1 + j.
     """
     if len(tail) == 0:
         return
     r = isqrt(n)
     squares = tail * tail
-    i_max = n // int(squares[0])
-    per = np.searchsorted(squares, n // np.arange(1, i_max + 1, dtype=np.int64), side="right")
-    ends = np.cumsum(per)  # pairs of i = g + 1 are ends[g] - per[g] .. ends[g] - 1
+    rows = kept[: kept.searchsorted(n // int(squares[0]), side="right")]
+    if len(rows) == 0:
+        return
+    per = np.searchsorted(squares, n // rows, side="right")
+    ends = np.cumsum(per)  # pairs of rows[g] are ends[g] - per[g] .. ends[g] - 1
     begins = ends - per
     for a in range(0, int(ends[-1]), _TAIL_CHUNK):
         b = min(a + _TAIL_CHUNK, int(ends[-1]))
@@ -140,79 +192,80 @@ def _tail_pairs(
         sizes = np.minimum(ends[g0:g1], b) - first
         t = np.arange(a, b) - np.repeat(begins[g0:g1], sizes)
         p = tail[t]
-        k = np.repeat(np.arange(g0 + 1, g1 + 1, dtype=np.int64), sizes) * p
-        inner = k <= r  # (n // i) // p = n // k is large[k], else small[n // k]
-        yield g0 + 1, first - a, p, inner, np.where(inner, k, n // np.maximum(k, r + 1))
+        k = np.repeat(rows[g0:g1], sizes) * p
+        yield g0, first - a, p, _at(n, r, pos, k)
 
 
 _CLASSES = (1, 3, 7, 9)  # the residues mod 10 of every prime but 2 and 5
 
 
-def _pi_mod10_table(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """pi(x; 10, c) for c = 1, 3, 7, 9 at every floor quotient x of n.
+def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """pi(n // m; 10, c) for c = 1, 3, 7, 9 and the divisors m asked for.
 
-    `_pi_table` with one row per class: small[j, v] and large[j, i] count
-    the primes = _CLASSES[j] (mod 10) up to v and up to n // i.  A number
-    = c (mod 10) with least prime factor p is p * m with m = c * p^-1, so
-    sifting p moves counts between rows; 2 and 5 divide no member of a
-    class and are never sifted.  The lookup maps an int64 array of floor
-    quotients of n to a (4, len) array of counts.
+    `_pi_table` with one row per class, over the same kept i and with the
+    same closure argument (so the lookup is wrong for m outside it):
+    small[j, v] and large[j, pos[i]] count the primes = _CLASSES[j]
+    (mod 10) up to v and up to n // i.  A number = c (mod 10) with least
+    prime factor p is p * m with m = c * p^-1, so sifting p moves counts
+    between rows; 2 and 5 divide no member of a class and are never
+    sifted.  The lookup maps an int64 array of divisors m to a (4, len)
+    array of counts.
     """
     r = isqrt(n)
+    kept, pos = _kept(r, divisors)
+    quot = n // kept
     classes = np.array(_CLASSES, dtype=np.int64)[:, None]
     # gather[p % 10, j]: the row of the class _CLASSES[j] * p^-1 (mod 10)
     gather = np.zeros((10, 4), dtype=np.intp)
     for q in _CLASSES:
         gather[q] = [_CLASSES.index(c * pow(q, -1, 10) % 10) for c in _CLASSES]
 
-    def initial(v: np.ndarray) -> np.ndarray:
-        # integers in [2, v] per class, before sifting; 1 is not counted
-        rows = (v - classes + 10) // 10
-        rows[0] -= v >= 1
-        return rows
-
-    small = initial(np.arange(r + 1, dtype=np.int64))
-    quot = np.zeros(r + 1, dtype=np.int64)  # quot[i] = n // i; index 0 unused
-    quot[1:] = n // np.arange(1, r + 1, dtype=np.int64)
-    large = initial(quot)
+    # integers in [2, v] per class, before sifting; 1 is not counted
+    v = np.concatenate([np.arange(r + 1, dtype=np.int64), quot])
+    vals = (v - classes + 10) // 10
+    vals[0] -= v >= 1
+    del v
+    small, large = vals[:, : r + 1], vals[:, r + 1 :]
+    cube, lims, heads = _head_bounds(n, kept)
 
     def sift(p: int) -> None:
         # as in _pi_table, with row j reading row g[j]; each right-hand side
         # is gathered (only the columns it needs) before the in-place update
         g = gather[p % 10]
         sp = small[g, p - 1]
-        lim = min(r, n // (p * p))
-        b = min(lim, r // p)
-        large[:, 1 : b + 1] -= large[g, p : b * p + 1 : p] - sp[:, None]
+        lim, head = lims[p - 2], heads[p - 2]
+        large[:, :head] -= large[g[:, None], pos[kept[:head] * p]] - sp[:, None]
         # the rest reads small only, so one row at a time (a 2-D gather is 2-3x slower)
-        idx = quot[b + 1 : lim + 1] // p
+        idx = quot[head:lim] // p
         for j, row in enumerate(g.tolist()):
-            large[j, b + 1 : lim + 1] -= small[row][idx] - sp[j]
+            large[j, head:lim] -= small[row][idx] - sp[j]
         if p * p <= r:
-            head = small[g, p : r // p + 1]
+            part = small[g, p : r // p + 1]
             for j in range(4):
-                small[j, p * p :] -= np.repeat(head[j], p)[: r + 1 - p * p] - sp[j]
+                drop = np.repeat(part[j], p)[: r + 1 - p * p]
+                drop -= sp[j]
+                small[j, p * p :] -= drop
 
     root = isqrt(r)
     for p in range(3, root + 1):
         if (small[:, p] != small[:, p - 1]).any():  # p is prime, and not 5
             sift(p)
     total = small.sum(axis=0)  # final: every p <= sqrt(r) is sifted
-    primes = np.flatnonzero(np.diff(total[root:])) + root + 1
-    tail = primes[primes > ikroot(n, 3)]
+    primes = (total[root + 1 :] != total[root:-1]).nonzero()[0] + root + 1
+    tail = primes[primes > cube]
     for p in primes[: len(primes) - len(tail)].tolist():
         sift(p)
 
     # the tail primes (p^3 > n) sift all at once, as in _pi_table
-    for lo, starts, p, inner, at in _tail_pairs(n, tail):
+    for lo, starts, p, at in _tail_pairs(n, tail, kept, pos):
         g = gather[p % 10]
         for j in range(4):
             rows = g[:, j]
-            got = np.where(inner, large[rows, at], small[rows, at]) - small[rows, p - 1]
+            got = vals[rows, at] - small[rows, p - 1]
             large[j, lo : lo + len(starts)] -= np.add.reduceat(got, starts)
 
-    def lookup(xs: np.ndarray) -> np.ndarray:
-        return np.where(xs <= r, small[:, np.minimum(xs, r)], large[:, n // np.maximum(xs, r + 1)])
+    def lookup(ms: np.ndarray) -> np.ndarray:
+        return vals[:, _at(n, r, pos, ms)]
 
     return lookup
 
@@ -240,15 +293,29 @@ def kp_enumerate(n: int, k: int = 2) -> Iterator[KpWitness]:
         yield KpWitness(value, k, p, a)
 
 
+def _kp_divisors(n: int, k: int) -> np.ndarray:
+    """The a^k of the bases a >= 2 with a prime p >= 2 such that p * a^k <= n."""
+    a_max = ikroot(n // 2, k) if n >= 2 else 0
+    return np.arange(2, a_max + 1, dtype=np.int64) ** k
+
+
+def _psp_divisors(n: int, k: int) -> np.ndarray:
+    """The p2^k of the primes p2 with a prime p1 >= 2 such that p1 * p2^k <= n."""
+    return sieve_primes(ikroot(n // 2, k) if n >= 2 else 0) ** k
+
+
+def _pi_sum(n: int, divisors: np.ndarray) -> int:
+    """The sum of pi(n // m) over the divisors m."""
+    if len(divisors) == 0:
+        return 0
+    return int(_pi_table(n, divisors)(divisors).sum())
+
+
 def kp_count(n: int, k: int = 2) -> int:
     """Count of KP_k numbers <= n via the identity sum over a of pi(n/a^k)."""
     if k < 2:
         raise ValueError(f"kp_count requires k >= 2, got {k}")
-    a_max = ikroot(n // 2, k) if n >= 2 else 0
-    if a_max < 2:
-        return 0
-    a = np.arange(2, a_max + 1, dtype=np.int64)
-    return int(_pi_table(n)(n // a**k).sum())
+    return _pi_sum(n, _kp_divisors(n, k))
 
 
 def psp_count(n: int, k: int = 2) -> int:
@@ -259,10 +326,7 @@ def psp_count(n: int, k: int = 2) -> int:
     """
     if k < 2:
         raise ValueError(f"psp_count requires k >= 2, got {k}")
-    ps = sieve_primes(ikroot(n // 2, k) if n >= 2 else 0)
-    if len(ps) == 0:
-        return 0
-    return int(_pi_table(n)(n // ps**k).sum())
+    return _pi_sum(n, _psp_divisors(n, k))
 
 
 def digit_census(n: int) -> DigitCensus:
@@ -273,15 +337,14 @@ def digit_census(n: int) -> DigitCensus:
     with c * a^2 = d (mod 10), from one class table for n; p = 2 and p = 5
     add one each where n // a^2 reaches them.
     """
-    a_max = isqrt(n // 2) if n >= 2 else 0
-    if a_max < 2:
+    squares = _kp_divisors(n, 2)
+    if len(squares) == 0:
         return DigitCensus(n, (0,) * 10)
-    a = np.arange(2, a_max + 1, dtype=np.int64)
-    x = n // (a * a)
+    x = n // squares
     # row j: how many primes = residues[j] (mod 10) each base a takes, and the digit they end in
-    residues = np.array(_CLASSES + (2, 5), dtype=np.int64)[:, None]
-    taken = np.vstack([_pi_mod10_table(n)(x), x >= 2, x >= 5])
-    digit = residues * (a * a % 10) % 10
+    residues = np.array(_CLASSES + (2, 5), dtype=np.uint8)[:, None]
+    taken = np.vstack([_pi_mod10_table(n, squares)(squares), x >= 2, x >= 5])
+    digit = residues * (squares % 10).astype(np.uint8) % 10
     return DigitCensus(n, tuple(int(taken[digit == d].sum()) for d in range(10)))
 
 
@@ -292,6 +355,12 @@ def census_table(
 
     family "kp" counts p*a^k against the (zeta(k)-1)*n/ln n estimate;
     family "psp" counts p1*p2^k against P(k)*n/ln n.
+
+    One table for the largest checkpoint N answers every checkpoint c that
+    is a floor quotient of N (N // (N // c) == c, as on any power-of-ten
+    grid): c // m = N // ((N // c) * m), and (N // c) * m is a multiple of
+    m, which is one of N's own divisors, so N's table keeps it.  Other
+    checkpoints get their own table.
     """
     fam = family.lower()
     if fam not in ("kp", "psp"):
@@ -300,12 +369,22 @@ def census_table(
         raise ValueError("checkpoints must be >= 2")
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must be ascending")
+    if k < 2:
+        raise ValueError(f"{fam}_count requires k >= 2, got {k}")
     if fam == "kp":
-        count, estimate = kp_count, analytic.kp_estimate
+        divisors, estimate = _kp_divisors, analytic.kp_estimate
     else:
-        count, estimate = psp_count, analytic.psp_estimate
+        divisors, estimate = _psp_divisors, analytic.psp_estimate
+    top = checkpoints[-1] if checkpoints else 0
+    full = None  # the table for top, built on first use
     rows = []
     for n in checkpoints:
-        exact = count(n, k)
+        ms, scale = divisors(n, k), top // n
+        if top // scale == n and len(ms):
+            if full is None:
+                full = _pi_table(top, divisors(top, k))
+            exact = int(full(scale * ms).sum())
+        else:
+            exact = _pi_sum(n, ms)
         rows.append(CensusRow(n, exact, estimate(n, k), exact * log(n) / n))
     return rows

@@ -25,8 +25,10 @@ from fractions import Fraction
 from . import analytic, pell
 from .classify import kp_decompose, sp_decompose
 
-MAX_CENSUS_BOUND = 10**12  # prime-count table: 3·isqrt(bound) int64 entries while built (24 MB)
-MAX_DIGITS_BOUND = 10**11  # class prime-count table: 8·isqrt(bound) int64 entries (20 MB)
+# The prime-count tables hold pi at v <= r = isqrt(bound), an int32 position map of r entries,
+# and three int64 entries per kept index, the multiples of some a^k: 0.39·r of them at k = 2.
+MAX_CENSUS_BOUND = 10**12  # prime-count table: up to 2.7·isqrt(bound) int64 entries (21 MB)
+MAX_DIGITS_BOUND = 10**11  # class table, 4 rows wide: 6.9·isqrt(bound) int64 entries (17 MB)
 MAX_SCAN_X = 10**7  # x2p1/x3p1 --bound: x2p1 sieves every x <= it in windows; x3p1 about 1.6·sqrt(it) x
 MAX_FAMILY_T = 10**5  # x3p1 --t-max: one is_prime per t (2.0 s at the cap)
 _SCAN_COST = {  # why a --bound scan past MAX_SCAN_X is refused, per kind
@@ -112,7 +114,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     if bound > MAX_CENSUS_BOUND:
         print(
             f"error: bound {bound} exceeds the prime-count table budget ({MAX_CENSUS_BOUND}; "
-            "the table holds 3·isqrt(bound) int64 entries); "
+            "the table holds up to 2.7·isqrt(bound) int64 entries); "
             "raise MAX_CENSUS_BOUND only with memory to spare",
             file=sys.stderr,
         )
@@ -166,7 +168,7 @@ def cmd_digits(args: argparse.Namespace) -> int:
     if bound > MAX_DIGITS_BOUND:
         print(
             f"error: bound {bound} exceeds the class prime-count table budget ({MAX_DIGITS_BOUND}; "
-            "the table holds 8·isqrt(bound) int64 entries); "
+            "the table holds 6.9·isqrt(bound) int64 entries); "
             "raise MAX_DIGITS_BOUND only with memory to spare",
             file=sys.stderr,
         )

@@ -1,5 +1,6 @@
 """Counting routes cross-checked against each other and brute force."""
 
+import random
 from math import isqrt, log
 
 import numpy as np
@@ -36,12 +37,15 @@ def _pi_brute(x: int) -> int:
     return sum(_prime_mask(x)) if x >= 2 else 0
 
 
+ONE = np.array([1], dtype=np.int64)  # the divisors that keep the whole table
+
+
 def prime_pi(x: int) -> int:
-    """Number of primes <= x, read off the floor-quotient table for x: the
-    library route under test at a single point."""
+    """Number of primes <= x, read off the full floor-quotient table for x
+    (divisors [1]): the library route under test at a single point."""
     if x < 2:
         return 0
-    return int(_pi_table(x)(np.array([x], dtype=np.int64))[0])
+    return int(_pi_table(x, ONE)(ONE)[0])
 
 
 def pi_segmented(xs, segment_size: int = 1 << 20) -> dict[int, int]:
@@ -176,11 +180,16 @@ def _floor_quotients(n: int) -> list[int]:
     return sorted({n // m for m in range(1, isqrt(n) + 2)} | set(range(isqrt(n) + 1)))
 
 
+def _divisors_of(n: int, quotients: list[int]) -> np.ndarray:
+    # a divisor m with n // m == q for each floor quotient q of n (n + 1 for q = 0)
+    return np.array([n // q if q else n + 1 for q in quotients], dtype=np.int64)
+
+
 def test_pi_table_at_every_floor_quotient(monkeypatch):
     for n, chunk in TABLE_CASES:
         monkeypatch.setattr(census, "_TAIL_CHUNK", chunk)
         quotients = _floor_quotients(n)
-        got = _pi_table(n)(np.array(quotients, dtype=np.int64)).tolist()
+        got = _pi_table(n, ONE)(_divisors_of(n, quotients)).tolist()
         oracle = pi_segmented(quotients, segment_size=4096)
         assert got == [oracle[q] for q in quotients], (n, chunk)
 
@@ -189,11 +198,73 @@ def test_pi_mod10_table_at_every_floor_quotient(monkeypatch):
     for n, chunk in TABLE_CASES:
         monkeypatch.setattr(census, "_TAIL_CHUNK", chunk)
         quotients = _floor_quotients(n)
-        got = _pi_mod10_table(n)(np.array(quotients, dtype=np.int64))
+        got = _pi_mod10_table(n, ONE)(_divisors_of(n, quotients))
         primes = np.flatnonzero(np.frombuffer(_prime_mask(max(n, 1)), dtype=np.uint8))
         for row, c in zip(got.tolist(), (1, 3, 7, 9)):
             want = np.searchsorted(primes[primes % 10 == c], quotients, side="right")
             assert row == want.tolist(), (n, c, chunk)
+
+
+# The counts read pi(n // m) from tables that keep only the multiples of the
+# divisors m they are asked for; the oracle is the same count read off the
+# full table (divisors [1]), which the two tests above hold to exact pi.
+FAMILIES = [(f, k) for k in (2, 3, 4) for f in (kp_count, psp_count)]
+
+
+def _divisors(count, n: int, k: int) -> np.ndarray:
+    return (census._kp_divisors if count is kp_count else census._psp_divisors)(n, k)
+
+
+def _assert_counts_match_full_route(n: int) -> None:
+    full = _pi_table(n, ONE)
+    for count, k in FAMILIES:
+        ms = _divisors(count, n, k)
+        assert count(n, k) == int(full(ms).sum()), (count.__name__, n, k)
+
+
+def _full_route_digits(monkeypatch, ns) -> dict[int, tuple[int, ...]]:
+    full_table = census._pi_mod10_table
+    with monkeypatch.context() as m:
+        m.setattr(census, "_pi_mod10_table", lambda n, divisors: full_table(n, ONE))
+        return {n: digit_census(n).counts for n in ns}
+
+
+def _seeded_bounds(count: int, top: int) -> list[int]:
+    # log-uniform in [2, top], so every decade gets its share
+    rng = random.Random(20221)
+    return sorted(round(2 * (top / 2) ** rng.random()) for _ in range(count))
+
+
+BIG_BOUNDS = (2**31 - 3, 2**31 + 3, 10**10)
+
+
+@pytest.mark.parametrize("ns", [range(3001), _seeded_bounds(200, 10**8), BIG_BOUNDS],
+                         ids=["every_n_to_3000", "seeded_200_to_1e8", "2^31+-3_and_1e10"])
+def test_counts_equal_full_table_route(ns):
+    for n in ns:
+        _assert_counts_match_full_route(n)
+
+
+# every n <= 3000 is checked against the full route in test_digit_census_matches_enumeration
+@pytest.mark.parametrize("ns", [_seeded_bounds(200, 10**8), BIG_BOUNDS],
+                         ids=["seeded_200_to_1e8", "2^31+-3_and_1e10"])
+def test_digit_census_equals_full_table_route(monkeypatch, ns):
+    want = _full_route_digits(monkeypatch, ns)
+    for n in ns:
+        assert digit_census(n).counts == want[n], n
+
+
+def test_lookup_equals_full_table_at_every_kept_multiple():
+    # each divisor d <= isqrt(n) answers at every multiple of d up to isqrt(n)
+    for n in (10**4 + 1, 10**6 + 7, 2 * 10**8 + 3):
+        r = isqrt(n)
+        full, full10 = _pi_table(n, ONE), _pi_mod10_table(n, ONE)
+        for divisors in ([4, 9, 25, 49], [8, 27, 125], [2, 3, 5, 7, 11, 13, 97], [r], [1],
+                         census._kp_divisors(n, 2), census._psp_divisors(n, 3)):
+            ms = np.array(divisors, dtype=np.int64)
+            mult = np.unique(np.concatenate([np.arange(d, r + 1, d) for d in ms[ms <= r]]))
+            assert (_pi_table(n, ms)(mult) == full(mult)).all(), (n, divisors)
+            assert (_pi_mod10_table(n, ms)(mult) == full10(mult)).all(), (n, divisors)
 
 
 def test_kp_enumerate_examples():
@@ -297,13 +368,14 @@ def test_digit_census_1e5_frozen():
     assert dc.total() == kp_count(10**5, 2) == 9036
 
 
-def test_digit_census_matches_enumeration():
+def test_digit_census_matches_enumeration(monkeypatch):
     members = {w.n for w in kp_enumerate(3000, 2)}
+    full_route = _full_route_digits(monkeypatch, range(3001))
     counts = [0] * 10
     for n in range(0, 3001):  # the enumeration tally at every bound, one member at a time
         if n in members:
             counts[n % 10] += 1
-        assert digit_census(n).counts == tuple(counts), n
+        assert digit_census(n).counts == tuple(counts) == full_route[n], n
     for n in (10**5, 10**6 + 7):
         assert digit_census(n).counts == digit_tally_enumerated(n), n
 
@@ -325,6 +397,25 @@ def test_census_table_kp():
         assert r.ratio == pytest.approx(r.exact * log(r.n) / r.n)
         assert r.estimate == pytest.approx(analytic.kp_estimate(r.n, 2))
     assert rows[1].ratio == pytest.approx(1.1328716, abs=1e-6)
+
+
+def test_census_table_shares_the_top_table(monkeypatch):
+    grid = [10**6, 10**7, 10**8, 10**9]
+    built = []
+    table = census._pi_table
+    monkeypatch.setattr(census, "_pi_table", lambda n, divisors: built.append(n) or table(n, divisors))
+    for family, k, count in (("kp", 2, kp_count), ("kp", 3, kp_count), ("psp", 2, psp_count)):
+        built.clear()
+        rows = census_table(grid, k, family)
+        assert built == [10**9], (family, k)  # every power of ten is a floor quotient of 10^9
+        assert [r.exact for r in rows] == [count(c, k) for c in grid], (family, k)
+    # 117 = 10^6 // 8547 shares the table for 10^6; 10^4 + 1 and 5 * 10^5 + 1 are no
+    # floor quotients of 10^6, so each gets its own
+    checkpoints = [117, 10**4 + 1, 5 * 10**5 + 1, 10**6]
+    built.clear()
+    rows = census_table(checkpoints, 2, "kp")
+    assert built == [10**6, 10**4 + 1, 5 * 10**5 + 1]
+    assert [r.exact for r in rows] == [kp_count(c, 2) for c in checkpoints]
 
 
 def test_census_table_psp():

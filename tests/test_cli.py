@@ -259,7 +259,7 @@ def test_digits_budget_refused_before_enumeration(capsys, monkeypatch):
     assert rc == 2 and out == ""
     assert err.startswith(
         "error: bound 100000000001 exceeds the class prime-count table budget (100000000000; "
-        "the table holds 8·isqrt(bound) int64 entries)")
+        "the table holds 6.9·isqrt(bound) int64 entries)")
     with pytest.raises(AssertionError, match=r"digit_census\(100000000000\)"):
         main(["digits", "1e11"])  # the largest bound passes the guard
 
