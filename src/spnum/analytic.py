@@ -30,12 +30,11 @@ __all__ = [
 
 _EPS = sys.float_info.epsilon
 
-# B_{2i}/(2i)! for i = 1..6, exact
+# B_{2i}/(2i)! for i = 1..5, exact: _em_tail sums four terms, the fifth bounds them
 _EM_COEFF = [
     Fraction(b) / factorial(2 * i)
     for i, b in enumerate(
-        [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
-         Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730)],
+        [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66)],
         start=1,
     )
 ]
@@ -49,20 +48,21 @@ class Estimate:
     abs_error_bound: float
 
 
-def _em_tail(s: float, t: float, terms: int = 4) -> tuple[float, float]:
+def _em_tail(s: float, t: float) -> tuple[float, float]:
     """(sum_{m>=0} (t+m)^-s, truncation bound), by Euler-Maclaurin.
 
     Valid for s > 1, t >= 1.  The correction series for x^-s envelopes the
-    remainder, so the magnitude of the first omitted term is a true bound.
+    remainder, so the magnitude of the first omitted term, the last of
+    _EM_COEFF, is a true bound.
     """
     pieces = [t ** (1.0 - s) / (s - 1.0), 0.5 * t**-s]
     poch = s
     power = t ** (-s - 1.0)
-    for i in range(1, terms + 1):
-        pieces.append(float(_EM_COEFF[i - 1]) * poch * power)
+    for i, coeff in enumerate(_EM_COEFF[:-1], start=1):
+        pieces.append(float(coeff) * poch * power)
         poch *= (s + 2 * i - 1) * (s + 2 * i)
         power *= t**-2.0
-    trunc = abs(float(_EM_COEFF[terms])) * poch * power
+    trunc = abs(float(_EM_COEFF[-1])) * poch * power
     return fsum(pieces), trunc
 
 

@@ -9,7 +9,9 @@ start without loading it.
 Output is deterministic: stable ordering and fixed float formatting
 (6 significant digits in census/digit tables, 12 for the analytic
 constants).  Exit codes: 0 success/membership, 1 honest negative
-(non-member, unsolvable, precondition failure), 2 usage errors.
+(non-member, unsolvable, precondition failure), 2 usage errors.  A command
+refuses an input by raising ValueError; `main` alone prints it as
+`error: …` on stderr and returns 2.
 """
 
 from __future__ import annotations
@@ -58,20 +60,16 @@ def _emit_json(command: str, parameters: dict, results: list) -> None:
     print(json.dumps({"command": command, "parameters": parameters, "results": results}, indent=2))
 
 
-def _past_digit_limit(count: int, what: str, log10_value: float) -> bool:
+def _check_digit_limit(count: int, what: str, log10_value: float) -> None:
     """Refuse a --count whose largest printed integer, `what`, has log10 at
     least log10_value, when that certainly passes the interpreter's
-    int-to-str digit limit: print why and return True."""
+    int-to-str digit limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or log10_value < limit:
-        return False
-    print(
-        f"error: --count {count} exceeds the digit budget: the last {what} would have more "
-        f"than {limit} digits, past the interpreter's int-to-str limit ({limit} digits), "
-        "which PYTHONINTMAXSTRDIGITS sets",
-        file=sys.stderr,
-    )
-    return True
+    if limit and log10_value >= limit:
+        raise ValueError(
+            f"--count {count} exceeds the digit budget: the last {what} would have more "
+            f"than {limit} digits, past the interpreter's int-to-str limit ({limit} digits), "
+            "which PYTHONINTMAXSTRDIGITS sets")
 
 
 def _emit_lines(lines: list[str]) -> None:
@@ -86,8 +84,7 @@ def _emit_lines(lines: list[str]) -> None:
 def cmd_classify(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     if k < 2:
-        print(f"error: k must be >= 2, got {k}", file=sys.stderr)
-        return 2
+        raise ValueError(f"k must be >= 2, got {k}")
     w = kp_decompose(n, k)
     if args.format == "json":
         _emit_json("classify", {"n": n, "k": k}, [asdict(w)] if w else [])
@@ -109,23 +106,17 @@ def _parse_checkpoints(text: str) -> list[int]:
 def cmd_census(args: argparse.Namespace) -> int:
     bound = args.bound
     if bound < 2:
-        print(f"error: bound must be >= 2, got {bound}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bound must be >= 2, got {bound}")
     if bound > MAX_CENSUS_BOUND:
-        print(
-            f"error: bound {bound} exceeds the prime-count table budget ({MAX_CENSUS_BOUND}; "
+        raise ValueError(
+            f"bound {bound} exceeds the prime-count table budget ({MAX_CENSUS_BOUND}; "
             "the table holds up to 2.7·isqrt(bound) int64 entries); "
-            "raise MAX_CENSUS_BOUND only with memory to spare",
-            file=sys.stderr,
-        )
-        return 2
+            "raise MAX_CENSUS_BOUND only with memory to spare")
     checkpoints = args.checkpoints if args.checkpoints is not None else [bound]
     if not checkpoints:
-        print("error: --checkpoints names no bound", file=sys.stderr)
-        return 2
+        raise ValueError("--checkpoints names no bound")
     if any(c < 2 or c > bound for c in checkpoints) or checkpoints != sorted(checkpoints):
-        print("error: checkpoints must be ascending and within [2, bound]", file=sys.stderr)
-        return 2
+        raise ValueError("checkpoints must be ascending and within [2, bound]")
     from . import census
 
     rows = census.census_table(checkpoints, args.k, args.family)
@@ -163,16 +154,12 @@ def cmd_census(args: argparse.Namespace) -> int:
 def cmd_digits(args: argparse.Namespace) -> int:
     bound = args.bound
     if bound < 2:
-        print(f"error: bound must be >= 2, got {bound}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bound must be >= 2, got {bound}")
     if bound > MAX_DIGITS_BOUND:
-        print(
-            f"error: bound {bound} exceeds the class prime-count table budget ({MAX_DIGITS_BOUND}; "
+        raise ValueError(
+            f"bound {bound} exceeds the class prime-count table budget ({MAX_DIGITS_BOUND}; "
             "the table holds 6.9·isqrt(bound) int64 entries); "
-            "raise MAX_DIGITS_BOUND only with memory to spare",
-            file=sys.stderr,
-        )
-        return 2
+            "raise MAX_DIGITS_BOUND only with memory to spare")
     from . import census
 
     dc = census.digit_census(bound)
@@ -206,24 +193,17 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if kind in ("x2p1", "x3p1") and args.bound is not None:
         power = 2 if kind == "x2p1" else 3
         if args.bound > MAX_SCAN_X**power + 1:
-            print(
-                f"error: bound {args.bound} exceeds the {kind} scan budget "
+            raise ValueError(
+                f"bound {args.bound} exceeds the {kind} scan budget "
                 f"(x <= {MAX_SCAN_X}, so bound <= {MAX_SCAN_X**power + 1}; {_SCAN_COST[kind]}); "
-                "raise MAX_SCAN_X only with time to spare",
-                file=sys.stderr,
-            )
-            return 2
-    # n = x^2 + 1 of the last member, where x runs over the x^2 - 2y^2 = -1 stream after (1, 1)
-    if kind == "x2p1" and args.bound is None and _past_digit_limit(
-            args.count, "n = x²+1", 2 * pell.stream_log10(2, -1, args.count + 1)):
-        return 2
+                "raise MAX_SCAN_X only with time to spare")
+    if kind == "x2p1" and args.bound is None:
+        # n = x^2 + 1 of the last member, x running over the x^2 - 2y^2 = -1 stream after (1, 1)
+        _check_digit_limit(args.count, "n = x²+1", 2 * pell.stream_log10(2, -1, args.count + 1))
     if kind == "x3p1" and args.bound is None and args.t_max > MAX_FAMILY_T:
-        print(
-            f"error: --t-max {args.t_max} exceeds the x3p1 family budget ({MAX_FAMILY_T}; "
-            "one primality test per t); raise MAX_FAMILY_T only with time to spare",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(
+            f"--t-max {args.t_max} exceeds the x3p1 family budget ({MAX_FAMILY_T}; "
+            "one primality test per t); raise MAX_FAMILY_T only with time to spare")
     from . import construct
 
     witnesses: list
@@ -283,20 +263,15 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_pell(args: argparse.Namespace) -> int:
+    # one solve serves the digit budget and the stream; solution_stream
+    # refuses a negative count before solving
     try:
-        # one solve serves the digit budget and the stream; solution_stream
-        # refuses a negative count before solving
         start = pell.stream_start(args.D, args.norm) if args.count >= 0 else None
-        if _past_digit_limit(
-                args.count, "x", pell.stream_log10(args.D, args.norm, args.count, start)):
-            return 2
-        sols = pell.solution_stream(args.D, args.norm, args.count, start)
-    except ValueError as exc:
-        if "no integer solution" in str(exc):
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except pell.NoSolutionError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    _check_digit_limit(args.count, "x", pell.stream_log10(args.D, args.norm, args.count, start))
+    sols = pell.solution_stream(args.D, args.norm, args.count, start)
     if args.format == "json":
         _emit_json(
             "pell",
@@ -312,20 +287,19 @@ def cmd_pell(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    try:
-        if args.what == "zeta":
-            est = analytic.zeta(int(args.value))
-            label = f"zeta({int(args.value)})"
-        elif args.what == "prime-zeta":
-            est = analytic.prime_zeta(int(args.value))
-            label = f"P({int(args.value)})"
-        else:
+    if args.what == "zeta":
+        est = analytic.zeta(int(args.value))
+        label = f"zeta({int(args.value)})"
+    elif args.what == "prime-zeta":
+        est = analytic.prime_zeta(int(args.value))
+        label = f"P({int(args.value)})"
+    else:
+        try:
             q = Fraction(args.value)
-            est = analytic.hurwitz_zeta2(q)
-            label = f"zeta(2, {q})"
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        except ZeroDivisionError as exc:  # a zero denominator, as in "1/0"
+            raise ValueError(exc) from None
+        est = analytic.hurwitz_zeta2(q)
+        label = f"zeta(2, {q})"
     if args.format == "json":
         _emit_json(
             "estimate",

@@ -14,6 +14,7 @@ from math import inf, isqrt, log10, sqrt
 
 __all__ = [
     "PellSolution",
+    "NoSolutionError",
     "fundamental_solution",
     "negative_fundamental",
     "cf_fundamental",
@@ -32,6 +33,10 @@ class PellSolution:
     x: int
     y: int
     norm: int
+
+
+class NoSolutionError(ValueError):
+    """x^2 - D*y^2 = -1 has no integer solution: an answer, not a bad input."""
 
 
 def _check_d(d: int) -> None:
@@ -139,7 +144,7 @@ def stream_start(d: int, norm: int) -> tuple[PellSolution, PellSolution]:
         return fund, fund
     neg = negative_fundamental(d)
     if neg is None:
-        raise ValueError(f"x^2 - {d}*y^2 = -1 has no integer solution")
+        raise NoSolutionError(f"x^2 - {d}*y^2 = -1 has no integer solution")
     return neg, fund
 
 

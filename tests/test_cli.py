@@ -19,6 +19,8 @@ from spnum.arith import is_prime
 from spnum.classify import SpWitness
 from spnum.cli import main
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -103,6 +105,41 @@ def test_parser_reused_after_errors(capsys):
     cli._build_parser.cache_clear()
     assert run(capsys, *args) == reused
     assert cli._build_parser() is cli._build_parser()
+
+
+_AT_DEFAULT_DIGIT_LIMIT = pytest.mark.skipif(
+    _DIGIT_LIMIT != 4300, reason="counts pinned at the default digit limit")
+
+
+@pytest.mark.parametrize("argv, rc", [
+    ("classify 24 --k 1", 2),
+    ("census 1", 2),
+    ("census 1000000000001", 2),
+    ("census 100 --checkpoints ,", 2),
+    ("census 100 --checkpoints 50,20", 2),
+    ("digits 1", 2),
+    ("digits 100000000001", 2),
+    ("witness x2p1 --bound 100000000000002", 2),
+    ("witness x3p1 --bound 1000000000000000000002", 2),
+    ("witness x3p1 --t-max 100001", 2),
+    pytest.param("pell 2 --count 6000", 2, marks=_AT_DEFAULT_DIGIT_LIMIT),
+    pytest.param("witness x2p1 --count 6000", 2, marks=_AT_DEFAULT_DIGIT_LIMIT),
+    ("pell 4", 2),
+    ("pell 2 --count -1", 2),
+    ("estimate hurwitz 1/0", 2),
+    ("witness gap 0", 2),
+    ("pell 3 --norm -1", 1),
+    ("witness sum 7", 1),
+    ("witness sum 45", 1),
+])
+def test_refusals_write_one_stderr_line(capsys, argv, rc):
+    """A refusal exits 2 with one `error: ` line, written by main alone; an
+    honest negative exits 1 with a line that carries no such prefix."""
+    got, out, err = run(capsys, *argv.split())
+    assert (got, out) == (rc, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert err.startswith("error: ") == (rc == 2)
+    assert "error: " not in err.removeprefix("error: ")
 
 
 def test_census_csv(capsys):
@@ -460,9 +497,6 @@ def test_pell_square_d(capsys):
     rc, _, err = run(capsys, "pell", "4")
     assert rc == 2
     assert "non-square" in err
-
-
-_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int-to-str digit limit in this interpreter")
