@@ -69,6 +69,10 @@ def _em_tail(s: float, t: float) -> tuple[float, float]:
 @lru_cache(maxsize=None)
 def _zeta_excess(k: int) -> Estimate:
     """zeta(k) - 1 = sum_{j>=2} j^-k, computed without cancellation."""
+    if k >= 1075:
+        # every term is at most 2^-1075 and rounds to 0.0, as does the sum's
+        # float; the sum itself is below 2^-1070
+        return Estimate(0.0, 2.0**-1070)
     if k >= 20:
         # terms fall off by 2^-k per step; a short head plus the integral
         # tail bound past j=40 is already far below any target
@@ -114,6 +118,8 @@ def prime_zeta(k: int) -> Estimate:
     """
     if k < 2:
         raise ValueError(f"prime_zeta requires k >= 2, got {k}")
+    if k >= 1075:
+        return _zeta_excess(k)  # 0 < P(k) < zeta(k) - 1, and both round to 0.0
     terms = []
     err = 0.0
     m = 0

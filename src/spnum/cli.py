@@ -10,8 +10,10 @@ Output is deterministic: stable ordering and fixed float formatting
 (6 significant digits in census/digit tables, 12 for the analytic
 constants).  Exit codes: 0 success/membership, 1 honest negative
 (non-member, unsolvable, precondition failure), 2 usage errors.  A command
-refuses an input by raising ValueError; `main` alone prints it as
-`error: …` on stderr and returns 2.
+returns its exit code and reply lines, and `main` alone writes them, once,
+after the command has finished, so a reply that fails to render leaves
+stdout empty.  A command refuses an input by raising ValueError; `main`
+alone prints it as `error: …` on stderr and returns 2.
 """
 
 from __future__ import annotations
@@ -43,21 +45,26 @@ def _fmt6(x: float) -> str:
     return f"{x:.6g}"
 
 
+class _NotAnInteger(argparse.ArgumentTypeError, ValueError):
+    """A malformed integer: a usage error when argparse parses the argument,
+    an `error: …` from main when a command parses the text itself."""
+
+
 def _nat(text: str) -> int:
     """Integer argument, accepting scientific notation like 1e6."""
     try:
         d = Decimal(text)
     except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        raise _NotAnInteger(f"not a number: {text!r}")
     if not d.is_finite():
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        raise _NotAnInteger(f"not a finite number: {text!r}")
     if d != d.to_integral_value():
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise _NotAnInteger(f"not an integer: {text!r}")
     return int(d)
 
 
-def _emit_json(command: str, parameters: dict, results: list) -> None:
-    print(json.dumps({"command": command, "parameters": parameters, "results": results}, indent=2))
+def _json_text(command: str, parameters: dict, results: list) -> str:
+    return json.dumps({"command": command, "parameters": parameters, "results": results}, indent=2)
 
 
 def _check_digit_limit(count: int, what: str, log10_value: float) -> None:
@@ -72,28 +79,18 @@ def _check_digit_limit(count: int, what: str, log10_value: float) -> None:
             "which PYTHONINTMAXSTRDIGITS sets")
 
 
-def _emit_lines(lines: list[str]) -> None:
-    """Write lines rendered in full beforehand, so a value that fails to
-    render (an int past the interpreter's digit limit) leaves stdout empty."""
-    sys.stdout.write("".join(line + "\n" for line in lines))
-
-
 # ---------------------------------------------------------------- classify
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
     n, k = args.n, args.k
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     w = kp_decompose(n, k)
+    rc = 0 if w else 1
     if args.format == "json":
-        _emit_json("classify", {"n": n, "k": k}, [asdict(w)] if w else [])
-        return 0 if w else 1
-    if w is None:
-        print(f"{n} is not a KP_{k} number")
-        return 1
-    print(w)
-    return 0
+        return rc, [_json_text("classify", {"n": n, "k": k}, [asdict(w)] if w else [])]
+    return rc, [str(w) if w else f"{n} is not a KP_{k} number"]
 
 
 # ------------------------------------------------------------------ census
@@ -103,7 +100,7 @@ def _parse_checkpoints(text: str) -> list[int]:
     return [_nat(part) for part in text.split(",") if part]
 
 
-def cmd_census(args: argparse.Namespace) -> int:
+def cmd_census(args: argparse.Namespace) -> tuple[int, list[str]]:
     bound = args.bound
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
@@ -121,7 +118,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
     rows = census.census_table(checkpoints, args.k, args.family)
     if args.format == "json":
-        _emit_json(
+        return 0, [_json_text(
             "census",
             {"bound": bound, "k": args.k, "family": args.family, "checkpoints": checkpoints},
             [
@@ -133,25 +130,21 @@ def cmd_census(args: argparse.Namespace) -> int:
                 }
                 for r in rows
             ],
-        )
-    elif args.format == "csv":
-        sys.stdout.write("n,exact,estimate,ratio\n")
-        for r in rows:
-            sys.stdout.write(f"{r.n},{r.exact},{_fmt6(r.estimate)},{_fmt6(r.ratio)}\n")
-    else:
-        # columns widen only for values that would overflow them (n = 10^12, counts >= 10^10)
-        wn = max([12] + [len(str(r.n)) for r in rows])
-        we = max([10] + [len(str(r.exact)) for r in rows])
-        print(f"{'n':>{wn}} {'exact':>{we}} {'estimate':>12} {'ratio':>10}")
-        for r in rows:
-            print(f"{r.n:>{wn}} {r.exact:>{we}} {_fmt6(r.estimate):>12} {_fmt6(r.ratio):>10}")
-    return 0
+        )]
+    if args.format == "csv":
+        return 0, ["n,exact,estimate,ratio"] + [
+            f"{r.n},{r.exact},{_fmt6(r.estimate)},{_fmt6(r.ratio)}" for r in rows]
+    # columns widen only for values that would overflow them (n = 10^12, counts >= 10^10)
+    wn = max([12] + [len(str(r.n)) for r in rows])
+    we = max([10] + [len(str(r.exact)) for r in rows])
+    return 0, [f"{'n':>{wn}} {'exact':>{we}} {'estimate':>12} {'ratio':>10}"] + [
+        f"{r.n:>{wn}} {r.exact:>{we}} {_fmt6(r.estimate):>12} {_fmt6(r.ratio):>10}" for r in rows]
 
 
 # ------------------------------------------------------------------ digits
 
 
-def cmd_digits(args: argparse.Namespace) -> int:
+def cmd_digits(args: argparse.Namespace) -> tuple[int, list[str]]:
     bound = args.bound
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
@@ -171,24 +164,20 @@ def cmd_digits(args: argparse.Namespace) -> int:
             if digit == 1 and est is not None:
                 row["estimate"] = float(_fmt6(est))
             results.append(row)
-        _emit_json("digits", {"bound": bound}, results)
-    elif args.format == "csv":
-        sys.stdout.write("digit,count\n")
-        for digit, count in enumerate(dc.counts):
-            sys.stdout.write(f"{digit},{count}\n")
-    else:
-        print(f"{'digit':>5} {'count':>10}")
-        for digit, count in enumerate(dc.counts):
-            suffix = f"  (estimate {_fmt6(est)})" if digit == 1 and est is not None else ""
-            print(f"{digit:>5} {count:>10}{suffix}")
-        print(f"total {dc.total():>10}")
-    return 0
+        return 0, [_json_text("digits", {"bound": bound}, results)]
+    if args.format == "csv":
+        return 0, ["digit,count"] + [f"{digit},{count}" for digit, count in enumerate(dc.counts)]
+    lines = [f"{'digit':>5} {'count':>10}"]
+    for digit, count in enumerate(dc.counts):
+        suffix = f"  (estimate {_fmt6(est)})" if digit == 1 and est is not None else ""
+        lines.append(f"{digit:>5} {count:>10}{suffix}")
+    return 0, lines + [f"total {dc.total():>10}"]
 
 
 # ----------------------------------------------------------------- witness
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
+def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
     kind = args.kind
     if kind in ("x2p1", "x3p1") and args.bound is not None:
         power = 2 if kind == "x2p1" else 3
@@ -221,11 +210,11 @@ def cmd_witness(args: argparse.Namespace) -> int:
         sp = sp_decompose(args.n)
         if sp is None:
             print(f"{args.n} is not an SP number", file=sys.stderr)
-            return 1
+            return 1, []
         w = construct.sum_decompose(sp)
         if w is None:
             print(f"no prime factor = 1 (mod 4) in the square base {sp.a}", file=sys.stderr)
-            return 1
+            return 1, []
         witnesses = [w]
     else:  # x3p1
         if args.bound is not None:
@@ -233,6 +222,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         else:
             witnesses = construct.x3p1_family(args.t_max)
     failed = [[] if prechecked else w.checks() for w in witnesses] if args.verify else None
+    rc = 1 if failed is not None and any(failed) else 0
     if args.format == "json":
         results = []
         for i, w in enumerate(witnesses):
@@ -245,96 +235,84 @@ def cmd_witness(args: argparse.Namespace) -> int:
             for key, value in vars(args).items()
             if key in ("x", "n", "count", "bound", "t_max", "verify") and value is not None
         }
-        _emit_json(f"witness {kind}", params, results)
-    else:
-        lines = []
-        for i, w in enumerate(witnesses):
-            lines += w.lines()
-            if failed is not None:
-                lines.append(
-                    f"  verify: FAIL ({'; '.join(failed[i])})" if failed[i] else "  verify: PASS")
-        _emit_lines(lines)
-    if failed is not None and any(failed):
-        return 1
-    return 0
+        return rc, [_json_text(f"witness {kind}", params, results)]
+    lines = []
+    for i, w in enumerate(witnesses):
+        lines += w.lines()
+        if failed is not None:
+            lines.append(
+                f"  verify: FAIL ({'; '.join(failed[i])})" if failed[i] else "  verify: PASS")
+    return rc, lines
 
 
 # -------------------------------------------------------------------- pell
 
 
-def cmd_pell(args: argparse.Namespace) -> int:
+def cmd_pell(args: argparse.Namespace) -> tuple[int, list[str]]:
     # one solve serves the digit budget and the stream; solution_stream
     # refuses a negative count before solving
     try:
         start = pell.stream_start(args.D, args.norm) if args.count >= 0 else None
     except pell.NoSolutionError as exc:
         print(exc, file=sys.stderr)
-        return 1
+        return 1, []
     _check_digit_limit(args.count, "x", pell.stream_log10(args.D, args.norm, args.count, start))
     sols = pell.solution_stream(args.D, args.norm, args.count, start)
     if args.format == "json":
-        _emit_json(
-            "pell",
-            {"D": args.D, "norm": args.norm, "count": args.count},
-            [asdict(s) for s in sols],
-        )
-    else:
-        _emit_lines([f"x={s.x} y={s.y}  [x² - {s.D}·y² = {s.norm:+d}]" for s in sols])
-    return 0
+        params = {"D": args.D, "norm": args.norm, "count": args.count}
+        return 0, [_json_text("pell", params, [asdict(s) for s in sols])]
+    return 0, [f"x={s.x} y={s.y}  [x² - {s.D}·y² = {s.norm:+d}]" for s in sols]
 
 
 # ---------------------------------------------------------------- estimate
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: argparse.Namespace) -> tuple[int, list[str]]:
     if args.what == "zeta":
-        est = analytic.zeta(int(args.value))
-        label = f"zeta({int(args.value)})"
+        k = _nat(args.value)
+        est, label = analytic.zeta(k), f"zeta({k})"
     elif args.what == "prime-zeta":
-        est = analytic.prime_zeta(int(args.value))
-        label = f"P({int(args.value)})"
+        k = _nat(args.value)
+        est, label = analytic.prime_zeta(k), f"P({k})"
     else:
         try:
             q = Fraction(args.value)
-        except ZeroDivisionError as exc:  # a zero denominator, as in "1/0"
-            raise ValueError(exc) from None
-        est = analytic.hurwitz_zeta2(q)
-        label = f"zeta(2, {q})"
+        except ZeroDivisionError:  # a zero denominator, as in "1/0"
+            raise ValueError(f"zero denominator: {args.value!r}") from None
+        est, label = analytic.hurwitz_zeta2(q), f"zeta(2, {q})"
     if args.format == "json":
-        _emit_json(
+        return 0, [_json_text(
             "estimate",
-            {"what": args.what, "value": str(args.value)},
+            {"what": args.what, "value": args.value},
             [{"label": label, "value": float(f"{est.value:.12g}"),
               "abs_error_bound": float(_fmt6(est.abs_error_bound))}],
-        )
-    else:
-        print(f"{label} = {est.value:.12g}  (abs error <= {_fmt6(est.abs_error_bound)})")
-    return 0
+        )]
+    return 0, [f"{label} = {est.value:.12g}  (abs error <= {_fmt6(est.abs_error_bound)})"]
 
 
 # ------------------------------------------------------- bunyakovsky-report
 
 
-def cmd_bunyakovsky(args: argparse.Namespace) -> int:
+def cmd_bunyakovsky(args: argparse.Namespace) -> tuple[int, list[str]]:
     from . import construct
 
     rep = construct.bunyakovsky_report()
     if args.format == "json":
-        _emit_json("bunyakovsky-report", {}, [asdict(rep)])
-        return 0
-    print(f"polynomial           {rep.polynomial}")
-    print(f"leading coefficient  {rep.leading_coefficient} (positive: {rep.leading_positive})")
-    print(f"rational roots       none among {list(rep.rational_root_candidates)}"
-          if not rep.has_rational_root else "rational roots       FOUND")
-    print(f"quadratic split      {'none' if not rep.has_quadratic_split else 'FOUND'}")
-    print(f"irreducible          {rep.irreducible}")
-    print(f"identity t²·f(t) = (t²-1)³+1 verified: {rep.identity_checked}")
-    print(f"f(2), f(3)           {rep.f2}, {rep.f3}  gcd = {rep.gcd_f2_f3}")
-    print(f"running gcd          {list(rep.running_gcd)} -> no fixed prime divisor: "
-          f"{rep.fixed_divisor_free}")
-    print(f"variant {rep.variant_polynomial}: gcd(g(2), g(3)) = {rep.variant_gcd_f2_f3}, "
-          f"irreducible: {rep.variant_irreducible}  [fails both -> constant term 3 confirmed]")
-    return 0
+        return 0, [_json_text("bunyakovsky-report", {}, [asdict(rep)])]
+    return 0, [
+        f"polynomial           {rep.polynomial}",
+        f"leading coefficient  {rep.leading_coefficient} (positive: {rep.leading_positive})",
+        f"rational roots       none among {list(rep.rational_root_candidates)}"
+        if not rep.has_rational_root else "rational roots       FOUND",
+        f"quadratic split      {'none' if not rep.has_quadratic_split else 'FOUND'}",
+        f"irreducible          {rep.irreducible}",
+        f"identity t²·f(t) = (t²-1)³+1 verified: {rep.identity_checked}",
+        f"f(2), f(3)           {rep.f2}, {rep.f3}  gcd = {rep.gcd_f2_f3}",
+        f"running gcd          {list(rep.running_gcd)} -> no fixed prime divisor: "
+        f"{rep.fixed_divisor_free}",
+        f"variant {rep.variant_polynomial}: gcd(g(2), g(3)) = {rep.variant_gcd_f2_f3}, "
+        f"irreducible: {rep.variant_irreducible}  [fails both -> constant term 3 confirmed]",
+    ]
 
 
 # -------------------------------------------------------------------- main
@@ -419,10 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc, lines = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return rc
 
 
 if __name__ == "__main__":

@@ -136,16 +136,18 @@ def stream_start(d: int, norm: int) -> tuple[PellSolution, PellSolution]:
     """(first solution of the stream for norm, fundamental +1 solution).
 
     solution_stream and stream_log10 solve it themselves unless handed it,
-    so a caller that needs both solves once."""
+    so a caller that needs both solves once.  For norm -1 the one solve is
+    the continued fraction: the fundamental unit is the minimal -1 solution
+    squared, as in cf_fundamental."""
     if norm not in (1, -1):
         raise ValueError(f"norm must be +1 or -1, got {norm}")
-    fund = fundamental_solution(d)
     if norm == 1:
+        fund = fundamental_solution(d)
         return fund, fund
     neg = negative_fundamental(d)
     if neg is None:
         raise NoSolutionError(f"x^2 - {d}*y^2 = -1 has no integer solution")
-    return neg, fund
+    return neg, compose(neg, neg)
 
 
 def solution_stream(

@@ -62,6 +62,17 @@ def test_zeta_domain():
         prime_zeta(1)
 
 
+def test_zeta_and_prime_zeta_past_float_underflow():
+    """From k = 1075 every term j^-k rounds to 0.0, so zeta(k) - 1 and P(k)
+    answer 0.0 with the bound 2^-1070, also where 2^-k has no float
+    exponent at all (k = 10^400 once raised OverflowError)."""
+    assert zeta(1074) == Estimate(1.0, 2.0**-1070 + 2.0**-52)
+    assert prime_zeta(1074) == Estimate(2.0**-1074, 2.0**-1070)
+    for k in (1075, 10**400):
+        assert zeta(k) == Estimate(1.0, 2.0**-1070 + 2.0**-52)
+        assert prime_zeta(k) == Estimate(0.0, 2.0**-1070)
+
+
 def test_prime_zeta_frozen():
     assert prime_zeta(2).value == pytest.approx(0.452247420041065, abs=5e-12)
     assert prime_zeta(4).value == pytest.approx(0.076993139764247, abs=5e-12)

@@ -529,15 +529,18 @@ def test_pell_count_below_digit_limit_still_answers(capsys):
 
 
 @pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="counts pinned at the default digit limit")
-@pytest.mark.parametrize("argv", [["pell", "2", "--count", "6000"],
-                                  ["witness", "x2p1", "--count", "6000", "--verify"]],
-                         ids=["pell", "x2p1"])
-def test_count_past_digit_limit_refused_before_composing(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv, squared", [
+    (["pell", "2", "--count", "6000"], []),
+    # the x² - 2y² = -1 stream's unit is its first solution (1, 1) squared
+    (["witness", "x2p1", "--count", "6000", "--verify"], [pell.PellSolution(2, 1, 1, -1)]),
+], ids=["pell", "x2p1"])
+def test_count_past_digit_limit_refused_before_composing(capsys, monkeypatch, argv, squared):
+    """No solution of the stream is composed; only stream_start's unit is."""
     calls = []
     real = pell.compose
-    monkeypatch.setattr(pell, "compose", lambda s1, s2: calls.append(1) or real(s1, s2))
+    monkeypatch.setattr(pell, "compose", lambda s1, s2: calls.append((s1, s2)) or real(s1, s2))
     rc, out, err = run(capsys, *argv)
-    assert (rc, out, calls) == (2, "", [])
+    assert (rc, out, calls) == (2, "", [(s, s) for s in squared])
     assert err.startswith("error: --count 6000 exceeds the digit budget: the last ")
     assert "limit (4300 digits)" in err
 
@@ -545,11 +548,11 @@ def test_count_past_digit_limit_refused_before_composing(capsys, monkeypatch, ar
 @pytest.mark.parametrize("argv, solves", [
     (["pell", "61", "--count", "3"], {"fundamental_solution": [61]}),
     (["pell", "13", "--count", "0"], {"fundamental_solution": [13]}),
-    (["pell", "2", "--norm", "-1", "--count", "4"],
-     {"fundamental_solution": [2], "negative_fundamental": [2]}),
+    (["pell", "2", "--norm", "-1", "--count", "4"], {"negative_fundamental": [2]}),
 ], ids=["norm+1", "count0", "norm-1"])
 def test_pell_solves_once_per_request(capsys, monkeypatch, argv, solves):
-    """The digit budget and the stream share one stream_start solve."""
+    """The digit budget and the stream share one stream_start solve; a -1
+    stream squares its continued-fraction solution for the unit."""
     calls = {}
     for name in ("fundamental_solution", "negative_fundamental"):
         real = getattr(pell, name)
@@ -596,6 +599,10 @@ def test_estimate_json(capsys):
     assert row["label"] == "zeta(2)"
     assert row["value"] == pytest.approx(1.64493406685, abs=1e-11)
     assert row["abs_error_bound"] <= 1e-12
+    rc, out, _ = run(capsys, "estimate", "hurwitz", "2/6", "--format", "json")
+    doc = json.loads(out)
+    assert (rc, doc["parameters"]) == (0, {"what": "hurwitz", "value": "2/6"})  # as typed
+    assert doc["results"][0]["label"] == "zeta(2, 1/3)"
 
 
 def test_estimate_errors(capsys):
@@ -604,6 +611,30 @@ def test_estimate_errors(capsys):
     assert run(capsys, "estimate", "hurwitz", "0")[0] == 2
     assert run(capsys, "estimate", "hurwitz", "3/2")[0] == 2
     assert run(capsys, "estimate", "hurwitz", "abc")[0] == 2
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("estimate zeta abc", "error: not a number: 'abc'\n"),
+    ("estimate zeta 2.5", "error: not an integer: '2.5'\n"),
+    ("estimate prime-zeta 2.5", "error: not an integer: '2.5'\n"),
+    ("estimate prime-zeta inf", "error: not a finite number: 'inf'\n"),
+    ("estimate hurwitz 1/0", "error: zero denominator: '1/0'\n"),
+])
+def test_estimate_refusals_quote_the_input(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", err)
+
+
+@pytest.mark.parametrize("what, label", [("zeta", "zeta"), ("prime-zeta", "P")])
+def test_estimate_reads_k_like_every_integer_argument(capsys, what, label):
+    expected = run(capsys, "estimate", what, "10")
+    assert expected[1].startswith(f"{label}(10) = ")
+    for text in ("1e1", "10.0"):
+        assert run(capsys, "estimate", what, text) == expected
+    rc, out, _ = run(capsys, "estimate", what, "1e400", "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["parameters"] == {"what": what, "value": "1e400"}
+    assert doc["results"][0]["label"] == f"{label}({10**400})"
 
 
 def test_bunyakovsky_report(capsys):
@@ -625,6 +656,84 @@ def test_bunyakovsky_json(capsys):
     assert row["irreducible"] is True
     assert row["variant_irreducible"] is False
     assert row["running_gcd"] == [[1, 1]]
+
+
+class _Unrenderable(int):
+    """An int that will not render, as one past the int-to-str digit limit."""
+
+    def __format__(self, spec):
+        raise ValueError("unrenderable")
+
+
+def _fmt6_fails(monkeypatch):
+    def fmt6(x):
+        raise ValueError("unrenderable")
+
+    monkeypatch.setattr(cli, "_fmt6", fmt6)
+
+
+def _second_pell_solution_fails(monkeypatch):
+    monkeypatch.setattr(pell, "solution_stream", lambda *args: [
+        pell.PellSolution(2, 3, 2, 1), pell.PellSolution(2, _Unrenderable(17), 12, 1)])
+
+
+def _second_x2p1_witness_fails(monkeypatch):
+    monkeypatch.setattr(construct, "x2p1_stream", lambda count: [
+        construct.X2p1Witness(7, SpWitness(50, 2, 5)),
+        construct.X2p1Witness(_Unrenderable(18), SpWitness(325, 13, 5))])
+
+
+def _second_digit_row_fails(monkeypatch):
+    monkeypatch.setattr(census, "digit_census", lambda n: census.DigitCensus(
+        n, (3, _Unrenderable(5)) + (0,) * 8))
+
+
+def _second_report_line_fails(monkeypatch):
+    rep = dataclasses.replace(construct.bunyakovsky_report(), leading_coefficient=_Unrenderable(1))
+    monkeypatch.setattr(construct, "bunyakovsky_report", lambda: rep)
+
+
+def _classify_line_fails(monkeypatch):
+    monkeypatch.setattr(cli, "kp_decompose", lambda n, k: SpWitness(_Unrenderable(75), 3, 5))
+
+
+@pytest.mark.parametrize("argv, break_rendering", [
+    ("census 1000", _fmt6_fails),
+    ("census 1000 --format csv", _fmt6_fails),
+    ("census 1000 --format json", _fmt6_fails),
+    ("digits 1000", _fmt6_fails),
+    ("digits 1000 --format csv", _second_digit_row_fails),
+    ("digits 1000 --format json", _fmt6_fails),
+    ("estimate zeta 3", _fmt6_fails),
+    ("pell 2 --count 2", _second_pell_solution_fails),
+    ("witness x2p1 --count 2", _second_x2p1_witness_fails),
+    ("bunyakovsky-report", _second_report_line_fails),
+    ("classify 75", _classify_line_fails),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_reply_that_fails_to_render_leaves_stdout_empty(capsys, monkeypatch, argv,
+                                                        break_rendering):
+    """Every command renders its whole reply before main writes any of it,
+    so a line that fails to render after the first leaves stdout empty and
+    exits 2.  No real input reaches this today, since census counts and
+    floats always render; the one real case, an int past the digit limit,
+    is covered by the pell and x2p1 tests above."""
+    break_rendering(monkeypatch)
+    assert run(capsys, *argv.split()) == (2, "", "error: unrenderable\n")
+
+
+def _readme_examples() -> list[tuple[str, str]]:
+    """(arguments, stdout) of each `$ spnum …` example in the README's
+    command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```text\n", 1)[1].split("```", 1)[0]
+    return [(args, out.rstrip("\n") + "\n")
+            for args, out in (ex.split("\n", 1) for ex in block.split("$ spnum ")[1:])]
+
+
+@pytest.mark.parametrize("args, expected", [
+    pytest.param(args, out, id=args) for args, out in _readme_examples()])
+def test_readme_examples(capsys, args, expected):
+    assert run(capsys, *args.split())[:2] == (0, expected)
 
 
 def test_every_exported_name_exists():

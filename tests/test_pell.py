@@ -4,7 +4,9 @@ from math import inf, isqrt, log10
 
 import pytest
 
+from spnum import pell
 from spnum.pell import (
+    NoSolutionError,
     PellSolution,
     cf_fundamental,
     compose,
@@ -12,6 +14,7 @@ from spnum.pell import (
     negative_fundamental,
     solution_stream,
     stream_log10,
+    stream_start,
 )
 
 
@@ -99,6 +102,28 @@ def test_compose_norm_law():
         twice = compose(neg, neg)
         assert twice.norm == 1
         assert twice.x * twice.x - d * twice.y * twice.y == 1
+
+
+def test_negative_solution_squared_is_the_fundamental_solution():
+    """stream_start(d, -1) takes its unit as the -1 solution squared; the
+    chakravala route must give the same unit for every such D."""
+    solvable = 0
+    for d in range(2, 20001):
+        neg = None if _is_square(d) else negative_fundamental(d)
+        if neg is not None:
+            solvable += 1
+            assert compose(neg, neg) == fundamental_solution(d), d
+    assert solvable == 2524
+
+
+def test_stream_start_negative_norm_skips_chakravala(monkeypatch):
+    def boom(d):
+        raise AssertionError("chakravala run for a -1 stream")
+
+    monkeypatch.setattr(pell, "fundamental_solution", boom)
+    assert stream_start(13, -1) == (PellSolution(13, 18, 5, -1), PellSolution(13, 649, 180, 1))
+    with pytest.raises(NoSolutionError):
+        stream_start(3, -1)
 
 
 def test_solution_stream():
