@@ -10,10 +10,10 @@ All logs are natural.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, fsum, log, log1p
+from typing import NamedTuple
 
 from .arith import factorize
 
@@ -40,8 +40,7 @@ _EM_COEFF = [
 ]
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A float value with a certified absolute error bound."""
 
     value: float

@@ -11,9 +11,8 @@ solving answer without loading it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,11 +108,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_TRIAL_PRIMES = [p for p in range(2, 1000) if is_prime(p)]
+def _small_primes(limit: int) -> list[int]:
+    """The primes below limit, by a bytearray sieve: no numpy, no is_prime."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+    return [p for p, flag in enumerate(sieve) if flag]
 
 
-@dataclass(frozen=True)
-class Factorization:
+_TRIAL_PRIMES = _small_primes(1000)
+
+
+class Factorization(NamedTuple):
     """Canonical factorization: strictly increasing primes with exponents."""
 
     value: int

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import isqrt, log
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,16 +30,15 @@ __all__ = [
     "census_table",
 ]
 
-@dataclass(frozen=True)
-class CensusRow:
+
+class CensusRow(NamedTuple):
     n: int
     exact: int
     estimate: float
     ratio: float
 
 
-@dataclass(frozen=True)
-class DigitCensus:
+class DigitCensus(NamedTuple):
     """Counts of SP numbers <= n, indexed by final decimal digit."""
 
     n: int

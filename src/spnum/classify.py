@@ -7,7 +7,7 @@ witness types below carry the full certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import _prime_divisors, ikroot, is_prime
 
@@ -21,8 +21,7 @@ __all__ = [
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
-@dataclass(frozen=True)
-class SpWitness:
+class SpWitness(NamedTuple):
     """Certificate n = p * a^2 with p prime, a >= 2."""
 
     n: int
@@ -41,8 +40,7 @@ class SpWitness:
         return f"{self.n} = {self.p} · {self.a}²"
 
 
-@dataclass(frozen=True)
-class KpWitness:
+class KpWitness(NamedTuple):
     """Certificate n = p * a^k with p prime, a >= 2, k >= 2."""
 
     n: int

@@ -2,9 +2,9 @@
 generation with independent re-verification, Pell solving, and the analytic
 constants.
 
-`census` and `construct` are imported by the commands that use them, and
-numpy only by a census, digit table or --bound scan, so the other commands
-start without loading it.
+`census`, `construct`, `analytic`, `pell`, `json`, `decimal` and `fractions`
+are imported by the commands that use them, and numpy only by a census,
+digit table or --bound scan, so a command loads only what it runs.
 
 Output is deterministic: stable ordering and fixed float formatting
 (6 significant digits in census/digit tables, 12 for the analytic
@@ -20,13 +20,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from dataclasses import asdict
-from decimal import Decimal, InvalidOperation
-from fractions import Fraction
+from math import log10
 
-from . import analytic, pell
 from .classify import kp_decompose, sp_decompose
 
 # The prime-count tables hold pi at v <= r = isqrt(bound), an int32 position map of r entries,
@@ -51,7 +47,16 @@ class _NotAnInteger(argparse.ArgumentTypeError, ValueError):
 
 
 def _nat(text: str) -> int:
-    """Integer argument, accepting scientific notation like 1e6."""
+    """Integer argument, accepting scientific notation like 1e6.  Plain ASCII
+    digits are read by int(); other text, and digits int() refuses (past the
+    digit limit), by Decimal."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    from decimal import Decimal, InvalidOperation
+
     try:
         d = Decimal(text)
     except InvalidOperation:
@@ -63,18 +68,32 @@ def _nat(text: str) -> int:
     return int(d)
 
 
+def _plain(obj):
+    """A record or dict as a dict and a list or tuple as a list, recursively."""
+    if hasattr(obj, "_asdict"):
+        obj = obj._asdict()
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    return obj
+
+
 def _json_text(command: str, parameters: dict, results: list) -> str:
-    return json.dumps({"command": command, "parameters": parameters, "results": results}, indent=2)
+    import json
+
+    return json.dumps({"command": command, "parameters": parameters, "results": _plain(results)},
+                      indent=2)
 
 
-def _check_digit_limit(count: int, what: str, log10_value: float) -> None:
-    """Refuse a --count whose largest printed integer, `what`, has log10 at
-    least log10_value, when that certainly passes the interpreter's
-    int-to-str digit limit."""
+def _check_digit_limit(refused: str, value: int, what: str, log10_value: float) -> None:
+    """Refuse `refused value` (an option or command and its argument) when the
+    largest integer of its reply, `what`, has log10 at least log10_value, so
+    that it certainly passes the interpreter's int-to-str digit limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and log10_value >= limit:
         raise ValueError(
-            f"--count {count} exceeds the digit budget: the last {what} would have more "
+            f"{refused} {value} exceeds the digit budget: {what} would have more "
             f"than {limit} digits, past the interpreter's int-to-str limit ({limit} digits), "
             "which PYTHONINTMAXSTRDIGITS sets")
 
@@ -89,7 +108,7 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
     w = kp_decompose(n, k)
     rc = 0 if w else 1
     if args.format == "json":
-        return rc, [_json_text("classify", {"n": n, "k": k}, [asdict(w)] if w else [])]
+        return rc, [_json_text("classify", {"n": n, "k": k}, [w] if w else [])]
     return rc, [str(w) if w else f"{n} is not a KP_{k} number"]
 
 
@@ -153,7 +172,7 @@ def cmd_digits(args: argparse.Namespace) -> tuple[int, list[str]]:
             f"bound {bound} exceeds the class prime-count table budget ({MAX_DIGITS_BOUND}; "
             "the table holds 6.9·isqrt(bound) int64 entries); "
             "raise MAX_DIGITS_BOUND only with memory to spare")
-    from . import census
+    from . import analytic, census
 
     dc = census.digit_census(bound)
     est = analytic.digit1_estimate(bound) if bound >= 3 else None
@@ -187,8 +206,11 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
                 f"(x <= {MAX_SCAN_X}, so bound <= {MAX_SCAN_X**power + 1}; {_SCAN_COST[kind]}); "
                 "raise MAX_SCAN_X only with time to spare")
     if kind == "x2p1" and args.bound is None:
+        from . import pell
+
         # n = x^2 + 1 of the last member, x running over the x^2 - 2y^2 = -1 stream after (1, 1)
-        _check_digit_limit(args.count, "n = x²+1", 2 * pell.stream_log10(2, -1, args.count + 1))
+        _check_digit_limit("--count", args.count, "the last n = x²+1",
+                           2 * pell.stream_log10(2, -1, args.count + 1))
     if kind == "x3p1" and args.bound is None and args.t_max > MAX_FAMILY_T:
         raise ValueError(
             f"--t-max {args.t_max} exceeds the x3p1 family budget ({MAX_FAMILY_T}; "
@@ -198,7 +220,11 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
     witnesses: list
     prechecked = False  # the --bound scans return only witnesses that passed checks()
     if kind == "gap":
-        witnesses = [construct.gap_witness(args.x)]
+        w = construct.gap_witness(args.x)
+        # hi.n is the pair's largest integer; a prime gap's Pell pair can pass the digit limit
+        _check_digit_limit("gap", args.x, "the pair's larger member hi.n",
+                           (w.hi.n.bit_length() - 1) * log10(2))
+        witnesses = [w]
     elif kind == "x2p1":
         if args.bound is not None:
             witnesses, prechecked = construct.x2p1_scan(args.bound), True
@@ -226,7 +252,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
     if args.format == "json":
         results = []
         for i, w in enumerate(witnesses):
-            entry = asdict(w)
+            entry = w._asdict()
             if failed is not None:
                 entry["verified"] = not failed[i]
             results.append(entry)
@@ -249,6 +275,8 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def cmd_pell(args: argparse.Namespace) -> tuple[int, list[str]]:
+    from . import pell
+
     # one solve serves the digit budget and the stream; solution_stream
     # refuses a negative count before solving
     try:
@@ -256,11 +284,12 @@ def cmd_pell(args: argparse.Namespace) -> tuple[int, list[str]]:
     except pell.NoSolutionError as exc:
         print(exc, file=sys.stderr)
         return 1, []
-    _check_digit_limit(args.count, "x", pell.stream_log10(args.D, args.norm, args.count, start))
+    _check_digit_limit("--count", args.count, "the last x",
+                       pell.stream_log10(args.D, args.norm, args.count, start))
     sols = pell.solution_stream(args.D, args.norm, args.count, start)
     if args.format == "json":
         params = {"D": args.D, "norm": args.norm, "count": args.count}
-        return 0, [_json_text("pell", params, [asdict(s) for s in sols])]
+        return 0, [_json_text("pell", params, sols)]
     return 0, [f"x={s.x} y={s.y}  [x² - {s.D}·y² = {s.norm:+d}]" for s in sols]
 
 
@@ -268,6 +297,8 @@ def cmd_pell(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> tuple[int, list[str]]:
+    from . import analytic
+
     if args.what == "zeta":
         k = _nat(args.value)
         est, label = analytic.zeta(k), f"zeta({k})"
@@ -275,6 +306,8 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[int, list[str]]:
         k = _nat(args.value)
         est, label = analytic.prime_zeta(k), f"P({k})"
     else:
+        from fractions import Fraction
+
         try:
             q = Fraction(args.value)
         except ZeroDivisionError:  # a zero denominator, as in "1/0"
@@ -298,7 +331,7 @@ def cmd_bunyakovsky(args: argparse.Namespace) -> tuple[int, list[str]]:
 
     rep = construct.bunyakovsky_report()
     if args.format == "json":
-        return 0, [_json_text("bunyakovsky-report", {}, [asdict(rep)])]
+        return 0, [_json_text("bunyakovsky-report", {}, [rep])]
     return 0, [
         f"polynomial           {rep.polynomial}",
         f"leading coefficient  {rep.leading_coefficient} (positive: {rep.leading_positive})",

@@ -10,9 +10,8 @@ the first scan, so the other constructions never load numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .arith import factorize, ikroot, is_prime, squarefree_decompose
 from .arith import sieve_primes  # noqa: F401  (perfbench's tracer test reaches it here)
@@ -62,8 +61,7 @@ def _curve_checks(x0: int, sp: SpWitness, curve_point: tuple[int, int, int]) -> 
     }, sp=sp)
 
 
-@dataclass(frozen=True)
-class GapWitness:
+class GapWitness(NamedTuple):
     """Pair of SP numbers with hi.n - lo.n = x, plus construction data."""
 
     x: int
@@ -92,8 +90,7 @@ class GapWitness:
         return lines
 
 
-@dataclass(frozen=True)
-class X2p1Witness:
+class X2p1Witness(NamedTuple):
     """SP number of the form x^2 + 1."""
 
     x: int
@@ -106,8 +103,7 @@ class X2p1Witness:
         return [f"x={self.x}: {self.sp}"]
 
 
-@dataclass(frozen=True)
-class BetweenSquaresWitness:
+class BetweenSquaresWitness(NamedTuple):
     """SP number 2n^2 strictly between x^2 and (x+2)^2."""
 
     x: int
@@ -124,8 +120,7 @@ class BetweenSquaresWitness:
         return [f"x={self.x}: {self.x**2} < {self.sp} < {(self.x + 2) ** 2}"]
 
 
-@dataclass(frozen=True)
-class SumWitness:
+class SumWitness(NamedTuple):
     """Split of an SP number into a sum of two SP numbers via a two-squares
     representation of a prime q = 1 (mod 4) dividing the square base."""
 
@@ -153,8 +148,7 @@ class SumWitness:
         ]
 
 
-@dataclass(frozen=True)
-class X3p1Witness:
+class X3p1Witness(NamedTuple):
     """Member of the parametric family x = t^2 - 1 with f(t) = t^4 - 3t^2 + 3
     prime: x^3 + 1 = f(t) * t^2 is SP, and (x, f(t)*t) sits on y^2 = p*x^3 + p."""
 
@@ -175,8 +169,7 @@ class X3p1Witness:
         return [f"x={x}: t={self.t} {self.sp}  curve (p, x, y) = ({p}, {x}, {y})"]
 
 
-@dataclass(frozen=True)
-class X3p1ScanWitness:
+class X3p1ScanWitness(NamedTuple):
     """SP number x^3 + 1 found by exhaustive scan, with its curve point
     (p, x, y = p*a) on y^2 = p*x^3 + p."""
 
@@ -408,8 +401,7 @@ def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
     ])
 
 
-@dataclass(frozen=True)
-class BunyakovskyReport:
+class BunyakovskyReport(NamedTuple):
     """Checks that f(t) = t^4 - 3t^2 + 3 meets the Bunyakovsky conditions,
     with the constant-term variant t^4 - 3t^2 + 1 reported alongside.
 

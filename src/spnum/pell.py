@@ -9,8 +9,8 @@ pin them against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf, isqrt, log10, sqrt
+from typing import NamedTuple
 
 __all__ = [
     "PellSolution",
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(NamedTuple):
     """Solution of x^2 - D*y^2 = norm, norm in {+1, -1}."""
 
     D: int

@@ -1,6 +1,5 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
-import dataclasses
 import importlib
 import json
 import os
@@ -23,9 +22,20 @@ _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def run(capsys, *argv):
-    rc = main(list(argv))
+    """(exit code, stdout, stderr) of main(argv), usage errors included."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
     cap = capsys.readouterr()
     return rc, cap.out, cap.err
+
+
+def _json_reply(command: str, parameters: dict, results: list) -> str:
+    """The exact stdout of a JSON reply: records nest as objects in field
+    order, tuples render as lists, two-space indent."""
+    return json.dumps({"command": command, "parameters": parameters, "results": results},
+                      indent=2) + "\n"
 
 
 def test_classify_member(capsys):
@@ -71,6 +81,44 @@ def test_classify_scientific_notation(capsys):
     rc, out, _ = run(capsys, "classify", "3e2")
     assert rc == 0
     assert out == "300 = 3 · 10²\n"
+
+
+_CLASSIFY_USAGE = "usage: spnum classify [-h] [--k K] [--format {table,json}] n\n"
+_PAST_STR_LIMIT = ("error: Exceeds the limit (4300 digits) for integer string conversion; "
+                   "use sys.set_int_max_str_digits() to increase the limit\n")
+_DIGITS_5000 = "7" * 5000
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1_000", (1, "1000 is not a KP_2 number\n", "")),
+    ("+75", (0, "75 = 3 · 5²\n", "")),
+    (" 12", (0, "12 = 3 · 2²\n", "")),
+    ("１２", (0, "12 = 3 · 2²\n", "")),
+    ("0075", (0, "75 = 3 · 5²\n", "")),
+    ("3e2", (0, "300 = 3 · 10²\n", "")),
+    ("7.0", (1, "7 is not a KP_2 number\n", "")),
+    ("0x10", (2, "", _CLASSIFY_USAGE
+              + "spnum classify: error: argument n: not a number: '0x10'\n")),
+    ("2.5", (2, "", _CLASSIFY_USAGE
+             + "spnum classify: error: argument n: not an integer: '2.5'\n")),
+    ("", (2, "", _CLASSIFY_USAGE + "spnum classify: error: argument n: not a number: ''\n")),
+], ids=repr)
+def test_classify_integer_forms(capsys, text, expected):
+    """Plain ASCII digits take int(); every other form is read by Decimal."""
+    assert run(capsys, "classify", text) == expected
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="text pinned at the default digit limit")
+@pytest.mark.parametrize("argv", [
+    ["classify", "1" + "0" * 4999],
+    ["census", _DIGITS_5000],
+    ["pell", "2", "--count", _DIGITS_5000],
+    ["witness", "x2p1", "--count", _DIGITS_5000],
+], ids=lambda argv: f"{argv[0]} {len(argv[-1])}-digit")
+def test_argument_past_digit_limit_read_by_decimal(capsys, argv):
+    """int() refuses digits past the limit; Decimal reads them, so the
+    command, not the parser, fails when it renders the number."""
+    assert run(capsys, *argv) == (2, "", _PAST_STR_LIMIT)
 
 
 def test_malformed_argument_exits_2(capsys):
@@ -124,6 +172,9 @@ _AT_DEFAULT_DIGIT_LIMIT = pytest.mark.skipif(
     ("witness x3p1 --t-max 100001", 2),
     pytest.param("pell 2 --count 6000", 2, marks=_AT_DEFAULT_DIGIT_LIMIT),
     pytest.param("witness x2p1 --count 6000", 2, marks=_AT_DEFAULT_DIGIT_LIMIT),
+    pytest.param("witness gap 10000019", 2, marks=_AT_DEFAULT_DIGIT_LIMIT),
+    pytest.param(f"census {_DIGITS_5000}", 2, marks=_AT_DEFAULT_DIGIT_LIMIT,
+                 id="census 5000-digit"),
     ("pell 4", 2),
     ("pell 2 --count -1", 2),
     ("estimate hurwitz 1/0", 2),
@@ -336,6 +387,10 @@ def test_witness_gap_json(capsys):
     assert entry["verified"] is True
     assert entry["aux"]["pell"]["x"] == 15
     assert entry["hi"]["n"] - entry["lo"]["n"] == 7
+    assert out == _json_reply("witness gap", {"x": 7, "verify": True}, [{
+        "x": 7, "hi": {"n": 1575, "p": 7, "a": 15}, "lo": {"n": 1568, "p": 2, "a": 28},
+        "case_tag": "PRIME", "aux": {"p": 2, "pell": {"D": 14, "x": 15, "y": 4, "norm": 1}},
+        "verified": True}])
 
 
 def test_witness_gap_bad_x(capsys):
@@ -366,8 +421,8 @@ def test_witness_between_squares(capsys):
 
 def test_witness_verify_failure(capsys, monkeypatch):
     real = construct.between_squares
-    monkeypatch.setattr(construct, "between_squares", lambda x: dataclasses.replace(
-        real(x), sp=SpWitness(162, 2, 9)))
+    monkeypatch.setattr(construct, "between_squares", lambda x: real(x)._replace(
+        sp=SpWitness(162, 2, 9)))
     rc, out, _ = run(capsys, "witness", "between-squares", "10", "--verify")
     assert rc == 1
     assert out.splitlines() == [
@@ -390,6 +445,14 @@ def test_witness_sum(capsys):
     assert lines[1] == "  part1: 18 = 2 · 3²"
     assert lines[2] == "  part2: 32 = 2 · 4²"
     assert lines[3] == "  verify: PASS"
+
+
+def test_witness_sum_json(capsys):
+    part = {"n": 882, "p": 2, "a": 21}
+    assert run(capsys, "witness", "sum", "2450", "--verify", "--format", "json") == (
+        0, _json_reply("witness sum", {"n": 2450, "verify": True}, [{
+            "input": {"n": 2450, "p": 2, "a": 35}, "q": 5, "u": 2, "v": 1,
+            "part1": part, "part2": {"n": 1568, "p": 2, "a": 28}, "verified": True}]), "")
 
 
 def test_witness_sum_negatives(capsys):
@@ -545,6 +608,23 @@ def test_count_past_digit_limit_refused_before_composing(capsys, monkeypatch, ar
     assert "limit (4300 digits)" in err
 
 
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="gaps pinned at the default digit limit")
+@pytest.mark.parametrize("argv", [
+    ["witness", "gap", "10000019"],
+    ["witness", "gap", "100000007", "--verify", "--format", "json"],
+    ["witness", "gap", "400000028"],  # 4·100000007: the Pell pair, scaled by 2
+])
+def test_gap_pair_past_digit_limit_refused(capsys, argv):
+    """A prime gap's Pell pair that passes the digit limit is refused by name,
+    not by the interpreter's own text, while the 1197-digit pair of 1000003 still prints."""
+    assert run(capsys, *argv) == (2, "", (
+        f"error: gap {argv[2]} exceeds the digit budget: the pair's larger member hi.n "
+        "would have more than 4300 digits, past the interpreter's int-to-str limit "
+        "(4300 digits), which PYTHONINTMAXSTRDIGITS sets\n"))
+    rc, out, _ = run(capsys, "witness", "gap", "1000003")
+    assert rc == 0 and len(out.split()[2]) == 1197  # hi.n
+
+
 @pytest.mark.parametrize("argv, solves", [
     (["pell", "61", "--count", "3"], {"fundamental_solution": [61]}),
     (["pell", "13", "--count", "0"], {"fundamental_solution": [13]}),
@@ -568,6 +648,10 @@ def test_pell_json(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["results"] == [{"D": 6, "x": 5, "y": 2, "norm": 1}]
+    assert run(capsys, "pell", "13", "--count", "2", "--format", "json") == (
+        0, _json_reply("pell", {"D": 13, "norm": 1, "count": 2}, [
+            {"D": 13, "x": 649, "y": 180, "norm": 1},
+            {"D": 13, "x": 842401, "y": 233640, "norm": 1}]), "")
 
 
 def test_estimate_zeta(capsys):
@@ -656,6 +740,13 @@ def test_bunyakovsky_json(capsys):
     assert row["irreducible"] is True
     assert row["variant_irreducible"] is False
     assert row["running_gcd"] == [[1, 1]]
+    assert out == _json_reply("bunyakovsky-report", {}, [{
+        "polynomial": "t^4 - 3*t^2 + 3", "leading_coefficient": 1, "leading_positive": True,
+        "rational_root_candidates": [-3, -1, 1, 3], "has_rational_root": False,
+        "has_quadratic_split": False, "irreducible": True, "identity_checked": True,
+        "f2": 7, "f3": 57, "gcd_f2_f3": 1, "running_gcd": [[1, 1]], "fixed_divisor_free": True,
+        "variant_polynomial": "t^4 - 3*t^2 + 1", "variant_gcd_f2_f3": 5,
+        "variant_irreducible": False}])
 
 
 class _Unrenderable(int):
@@ -689,7 +780,7 @@ def _second_digit_row_fails(monkeypatch):
 
 
 def _second_report_line_fails(monkeypatch):
-    rep = dataclasses.replace(construct.bunyakovsky_report(), leading_coefficient=_Unrenderable(1))
+    rep = construct.bunyakovsky_report()._replace(leading_coefficient=_Unrenderable(1))
     monkeypatch.setattr(construct, "bunyakovsky_report", lambda: rep)
 
 
@@ -758,23 +849,28 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "75 = 3 · 5²"
 
 
-# One shell invocation per command: which modules it leaves loaded.
+# One shell invocation per command: which of the modules a command may not
+# need it leaves loaded.
+_WATCHED = ("numpy", "spnum._scan", "dataclasses", "decimal", "fractions",
+            "spnum.analytic", "spnum.pell")
 _COLD_CHILD = """
 import contextlib, io, json, sys
 from spnum.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     rc = main(json.loads(sys.argv[1]))
-print(json.dumps([rc, "numpy" in sys.modules, "spnum._scan" in sys.modules]))
+print(json.dumps([rc, [name for name in json.loads(sys.argv[2]) if name in sys.modules]]))
 """
 
 
-def _cold_run(argv: list[str]) -> tuple[int, bool, bool]:
-    """(exit code, numpy loaded, spnum._scan loaded) after main(argv) in a
-    fresh interpreter importing spnum from where this process did."""
-    proc = subprocess.run([sys.executable, "-c", _COLD_CHILD, json.dumps(argv)],
-                          capture_output=True, text=True, timeout=120, env=_child_env())
+def _cold_run(argv: list[str]) -> tuple[int, set[str]]:
+    """(exit code, the _WATCHED modules loaded) after main(argv) in a fresh
+    interpreter importing spnum from where this process did."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_CHILD, json.dumps(argv), json.dumps(_WATCHED)],
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    return tuple(json.loads(proc.stdout))
+    rc, loaded = json.loads(proc.stdout)
+    return rc, set(loaded)
 
 
 @pytest.mark.parametrize("argv", [
@@ -793,7 +889,21 @@ def _cold_run(argv: list[str]) -> tuple[int, bool, bool]:
     ["bunyakovsky-report"],
 ], ids=" ".join)
 def test_cold_path_answers_without_numpy(argv):
-    assert _cold_run(argv) == (0, False, False)
+    rc, loaded = _cold_run(argv)
+    assert (rc, loaded & {"numpy", "spnum._scan", "dataclasses"}) == (0, set())
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["classify", "75"], set()),
+    (["classify", "24", "--k", "3"], set()),
+    (["pell", "61", "--count", "3"], {"spnum.pell"}),
+    (["witness", "gap", "7", "--verify", "--format", "json"], {"spnum.pell"}),
+    (["estimate", "hurwitz", "1/3"], {"decimal", "fractions", "spnum.analytic"}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cold_path_loads_only_what_it_runs(argv, loaded):
+    """classify loads no Decimal, Fraction, analytic or pell, pell no
+    analytic, and no command the dataclasses machinery."""
+    assert _cold_run(argv) == (0, loaded)
 
 
 @pytest.mark.parametrize("argv", [
@@ -803,8 +913,8 @@ def test_cold_path_answers_without_numpy(argv):
     ["witness", "x3p1", "--bound", "1000"],
 ], ids=" ".join)
 def test_tables_and_scans_load_numpy(argv):
-    rc, numpy_loaded, _ = _cold_run(argv)
-    assert (rc, numpy_loaded) == (0, True)
+    rc, loaded = _cold_run(argv)
+    assert (rc, "numpy" in loaded, "dataclasses" in loaded) == (0, True, False)
 
 
 _TIMED_CHILD = """

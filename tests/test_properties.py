@@ -2,7 +2,6 @@
 the prime-counting routes and the x^2 + 1 / x^3 + 1 kernel sieves agree with
 their oracles at random sizes; factorize recovers repeated large primes."""
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -45,7 +44,7 @@ def test_decompose_roundtrip(w):
     st.integers(-10**6, 10**6).filter(bool),
 )
 def test_single_field_perturbation_rejected(w, field, delta):
-    tampered = dataclasses.replace(w, **{field: getattr(w, field) + delta})
+    tampered = w._replace(**{field: getattr(w, field) + delta})
     assert tampered.checks() != []
 
 
