@@ -1,11 +1,12 @@
-"""Exact integer primitives: a prime sieve, primality, factorization,
+"""Exact integer primitives: one prime sieve, primality, factorization,
 integer roots.
 
-Everything here works on arbitrary-precision Python ints, or for the sieve
-on int64/bool numpy arrays, and never goes through floating point, so
-floor/exactness guarantees hold at any size.  Only the sieve uses numpy,
-and it imports it when called: classification, factorization and Pell
-solving answer without loading it.
+Everything here works on arbitrary-precision Python ints and never goes
+through floating point, so floor/exactness guarantees hold at any size.
+The one sieve is a bytearray of prime flags: the trial-division primes are
+read off it directly, and `sieve_primes` hands it to numpy, imported on
+that call only, so classification, factorization and Pell solving answer
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -23,22 +24,26 @@ __all__ = [
     "is_prime",
     "factorize",
     "ikroot",
-    "squarefree_decompose",
 ]
 
 
+def _sieve(limit: int) -> bytearray:
+    """Prime flags of 0..limit for limit >= 2: byte n is 1 iff n is prime."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes((limit - p * p) // p + 1)
+    return sieve
+
+
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (plain sieve, fits in memory)."""
+    """All primes <= limit as an int64 array, read off `_sieve`."""
     import numpy as np
 
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.flatnonzero(np.frombuffer(_sieve(limit), dtype=bool))
 
 # Deterministic Miller-Rabin witness tiers.  Each entry (bound, bases) is a
 # published exhaustively-verified result: testing against `bases` is exact for
@@ -108,17 +113,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _small_primes(limit: int) -> list[int]:
-    """The primes below limit, by a bytearray sieve: no numpy, no is_prime."""
-    sieve = bytearray([1]) * limit
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
-    return [p for p, flag in enumerate(sieve) if flag]
-
-
-_TRIAL_PRIMES = _small_primes(1000)
+_TRIAL_PRIMES = [p for p, flag in enumerate(_sieve(999)) if flag]
 
 
 class Factorization(NamedTuple):
@@ -259,18 +254,3 @@ def ikroot(n: int, k: int) -> int:
     while (r + 1) ** k <= n:
         r += 1
     return r
-
-
-def squarefree_decompose(x: int) -> tuple[int, int]:
-    """Write x = t^2 * s with s square-free and t maximal; returns (t, s)."""
-    if x < 1:
-        raise ValueError(f"squarefree_decompose requires x >= 1, got {x}")
-    if x == 1:
-        return 1, 1
-    t = 1
-    s = 1
-    for p, e in factorize(x).factors:
-        t *= p ** (e // 2)
-        if e % 2:
-            s *= p
-    return t, s

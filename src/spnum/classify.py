@@ -84,8 +84,6 @@ def kp_decompose(n: int, k: int) -> KpWitness | None:
 
 def sp_decompose(n: int) -> SpWitness | None:
     """The unique (p, a) with n = p * a^2, a >= 2, if n is an SP number."""
-    if n < 1:
-        return None
     w = kp_decompose(n, 2)
     if w is None:
         return None

@@ -196,29 +196,20 @@ def cmd_digits(args: argparse.Namespace) -> tuple[int, list[str]]:
 # ----------------------------------------------------------------- witness
 
 
-def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
-    kind = args.kind
-    if kind in ("x2p1", "x3p1") and args.bound is not None:
-        power = 2 if kind == "x2p1" else 3
-        if args.bound > MAX_SCAN_X**power + 1:
-            raise ValueError(
-                f"bound {args.bound} exceeds the {kind} scan budget "
-                f"(x <= {MAX_SCAN_X}, so bound <= {MAX_SCAN_X**power + 1}; {_SCAN_COST[kind]}); "
-                "raise MAX_SCAN_X only with time to spare")
-    if kind == "x2p1" and args.bound is None:
-        from . import pell
-
-        # n = x^2 + 1 of the last member, x running over the x^2 - 2y^2 = -1 stream after (1, 1)
-        _check_digit_limit("--count", args.count, "the last n = x²+1",
-                           2 * pell.stream_log10(2, -1, args.count + 1))
-    if kind == "x3p1" and args.bound is None and args.t_max > MAX_FAMILY_T:
+def _check_scan_budget(kind: str, power: int, bound: int) -> None:
+    """Refuse a --bound scan of x^power + 1 past x = MAX_SCAN_X."""
+    if bound > MAX_SCAN_X**power + 1:
         raise ValueError(
-            f"--t-max {args.t_max} exceeds the x3p1 family budget ({MAX_FAMILY_T}; "
-            "one primality test per t); raise MAX_FAMILY_T only with time to spare")
+            f"bound {bound} exceeds the {kind} scan budget "
+            f"(x <= {MAX_SCAN_X}, so bound <= {MAX_SCAN_X**power + 1}; {_SCAN_COST[kind]}); "
+            "raise MAX_SCAN_X only with time to spare")
+
+
+def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
     from . import construct
 
+    kind = args.kind
     witnesses: list
-    prechecked = False  # the --bound scans return only witnesses that passed checks()
     if kind == "gap":
         w = construct.gap_witness(args.x)
         # hi.n is the pair's largest integer; a prime gap's Pell pair can pass the digit limit
@@ -227,8 +218,14 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
         witnesses = [w]
     elif kind == "x2p1":
         if args.bound is not None:
-            witnesses, prechecked = construct.x2p1_scan(args.bound), True
+            _check_scan_budget(kind, 2, args.bound)
+            witnesses = construct.x2p1_scan(args.bound)
         else:
+            from . import pell
+
+            # n = x^2 + 1 of the last member, x running over the x^2 - 2y^2 = -1 stream after (1, 1)
+            _check_digit_limit("--count", args.count, "the last n = x²+1",
+                               2 * pell.stream_log10(2, -1, args.count + 1))
             witnesses = construct.x2p1_stream(args.count)
     elif kind == "between-squares":
         witnesses = [construct.between_squares(args.x)]
@@ -244,10 +241,17 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
         witnesses = [w]
     else:  # x3p1
         if args.bound is not None:
-            witnesses, prechecked = construct.x3p1_scan(args.bound), True
+            _check_scan_budget(kind, 3, args.bound)
+            witnesses = construct.x3p1_scan(args.bound)
         else:
+            if args.t_max > MAX_FAMILY_T:
+                raise ValueError(
+                    f"--t-max {args.t_max} exceeds the x3p1 family budget ({MAX_FAMILY_T}; "
+                    "one primality test per t); raise MAX_FAMILY_T only with time to spare")
             witnesses = construct.x3p1_family(args.t_max)
-    failed = [[] if prechecked else w.checks() for w in witnesses] if args.verify else None
+    # a --bound scan returns only witnesses that passed checks()
+    scanned = vars(args).get("bound") is not None
+    failed = [[] if scanned else w.checks() for w in witnesses] if args.verify else None
     rc = 1 if failed is not None and any(failed) else 0
     if args.format == "json":
         results = []

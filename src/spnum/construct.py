@@ -10,10 +10,10 @@ the first scan, so the other constructions never load numpy.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .arith import factorize, ikroot, is_prime, squarefree_decompose
+from .arith import factorize, ikroot, is_prime
 from .arith import sieve_primes  # noqa: F401  (perfbench's tracer test reaches it here)
 from .classify import SpWitness
 from .pell import fundamental_solution, solution_stream
@@ -188,7 +188,7 @@ class X3p1ScanWitness(NamedTuple):
 def gap_witness(x: int) -> GapWitness:
     """A certified pair of SP numbers differing by exactly x, for any x >= 1.
 
-    Case analysis on x:
+    Every case is read off one factorization x = t^2*s, s square-free:
       UNIT              x = 1: the pair (28, 27).
       PRIME             x prime: pick the smallest prime p != x, solve
                         M^2 - (p*x)*N^2 = 1; then x*M^2 - p*(x*N)^2 = x.
@@ -197,20 +197,29 @@ def gap_witness(x: int) -> GapWitness:
       EVEN_COMPOSITE_SF x even composite square-free: x = 2*(2k+1);
                         2*(k+1)^2 - 2*k^2 = x, except x = 6 -> (18, 12)
                         since k = 1 would put a 1 in the square base.
-      NONSQUAREFREE     x = t^2*s with t >= 2: recurse on s (s = 1 reuses
-                        the UNIT pair) and scale both members by t^2.
+      NONSQUAREFREE     t >= 2: the pair of s, from the primes of s already
+                        found (s = 1 gives the UNIT pair), both members
+                        scaled by t^2.
     """
     if x < 1:
         raise ValueError(f"gap_witness requires x >= 1, got {x}")
-    t, s = squarefree_decompose(x)
-    if t > 1:
-        inner = gap_witness(s)
-        hi = SpWitness(inner.hi.n * t * t, inner.hi.p, inner.hi.a * t)
-        lo = SpWitness(inner.lo.n * t * t, inner.lo.p, inner.lo.a * t)
-        return GapWitness(x, hi, lo, "NONSQUAREFREE", {"t": t, "s": s, "inner": inner})
+    factors = factorize(x).factors if x > 1 else ()
+    t = prod(p ** (e // 2) for p, e in factors)
+    primes = [p for p, e in factors if e % 2]
+    s = prod(primes)
+    inner = _squarefree_gap(s, primes)
+    if t == 1:
+        return inner
+    hi = SpWitness(inner.hi.n * t * t, inner.hi.p, inner.hi.a * t)
+    lo = SpWitness(inner.lo.n * t * t, inner.lo.p, inner.lo.a * t)
+    return GapWitness(x, hi, lo, "NONSQUAREFREE", {"t": t, "s": s, "inner": inner})
+
+
+def _squarefree_gap(x: int, primes: list[int]) -> GapWitness:
+    """gap_witness of square-free x, whose ascending prime factors are `primes`."""
     if x == 1:
         return GapWitness(1, SpWitness(28, 7, 2), SpWitness(27, 3, 3), "UNIT", {})
-    if is_prime(x):
+    if len(primes) == 1:
         p = 3 if x == 2 else 2
         sol = fundamental_solution(p * x)
         hi = SpWitness(x * sol.x**2, x, sol.x)
@@ -225,7 +234,7 @@ def gap_witness(x: int) -> GapWitness:
         hi = SpWitness(2 * (k + 1) ** 2, 2, k + 1)
         lo = SpWitness(2 * k * k, 2, k)
         return GapWitness(x, hi, lo, "EVEN_COMPOSITE_SF", {"k": k})
-    p1 = factorize(x).factors[0][0]
+    p1 = primes[0]
     k = (x // p1 - 1) // 2
     hi = SpWitness(p1 * (k + 1) ** 2, p1, k + 1)
     lo = SpWitness(p1 * k * k, p1, k)
@@ -237,8 +246,6 @@ def x2p1_stream(count: int) -> list[X2p1Witness]:
     solutions of m^2 - 2n^2 = -1 with n >= 2, ascending."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return []
     # drop (1, 1): n = 1 gives 2, whose square base would be 1
     sols = solution_stream(2, -1, count + 1)[1:]
     return [X2p1Witness(s.x, SpWitness(s.x**2 + 1, 2, s.y)) for s in sols]

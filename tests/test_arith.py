@@ -13,8 +13,8 @@ from spnum.arith import (
     factorize,
     ikroot,
     is_prime,
-    squarefree_decompose,
 )
+from spnum.construct import gap_witness
 
 
 def _sieve(limit: int) -> bytearray:
@@ -34,7 +34,17 @@ def test_sieve_primes_edges_and_trial_primes():
     assert got.dtype == np.int64 == arith.sieve_primes(0).dtype
     mask = _sieve(1000)
     assert got.tolist() == [n for n in range(1001) if mask[n]]
-    assert len(got) == 168 and arith._TRIAL_PRIMES == got.tolist()
+    assert len(got) == 168 and arith._TRIAL_PRIMES == arith.sieve_primes(999).tolist()
+
+
+def test_sieve_primes_matches_trial_division_to_2000():
+    """Every limit, so each p^2 and p^2 - 1 up to 43^2 = 1849 is one."""
+    primes: list[int] = []
+    for limit in range(2001):
+        if limit >= 2 and all(limit % p for p in primes if p * p <= limit):
+            primes.append(limit)
+        got = arith.sieve_primes(limit)
+        assert got.dtype == np.int64 and got.tolist() == primes, limit
 
 
 def test_is_prime_examples():
@@ -242,6 +252,19 @@ def test_factorize_pq2_one_rho_whatever_it_returns(monkeypatch, part):
     assert calls == [p * Q * Q]
 
 
+@pytest.mark.parametrize("x", [
+    (10**9 + 7) * (10**9 + 9),  # ODD_COMPOSITE_SF
+    4 * (10**9 + 7) * (10**9 + 9),  # NONSQUAREFREE over it
+])
+def test_gap_witness_factors_x_once(monkeypatch, x):
+    """gap_witness reads every case off one factorization of x: one rho run
+    splits p*q, and neither x's square-free part nor its smallest prime is
+    factored again."""
+    calls = _count_rho(monkeypatch)
+    assert gap_witness(x).checks() == []
+    assert len(calls) == 1
+
+
 def test_factorization_record():
     f = Factorization(12, ((2, 2), (3, 1)))
     assert f.as_dict() == {2: 2, 3: 1}
@@ -272,23 +295,3 @@ def test_ikroot_large_and_edges():
         ikroot(10, 0)
     with pytest.raises(ValueError):
         ikroot(-1, 2)
-
-
-def test_squarefree_decompose_examples():
-    assert squarefree_decompose(12) == (2, 3)
-    assert squarefree_decompose(9) == (3, 1)
-    assert squarefree_decompose(30) == (1, 30)
-    assert squarefree_decompose(1) == (1, 1)
-    with pytest.raises(ValueError):
-        squarefree_decompose(0)
-
-
-def test_squarefree_decompose_brute():
-    for x in range(1, 2001):
-        t, s = squarefree_decompose(x)
-        assert t * t * s == x
-        # t maximal: found by brute force over square divisors
-        best = max(d for d in range(1, isqrt(x) + 1) if x % (d * d) == 0)
-        assert t == best, x
-        if s > 1:
-            assert all(e == 1 for _, e in factorize(s).factors)

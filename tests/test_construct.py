@@ -1,7 +1,7 @@
 """Constructive certificates: gaps, quadratic/cubic families, sums."""
 
 import re
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -57,15 +57,19 @@ def test_gap_prime_case_uses_pell():
 
 
 def test_gap_roundtrip_and_case_tags():
-    from spnum.arith import squarefree_decompose
-
+    """The case tag follows x = t^2*s, s square-free, with t read off
+    factorize(x); a NONSQUAREFREE witness carries that t and s."""
     for x in range(1, 601):
         w = gap_witness(x)
         assert isinstance(w, GapWitness) and w.x == x
         assert w.checks() == [], x
-        t, s = squarefree_decompose(x)
+        t = prod(p ** (e // 2) for p, e in factorize(x).factors) if x > 1 else 1
         if t > 1:
             expect = "NONSQUAREFREE"
+            s = w.aux["s"]
+            assert w.aux["t"] == t and t * t * s == x, x
+            assert s == 1 or all(e == 1 for _, e in factorize(s).factors), x
+            assert w.aux["inner"] == gap_witness(s), x
         elif x == 1:
             expect = "UNIT"
         elif is_prime(x):
