@@ -93,8 +93,9 @@ def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray
     it and nothing else is computed.  For an m <= r outside it the lookup
     reads an entry that was never built and answers wrong.
 
-    The primes p <= n^(1/3) are sifted one at a time, in order.  The rest
-    (p^3 > n, about 95% of them) are sifted together by `_tail_pairs`: such
+    The primes p <= n^(1/3), from `sieve_primes`, are sifted one at a time,
+    in order.  The rest (p^3 > n, about 95% of them, read off small once
+    every p <= sqrt(r) is sifted) are sifted together by `_tail_pairs`: such
     a p writes only large[i] for i <= n // p^2 < p and nothing in small
     (p^2 > r), and it reads large[i * p] with i * p >= p, or small.  So no
     tail prime reads what another writes, and every read already holds its
@@ -114,7 +115,7 @@ def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray
     np.subtract(quot, 1, out=large)
     cube, lims, heads = _head_bounds(n, kept)
 
-    def sift(p: int) -> None:
+    for p in sieve_primes(cube).tolist():
         # pi(v) -= pi(v // p) - pi(p - 1) for every quotient v >= p^2.  Each
         # right-hand side is read in full before its in-place update, so
         # every term sees the table as it stood before p.
@@ -127,16 +128,7 @@ def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray
             drop = np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p]
             drop -= sp
             small[p * p :] -= drop
-
-    root = isqrt(r)
-    for p in range(2, root + 1):
-        if small[p] != small[p - 1]:
-            sift(p)
-    # small is final once every p <= sqrt(r) is sifted; it marks the rest
-    primes = (small[root + 1 :] != small[root:-1]).nonzero()[0] + root + 1
-    tail = primes[primes > cube]
-    for p in primes[: len(primes) - len(tail)].tolist():
-        sift(p)
+    tail = (small[cube + 1 :] != small[cube:-1]).nonzero()[0] + cube + 1
     for lo, starts, p, at in _tail_pairs(n, tail, kept, pos):
         large[lo : lo + len(starts)] -= np.add.reduceat(vals.take(at) - small[p - 1], starts)
 
@@ -195,6 +187,9 @@ def _tail_pairs(
 
 
 _CLASSES = (1, 3, 7, 9)  # the residues mod 10 of every prime but 2 and 5
+# _GATHER[p % 10, j]: the row of the class _CLASSES[j] * p^-1 (mod 10), for p prime to 10
+_GATHER = np.array([[_CLASSES.index(c * pow(q, -1, 10) % 10) if q in _CLASSES else 0
+                     for c in _CLASSES] for q in range(10)], dtype=np.intp)
 
 
 def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -208,15 +203,20 @@ def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.n
     between rows; 2 and 5 divide no member of a class and are never
     sifted.  The lookup maps an int64 array of divisors m to a (4, len)
     array of counts.
+
+    A head prime p updates row j from row g[j] = _GATHER[p % 10, j], and
+    every row reads the same columns: large[:head] reads large at
+    pos[i * p] and the rest of large[:lim] reads small at (n // i) // p.
+    So p builds one index ``at`` into a row of vals and gathers each row
+    once with a 1-D ``take``, a fixed handful of numpy calls per prime,
+    where gathering (row, column) pairs recomputes a 2-D index for every
+    entry.  The rows read each other, so all four are gathered before any
+    is written.
     """
     r = isqrt(n)
     kept, pos = _kept(r, divisors)
     quot = n // kept
     classes = np.array(_CLASSES, dtype=np.int64)[:, None]
-    # gather[p % 10, j]: the row of the class _CLASSES[j] * p^-1 (mod 10)
-    gather = np.zeros((10, 4), dtype=np.intp)
-    for q in _CLASSES:
-        gather[q] = [_CLASSES.index(c * pow(q, -1, 10) % 10) for c in _CLASSES]
 
     # integers in [2, v] per class, before sifting; 1 is not counted
     v = np.concatenate([np.arange(r + 1, dtype=np.int64), quot])
@@ -224,42 +224,41 @@ def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.n
     vals[0] -= v >= 1
     del v
     small, large = vals[:, : r + 1], vals[:, r + 1 :]
+    rows = list(vals)  # the four rows as 1-D views
     cube, lims, heads = _head_bounds(n, kept)
 
-    def sift(p: int) -> None:
-        # as in _pi_table, with row j reading row g[j]; each right-hand side
-        # is gathered (only the columns it needs) before the in-place update
-        g = gather[p % 10]
-        sp = small[g, p - 1]
+    gathers = _GATHER.tolist()
+    for p in sieve_primes(cube).tolist():
+        if p == 2 or p == 5:
+            continue
+        # pi(v; c) -= pi(v // p; c * p^-1) - pi(p - 1; c * p^-1) for every v >= p^2,
+        # every term read as the table stood before p
+        g = gathers[p % 10]
+        sp = small[g, p - 1 : p]  # sp[j] = small[g[j], p - 1]
         lim, head = lims[p - 2], heads[p - 2]
-        large[:, :head] -= large[g[:, None], pos[kept[:head] * p]] - sp[:, None]
-        # the rest reads small only, so one row at a time (a 2-D gather is 2-3x slower)
-        idx = quot[head:lim] // p
-        for j, row in enumerate(g.tolist()):
-            large[j, head:lim] -= small[row][idx] - sp[j]
+        at = np.concatenate([pos.take(kept[:head] * p) + (r + 1), quot[head:lim] // p])
+        got = [row.take(at) for row in rows]
+        for j, row in enumerate(rows):
+            row[r + 1 : r + 1 + lim] -= got[g[j]]
+        large[:, :lim] += sp
+        del at, got  # so the small update's copies do not add to them
         if p * p <= r:
+            # v // p for v = p^2..r is p, p, ..., p + 1, ... (p copies each);
+            # every row is read before any is written, and repeated one at a time
             part = small[g, p : r // p + 1]
-            for j in range(4):
-                drop = np.repeat(part[j], p)[: r + 1 - p * p]
-                drop -= sp[j]
-                small[j, p * p :] -= drop
+            part -= sp
+            for j, row in enumerate(rows):
+                row[p * p : r + 1] -= np.repeat(part[j], p)[: r + 1 - p * p]
 
-    root = isqrt(r)
-    for p in range(3, root + 1):
-        if (small[:, p] != small[:, p - 1]).any():  # p is prime, and not 5
-            sift(p)
-    total = small.sum(axis=0)  # final: every p <= sqrt(r) is sifted
-    primes = (total[root + 1 :] != total[root:-1]).nonzero()[0] + root + 1
-    tail = primes[primes > cube]
-    for p in primes[: len(primes) - len(tail)].tolist():
-        sift(p)
+    total = small.sum(axis=0)  # final: every p <= sqrt(r) <= n^(1/3) is sifted
+    tail = (total[cube + 1 :] != total[cube:-1]).nonzero()[0] + cube + 1
 
     # the tail primes (p^3 > n) sift all at once, as in _pi_table
     for lo, starts, p, at in _tail_pairs(n, tail, kept, pos):
-        g = gather[p % 10]
+        g = _GATHER[p % 10]
         for j in range(4):
-            rows = g[:, j]
-            got = vals[rows, at] - small[rows, p - 1]
+            src = g[:, j]
+            got = vals[src, at] - small[src, p - 1]
             large[j, lo : lo + len(starts)] -= np.add.reduceat(got, starts)
 
     def lookup(ms: np.ndarray) -> np.ndarray:
@@ -327,23 +326,38 @@ def psp_count(n: int, k: int = 2) -> int:
     return _pi_sum(n, _psp_divisors(n, k))
 
 
+_RESIDUES = _CLASSES + (2, 5)  # every residue mod 10 of a prime
+# _DIGIT[j, t]: the final digit of p * a^2 for p = _RESIDUES[j] and a = t + 2 (mod 10)
+_DIGIT = np.array(_RESIDUES)[:, None] * np.arange(2, 12) ** 2 % 10
+
+
 def digit_census(n: int) -> DigitCensus:
     """Tallies of SP numbers <= n by final decimal digit.
 
     The final digit of p * a^2 is (p mod 10) * (a^2 mod 10) mod 10, so
     digit d collects pi(n // a^2; 10, c) over the bases a and classes c
     with c * a^2 = d (mod 10), from one class table for n; p = 2 and p = 5
-    add one each where n // a^2 reaches them.
+    add one each where n // a^2 reaches them.  a^2 mod 10 follows a mod 10,
+    so each row is first summed over the bases of each a mod 10, in one
+    exact int64 pass, and only those 6 x 10 sums are tallied by digit.
     """
     squares = _kp_divisors(n, 2)
-    if len(squares) == 0:
+    bases = len(squares)  # a = 2, 3, ..., bases + 1
+    if bases == 0:
         return DigitCensus(n, (0,) * 10)
-    x = n // squares
-    # row j: how many primes = residues[j] (mod 10) each base a takes, and the digit they end in
-    residues = np.array(_CLASSES + (2, 5), dtype=np.uint8)[:, None]
-    taken = np.vstack([_pi_mod10_table(n, squares)(squares), x >= 2, x >= 5])
-    digit = residues * (squares % 10).astype(np.uint8) % 10
-    return DigitCensus(n, tuple(int(taken[digit == d].sum()) for d in range(10)))
+    got = _pi_mod10_table(n, squares)(squares)  # column c is the base a = c + 2
+    # taken[j, t]: the primes = _RESIDUES[j] (mod 10) taken by the bases a = t + 2 (mod 10)
+    cut = bases - bases % 10
+    taken = np.empty((6, 10), dtype=np.int64)
+    taken[:4] = got[:, :cut].reshape(4, -1, 10).sum(axis=1)
+    taken[:4, : bases - cut] += got[:, cut:]
+    # every base takes p = 2 (a^2 <= n // 2), and the first isqrt(n // 5) - 1 take p = 5;
+    # of the first m bases, (m + 9 - t) // 10 have a = t + 2 (mod 10)
+    m = np.array([[bases], [max(isqrt(n // 5) - 1, 0)]])
+    taken[4:] = (m + 9 - np.arange(10)) // 10
+    tally = np.zeros(10, dtype=np.int64)
+    np.add.at(tally, _DIGIT, taken)
+    return DigitCensus(n, tuple(tally.tolist()))
 
 
 def census_table(

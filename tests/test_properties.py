@@ -1,6 +1,7 @@
 """Property tests: witness checks round-trip and reject single-field tampering;
-the prime-counting routes and the x^2 + 1 / x^3 + 1 kernel sieves agree with
-their oracles at random sizes; factorize recovers repeated large primes."""
+the prime-counting routes, the class and one-row prime-count tables, and the
+x^2 + 1 / x^3 + 1 kernel sieves agree with their oracles at random sizes;
+factorize recovers repeated large primes."""
 
 from collections import Counter
 
@@ -10,11 +11,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from spnum import census  # noqa: E402
 from spnum.arith import factorize, is_prime  # noqa: E402
 from spnum.census import digit_census, kp_count, kp_enumerate, psp_count  # noqa: E402
 from spnum.classify import SpWitness, kp_decompose, sp_decompose  # noqa: E402
 from spnum.construct import gap_witness, x2p1_scan, x3p1_scan  # noqa: E402
-from test_census import digit_tally_enumerated, pi_segmented, prime_pi  # noqa: E402
+from test_census import (  # noqa: E402
+    ONE,
+    digit_tally_enumerated,
+    kept_quotient_divisors,
+    pi_segmented,
+    prime_pi,
+)
 from test_classify import kp_decompose_full  # noqa: E402
 from test_construct import x2p1_classified, x3p1_classified  # noqa: E402
 
@@ -75,6 +83,26 @@ def test_counts_match_enumeration(n, k):
 @given(st.integers(0, 10**6))
 def test_digit_census_matches_enumeration(n):
     assert digit_census(n).counts == digit_tally_enumerated(n)
+
+
+TABLE_DIVISORS = {
+    "every quotient": lambda n: ONE,
+    "kp k=2": lambda n: census._kp_divisors(n, 2),
+    "psp k=2": lambda n: census._psp_divisors(n, 2),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda k: st.integers(10**k, 10**(k + 1))),  # decades to 10^9
+       st.sampled_from(sorted(TABLE_DIVISORS)))
+def test_class_counts_sum_to_pi(n, family):
+    """The two Lucy_Hedgehog routes agree: at every entry a table keeps, the
+    four class counts plus p = 2 and p = 5 are pi."""
+    divisors = TABLE_DIVISORS[family](n)
+    ms = kept_quotient_divisors(n, divisors)
+    x = n // ms
+    classes = census._pi_mod10_table(n, divisors)(ms)
+    assert (classes.sum(axis=0) + (x >= 2) + (x >= 5) == census._pi_table(n, divisors)(ms)).all()
 
 
 @settings(max_examples=25, deadline=None)
