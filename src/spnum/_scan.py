@@ -13,11 +13,12 @@ import numpy as np
 
 from .arith import factorize, ikroot, is_prime, sieve_primes
 
-_WINDOW = 1 << 18  # x values sieved at once; a scan with x_max below it runs as one window
-_PAIR_CHUNK = 1 << 16  # (x, p) pairs stripped at once by _strip's callers
+_WINDOW = 1 << 16  # x values sieved at once; a scan with x_max below it runs as one window
+_HIT_CHUNK = 1 << 13  # class hits divided out at once, up to the class crossing a multiple of it
+_PAIR_CHUNK = 1 << 16  # (x, p) pairs stripped at once by _trial_odd_primes
 
 
-def _pow_mod(g: int, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _pow_mod(g: int | np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """g**e % p elementwise over int64 arrays, by squaring; exact while
     p**2 < 2**63, far above the primes of any scan budget."""
     out = np.ones_like(p)
@@ -29,34 +30,71 @@ def _pow_mod(g: int, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unity_root(ps: np.ndarray) -> np.ndarray:
-    """A square root of -1 (a primitive fourth root of unity) mod every prime
-    of ps, each p = 1 (mod 4): w = g^((p-1)/4) for the least base g that
-    makes w primitive.  Since w^4 = 1, w is primitive unless
-    w^2 = g^((p-1)/2) = 1, i.e. unless g is a square mod p.  So g is the
-    least non-square n, which is prime (a product of squares is a square)
-    and at most isqrt(p) + 1 (with m = ceil(p/n), mn - p < n is a square, so
-    m is not and n <= m < p/n + 1), and only those primes are tried."""
-    w = np.zeros_like(ps)
-    todo = np.arange(len(ps))
-    for g in sieve_primes(isqrt(int(ps.max(initial=0))) + 1).tolist():
+def _least_nonresidue(ps: np.ndarray) -> np.ndarray:
+    """The least quadratic non-residue g mod every prime p = 1 (mod 4) of ps.
+
+    g is prime, as a product of residues is a residue, and at most
+    isqrt(p) + 1 (with m = ceil(p/g), mg - p < g is a residue, so m is not
+    and g <= m < p/g + 1).  For p = 1 (mod 4), 2 is a residue iff
+    p = 1 (mod 8), and by quadratic reciprocity an odd prime q is one mod p
+    iff p mod q is one mod q.  So g = 2 iff p = 5 (mod 8), and otherwise g
+    is the first odd prime q at which p mod q falls off q's table of
+    residues."""
+    g = np.where(ps % 8 == 5, 2, 0)
+    todo = np.flatnonzero(g == 0)
+    for q in sieve_primes(isqrt(int(ps.max(initial=0))) + 1)[1:].tolist():
         if not todo.size:
             break
-        p = ps[todo]
-        cand = _pow_mod(g, (p - 1) // 4, p)
-        ok = cand * cand % p != 1
-        w[todo[ok]] = cand[ok]
-        todo = todo[~ok]
-    return w
+        residue = np.zeros(q, dtype=bool)
+        residue[np.arange(q) ** 2 % q] = True
+        found = ~residue[ps[todo] % q]
+        g[todo[found]] = q
+        todo = todo[~found]
+    return g
 
 
-def _x2p1_classes(xmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classes (p, r), p <= xmax, with p | x^2 + 1 exactly when x = r (mod p):
-    (2, 1), and (p, s), (p, p - s) for p = 1 (mod 4) with s^2 = -1 (mod p)."""
+def _unity_root(ps: np.ndarray) -> np.ndarray:
+    """A square root of -1 mod every prime of ps, each p = 1 (mod 4):
+    s = g^((p-1)/4) for g the least non-residue, so s^2 = g^((p-1)/2) = -1
+    by Euler's criterion.  One vectorised power serves every p."""
+    return _pow_mod(_least_nonresidue(ps), (ps - 1) // 4, ps)
+
+
+def _x2p1_classes(xmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classes (p, r, k) of x^2 + 1 over x <= xmax, as int32 p and r and
+    int8 k (xmax < 2^31): every odd prime power p^k divides x^2 + 1 exactly
+    when x = r (mod p^k) for one of its classes, whose least such x, r, is
+    at most xmax.  Primes p = 3 (mod 4) never divide x^2 + 1, and 2 is left
+    to the caller: it divides x^2 + 1 exactly once for odd x and not at all
+    for even x.
+
+    Each p = 1 (mod 4) up to xmax has the classes +-s (mod p), with
+    s = _unity_root(p).  A root r of x^2 + 1 mod m = p^k lifts to the root
+    r + m*t mod m*p, with t = (r^2 + 1)/m * r * (p + 1)/2 (mod p), since
+    (2r)^-1 = -r*(p + 1)/2 (mod p) when r^2 = -1; the roots mod m*p are then
+    +-(r + m*t), each kept if its least value is at most xmax.  No root mod
+    m*p is at most xmax unless one mod m is, and m*p <= r^2 + 1 <= xmax^2 + 1
+    for such a root, so the lifts stop there and stay in int64."""
     primes = sieve_primes(xmax)
-    ps = primes[primes % 4 == 1]
-    s = _unity_root(ps)
-    return np.concatenate(([2], ps, ps)), np.concatenate(([1], s, ps - s))
+    p = primes[primes % 4 == 1]
+    del primes  # before the powers and lifts: 5 MiB off the peak RSS of a scan at the cap
+    s = _unity_root(p)
+    ps, rs, ks = [p, p], [s, p - s], [1, 1]
+    m, r, k = p, np.minimum(s, p - s), 1  # per prime, p^k and its least root
+    while True:
+        go = (r <= xmax) & (m <= (xmax * xmax + 1) // p)
+        p, m, r = p[go], m[go], r[go]
+        if not p.size:
+            break
+        t = (r * r + 1) // m % p * (r % p) % p * ((p + 1) // 2) % p
+        m, r, k = m * p, r + m * t, k + 1
+        r = np.minimum(r, m - r)
+        for root in (r, m - r):
+            keep = root <= xmax
+            ps.append(p[keep]), rs.append(root[keep]), ks.append(k)
+    return (np.concatenate(ps, dtype=np.int32, casting="same_kind"),
+            np.concatenate(rs, dtype=np.int32, casting="same_kind"),
+            np.repeat(np.array(ks, dtype=np.int8), [len(a) for a in ps]))
 
 
 def _windows(xmax: int):
@@ -65,14 +103,87 @@ def _windows(xmax: int):
         yield lo, np.arange(lo, min(lo + _WINDOW, xmax + 1), dtype=np.int64)
 
 
+def _runs(a: np.ndarray) -> list[int]:
+    """Where the runs of equal neighbours in a start, and len(a) last."""
+    return [0, *((a[1:] != a[:-1]).nonzero()[0] + 1).tolist(), len(a)] if len(a) else [0]
+
+
+def _file(due: list, c: np.ndarray, at: np.ndarray) -> None:
+    """Append the classes c, whose next hits are at, to due[at // _WINDOW]:
+    the list of the classes the window holding their next hit must visit."""
+    w = at // _WINDOW
+    order = np.argsort(w)
+    w = w[order]
+    cuts = _runs(w)
+    for a, b in zip(cuts, cuts[1:]):
+        due[w[a]].append(c[order[a:b]])
+
+
+def _x2p1_marks(
+    xs: np.ndarray, p: np.ndarray, k: np.ndarray, first: np.ndarray, m: np.ndarray, n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, prime) of the x of one window xs whose x^2 + 1 has exactly one
+    prime of odd exponent, given the classes that hit it: p^k = m, hit n
+    times, first at xs[first].
+
+    Each x keeps its cofactor rem, starting at x^2 + 1 with the one 2 of odd
+    x taken out, and each hit of a class p^k divides rem by p once.  x lies
+    in exactly v_p(x^2 + 1) classes of p, one per k, so once every class has
+    hit, rem holds no prime <= x_max, and it is 1 or a single prime > x_max:
+    two such primes would exceed (x_max + 1)^2 > x^2 + 1.  The hit of p^k
+    adds (-1)^(k+1) to x's count and that times p to its sum, so each p adds
+    1 and p to them iff its exponent is odd.  x is marked iff
+    count + (rem > 1) == 1, with the prime rem if rem > 1 and else the sum."""
+    count = xs & 1
+    rem = xs * xs
+    rem += 1
+    rem >>= count
+    total = 2 * count
+    sign = np.where(k % 2 == 1, 1, -1)
+    start = np.cumsum(n) - n  # index of each class's first hit in the window's list
+    jump = first.copy()  # from the last hit of the class before to the first of this one
+    jump[1:] -= first[:-1] + (n[:-1] - 1) * m[:-1]
+    cuts = _runs(start // _HIT_CHUNK)
+    for a, b in zip(cuts, cuts[1:]):
+        reps = n[a:b]
+        hit = np.repeat(m[a:b], reps)  # steps between successive hits, summed below
+        hit[start[a:b] - start[a]] = jump[a:b]
+        hit[0] = first[a]
+        np.cumsum(hit, out=hit)
+        q = np.repeat(p[a:b], reps)
+        np.floor_divide.at(rem, hit, q)
+        s = np.repeat(sign[a:b], reps)
+        np.add.at(count, hit, s)
+        np.add.at(total, hit, s * q)
+    rest = rem > 1
+    marked = (count + rest == 1).nonzero()[0]
+    return xs[marked], np.where(rest, rem, total)[marked]
+
+
 def _x2p1_sieve(xmax: int):
-    """(x, prime) arrays of the x whose x^2 + 1 _odd_primes marks with one
-    prime of odd exponent, per window of x up to xmax."""
-    ps, rs = _x2p1_classes(xmax)
+    """(x, prime) arrays of the x whose x^2 + 1 has exactly one prime of odd
+    exponent, and that prime, per window of x up to xmax, by `_x2p1_marks`
+    over the classes of `_x2p1_classes`.
+
+    Every class carries its next hit r from window to window, filed under
+    the window that holds it, so a window visits only the classes that hit
+    it, and divides once per hit, with no trial division."""
+    p, r, k = _x2p1_classes(xmax)
+    due = [[] for _ in range(xmax // _WINDOW + 1)]
+    _file(due, np.arange(len(p), dtype=np.int32), r)
     for lo, xs in _windows(xmax):
-        count, prime = _odd_primes(xs * xs + 1, lo, ps, rs)
-        marked = np.flatnonzero(count == 1)
-        yield xs[marked], prime[marked]
+        c = np.concatenate(due[lo // _WINDOW] or [np.zeros(0, dtype=np.int32)])
+        due[lo // _WINDOW] = None
+        pc, kc, rc = p[c].astype(np.int64), k[c], r[c].astype(np.int64)
+        mc = pc**kc
+        n = (xs[-1] - rc) // mc + 1  # hits of each class in this window, as rc <= xs[-1]
+        marks = _x2p1_marks(xs, pc, kc, rc - lo, mc, n)
+        rc += n * mc
+        later = rc <= xmax
+        c, rc = c[later], rc[later]
+        r[c] = rc
+        _file(due, c, rc)
+        yield marks
 
 
 def _strip(
@@ -91,36 +202,6 @@ def _strip(
         live = live[vals[x[live]] % p[live] == 0]
     np.add.at(count, x[odd], 1)
     prime[x[odd]] = p[odd]
-
-
-def _odd_primes(
-    vals: np.ndarray, lo: int, ps: np.ndarray, rs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel sieve over an int64 array of polynomial values at x = lo, lo + 1, ...
-
-    Every class (ps[i], rs[i]) names a prime p dividing the value at every
-    x = r (mod p); p is divided out of those entries completely, in place.
-    The caller guarantees that what remains of each value is 1 or a single
-    prime.  Returns, per x, the number of primes with odd exponent (the
-    remainder included) and one such prime; x is SP iff that count is 1 and
-    the prime is not the value itself.
-    """
-    top = len(vals) - 1
-    first = (rs - lo) % ps  # index of the first x = r (mod p) in the window
-    per = (top - first) // ps + 1  # 0 when first > top, as first < p
-    ends = np.cumsum(per)
-    total = int(ends[-1]) if len(ends) else 0
-    count = np.zeros(len(vals), dtype=np.int64)
-    prime = np.zeros(len(vals), dtype=np.int64)
-    for start in range(0, total, _PAIR_CHUNK):
-        j = np.arange(start, min(start + _PAIR_CHUNK, total), dtype=np.int64)
-        c = np.searchsorted(ends, j, side="right")
-        p = ps[c]
-        _strip(vals, first[c] + (j - ends[c] + per[c]) * p, p, count, prime)
-    rest = vals > 1
-    count += rest
-    prime[rest] = vals[rest]
-    return count, prime
 
 
 def _trial_odd_primes(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -254,7 +254,7 @@ def test_criterion_16_scans_to_2e6_in_windows(monkeypatch):
     t0 = time.perf_counter()
     top = 2 * 10**6
     marks = []
-    for window in (_scan._WINDOW, 1 << 16):  # the default windows, then 31 of 2^16
+    for window in (1 << 18, 1 << 16):  # 8 windows of 2^18, then 31 of 2^16
         monkeypatch.setattr(_scan, "_WINDOW", window)
         parts = list(_scan._x2p1_sieve(top))
         marks.append([np.concatenate([part[i] for part in parts]) for i in (0, 1)])

@@ -24,6 +24,7 @@ from spnum.construct import (
     x3p1_family,
     x3p1_scan,
 )
+from test_scan import _odd_primes
 
 
 def test_gap_pinned_cases():
@@ -345,23 +346,6 @@ def test_x3p1_family_contained_in_scan():
         assert by_x[w.x] == w.sp
 
 
-@pytest.mark.parametrize("classes, mod, poly, extra", [
-    (_scan._x2p1_classes, 4, lambda r: r * r + 1, [(2, 1)]),
-], ids=["x2p1"])
-def test_root_classes_hold_two_roots_per_prime(classes, mod, poly, extra):
-    """Every class (p, r) below 10^6 is a root of its polynomial mod p, and
-    every prime p = 1 (mod 4) has two distinct roots."""
-    primes = sieve_primes(10**6)
-    ps, rs = classes(10**6)
-    assert np.all((0 <= rs) & (rs < ps)) and np.all(poly(rs) % ps == 0)
-    odd = ps > 2
-    assert list(zip(ps[~odd].tolist(), rs[~odd].tolist())) == extra
-    order = np.lexsort((rs[odd], ps[odd]))
-    p, r = ps[odd][order].reshape(-1, 2), rs[odd][order].reshape(-1, 2)
-    assert np.array_equal(p[:, 0], primes[primes % mod == 1])
-    assert np.array_equal(p[:, 1], p[:, 0]) and np.all(r[:, 0] < r[:, 1])
-
-
 @pytest.mark.parametrize("order", [4])
 def test_unity_root_uses_the_least_working_base(order):
     """g^((p-1)/order) for the least quadratic non-residue g, found one
@@ -422,7 +406,7 @@ def x3p1_kernel_scan(bound):
         b[at_2::3] //= 3
         root = np.rint(np.sqrt(a)).astype(np.int64)
         a_square = root * root == a
-        b_count, b_prime = _scan._odd_primes(b, lo, ps, rs)
+        b_count, b_prime = _odd_primes(b, lo, ps, rs)
         count = np.where(a_square, b_count, 2)
         prime = np.where(a_square, b_prime, 0)
         for i in np.flatnonzero(~a_square & (b_count == 0)).tolist():

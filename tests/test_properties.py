@@ -57,7 +57,7 @@ def test_single_field_perturbation_rejected(w, field, delta):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 10**6))
+@given(st.integers(1, 10**9))
 def test_gap_witness_checks(x):
     w = gap_witness(x)
     assert w.x == x
