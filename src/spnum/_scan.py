@@ -11,7 +11,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import factorize, ikroot, is_prime, sieve_primes
+from .arith import factorize, ikroot, sieve_primes
 
 _WINDOW = 1 << 16  # x values sieved at once; a scan with x_max below it runs as one window
 _HIT_CHUNK = 1 << 13  # class hits divided out at once, up to the class crossing a multiple of it
@@ -221,11 +221,18 @@ def _trial_odd_primes(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return count, prime
 
 
-def _x3p1_candidates(xmax: int, b_square_xs: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(x, k) arrays, ascending in x, of the x <= xmax whose x^3 + 1 has
-    exactly one prime k of odd exponent, over the three candidate sets of
-    `construct.x3p1_scan`; b_square_xs is the third set, where A' = 3(x + 1)
-    is factored."""
+def _x3p1_candidates(
+    xmax: int, b_square_xs: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, k, undecided) arrays, ascending in x, of the x <= xmax whose
+    x^3 + 1 has exactly one prime k of odd exponent, or may have, over the
+    three candidate sets of `construct.x3p1_scan`; b_square_xs is the third
+    set, where A' = 3(x + 1) is factored.
+
+    An x whose trial part has no prime of odd exponent and whose rest R is
+    no square is a member iff R is prime.  Its R is returned as k with
+    undecided set, and left for the witness's own checks() to prove, so no
+    prime is proven twice; every other x returned is a member."""
     t = np.arange(2, isqrt(xmax + 1) + 1, dtype=np.int64)
     t = t[t % 3 != 0]
     s = np.arange(1, isqrt((xmax + 1) // 3) + 1, dtype=np.int64)
@@ -234,14 +241,12 @@ def _x3p1_candidates(xmax: int, b_square_xs: list[int]) -> tuple[np.ndarray, np.
     count, prime = _trial_odd_primes(vals)
     root = np.rint(np.sqrt(vals)).astype(np.int64)  # exact: vals < 2^52
     square = root * root == vals
-    ks = np.where(count == 1, prime, vals)
-    sp = (count == 1) & square
-    for i in np.flatnonzero((count == 0) & ~square).tolist():
-        sp[i] = is_prime(int(vals[i]))
-    xs, ks = xs[sp], ks[sp]
+    undecided = (count == 0) & ~square
+    keep = ((count == 1) & square) | undecided
+    xs, ks, undecided = xs[keep], np.where(count == 1, prime, vals)[keep], undecided[keep]
     for x in b_square_xs:
         odd = [p for p, e in factorize(3 * (x + 1)).factors if e % 2]
         if len(odd) == 1:
-            xs, ks = np.append(xs, x), np.append(ks, odd[0])
+            xs, ks, undecided = np.append(xs, x), np.append(ks, odd[0]), np.append(undecided, False)
     order = np.argsort(xs)
-    return xs[order], ks[order]
+    return xs[order], ks[order], undecided[order]

@@ -186,10 +186,13 @@ def _tail_pairs(
         yield g0, first - a, p, _at(n, r, pos, k)
 
 
+_CHUNK = 1 << 14  # columns of the class table a head prime gathers or repeats at once
 _CLASSES = (1, 3, 7, 9)  # the residues mod 10 of every prime but 2 and 5
-# _GATHER[p % 10, j]: the row of the class _CLASSES[j] * p^-1 (mod 10), for p prime to 10
-_GATHER = np.array([[_CLASSES.index(c * pow(q, -1, 10) % 10) if q in _CLASSES else 0
-                     for c in _CLASSES] for q in range(10)], dtype=np.intp)
+_ROWS = (1, 3, 9, 7)  # the class of each row of a class table: 3^j (mod 10) in row j
+_LOOKUP_ROWS = np.array([_ROWS.index(c) for c in _CLASSES])[:, None]  # the row of each class
+# _SHIFT[q]: log_3 of q (mod 10), for q prime to 10; the row of the class c * q^-1
+# is the row of c less _SHIFT[q] (mod 4)
+_SHIFT = np.array([_ROWS.index(q) if q in _ROWS else 0 for q in range(10)], dtype=np.intp)
 
 
 def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -197,26 +200,31 @@ def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.n
 
     `_pi_table` with one row per class, over the same kept i and with the
     same closure argument (so the lookup is wrong for m outside it):
-    small[j, v] and large[j, pos[i]] count the primes = _CLASSES[j]
-    (mod 10) up to v and up to n // i.  A number = c (mod 10) with least
-    prime factor p is p * m with m = c * p^-1, so sifting p moves counts
-    between rows; 2 and 5 divide no member of a class and are never
-    sifted.  The lookup maps an int64 array of divisors m to a (4, len)
-    array of counts.
+    small[j, v] and large[j, pos[i]] count the primes = _ROWS[j] (mod 10)
+    up to v and up to n // i.  A number = c (mod 10) with least prime
+    factor p is p * m with m = c * p^-1, so sifting p moves counts between
+    rows; 2 and 5 divide no member of a class and are never sifted.  The
+    lookup maps an int64 array of divisors m to a (4, len) array of counts,
+    in the order of _CLASSES.
 
-    A head prime p updates row j from row g[j] = _GATHER[p % 10, j], and
-    every row reads the same columns: large[:head] reads large at
-    pos[i * p] and the rest of large[:lim] reads small at (n // i) // p.
-    So p builds one index ``at`` into a row of vals and gathers each row
-    once with a 1-D ``take``, a fixed handful of numpy calls per prime,
-    where gathering (row, column) pairs recomputes a 2-D index for every
-    entry.  The rows read each other, so all four are gathered before any
-    is written.
+    The rows are stored in powers-of-3 order, 3^0, 3^1, 3^2, 3^3 (mod 10):
+    3 generates the cyclic group (Z/10)^x, so for p = 3^s (mod 10) the class
+    3^j * p^-1 is 3^(j - s), and sifting p updates row j from row j - s
+    (mod 4).  The move is a cyclic shift of the rows, the same for every
+    column, so each head prime builds one index ``at`` into a row of vals
+    (large[:head] reads large at pos[i * p], the rest of large[:lim] reads
+    small at (n // i) // p), gathers all four rows with one 2-D ``take``
+    per _CHUNK columns, and subtracts each gathered block from large as at
+    most two contiguous row blocks, with no per-row permutation.  Blocks go
+    in column order: a block reads large only at pos[i * p] > pos[i], at
+    or past its own columns, so everything it reads still stands as before
+    p.  The small update shifts the same way, after reading its source in
+    full.
     """
     r = isqrt(n)
     kept, pos = _kept(r, divisors)
     quot = n // kept
-    classes = np.array(_CLASSES, dtype=np.int64)[:, None]
+    classes = np.array(_ROWS, dtype=np.int64)[:, None]
 
     # integers in [2, v] per class, before sifting; 1 is not counted
     v = np.concatenate([np.arange(r + 1, dtype=np.int64), quot])
@@ -224,47 +232,55 @@ def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.n
     vals[0] -= v >= 1
     del v
     small, large = vals[:, : r + 1], vals[:, r + 1 :]
-    rows = list(vals)  # the four rows as 1-D views
     cube, lims, heads = _head_bounds(n, kept)
 
-    gathers = _GATHER.tolist()
+    shifts = _SHIFT.tolist()
     for p in sieve_primes(cube).tolist():
         if p == 2 or p == 5:
             continue
         # pi(v; c) -= pi(v // p; c * p^-1) - pi(p - 1; c * p^-1) for every v >= p^2,
         # every term read as the table stood before p
-        g = gathers[p % 10]
-        sp = small[g, p - 1 : p]  # sp[j] = small[g[j], p - 1]
+        s = shifts[p % 10]
         lim, head = lims[p - 2], heads[p - 2]
         at = np.concatenate([pos.take(kept[:head] * p) + (r + 1), quot[head:lim] // p])
-        got = [row.take(at) for row in rows]
-        for j, row in enumerate(rows):
-            row[r + 1 : r + 1 + lim] -= got[g[j]]
-        large[:, :lim] += sp
-        del at, got  # so the small update's copies do not add to them
+        for a in range(0, lim, _CHUNK):
+            got = vals.take(at[a : a + _CHUNK], axis=1)
+            got -= small[:, p - 1 : p]
+            _shift_sub(large[:, a : a + got.shape[1]], got, s)
+        del at  # so the small update's copies do not add to it
         if p * p <= r:
             # v // p for v = p^2..r is p, p, ..., p + 1, ... (p copies each);
-            # every row is read before any is written, and repeated one at a time
-            part = small[g, p : r // p + 1]
-            part -= sp
-            for j, row in enumerate(rows):
-                row[p * p : r + 1] -= np.repeat(part[j], p)[: r + 1 - p * p]
+            # part is read in full before small is written, and repeated a
+            # block of about _CHUNK columns at a time
+            part = small[:, p : r // p + 1] - small[:, p - 1 : p]
+            dst = small[:, p * p :]
+            step = _CHUNK // p + 1
+            for a in range(0, part.shape[1], step):
+                d = dst[:, a * p : (a + step) * p]
+                _shift_sub(d, np.repeat(part[:, a : a + step], p, axis=1)[:, : d.shape[1]], s)
 
     total = small.sum(axis=0)  # final: every p <= sqrt(r) <= n^(1/3) is sifted
     tail = (total[cube + 1 :] != total[cube:-1]).nonzero()[0] + cube + 1
 
-    # the tail primes (p^3 > n) sift all at once, as in _pi_table
+    # the tail primes (p^3 > n) sift all at once, as in _pi_table; row j of
+    # each pair reads row j - s of its prime
+    rows = np.arange(4)[:, None]
     for lo, starts, p, at in _tail_pairs(n, tail, kept, pos):
-        g = _GATHER[p % 10]
-        for j in range(4):
-            src = g[:, j]
-            got = vals[src, at] - small[src, p - 1]
-            large[j, lo : lo + len(starts)] -= np.add.reduceat(got, starts)
+        src = (rows - _SHIFT[p % 10]) % 4
+        got = vals[src, at] - small[src, p - 1]
+        large[:, lo : lo + len(starts)] -= np.add.reduceat(got, starts, axis=1)
 
     def lookup(ms: np.ndarray) -> np.ndarray:
-        return vals[:, _at(n, r, pos, ms)]
+        return vals[_LOOKUP_ROWS, _at(n, r, pos, ms)]
 
     return lookup
+
+
+def _shift_sub(dst: np.ndarray, got: np.ndarray, s: int) -> None:
+    """dst[j] -= got[j - s] for the four rows j (mod 4): two block subtracts."""
+    dst[s:] -= got[: 4 - s]
+    if s:
+        dst[:s] -= got[4 - s :]
 
 
 def kp_enumerate(n: int, k: int = 2) -> Iterator[KpWitness]:

@@ -11,7 +11,7 @@ the first scan, so the other constructions never load numpy.
 from __future__ import annotations
 
 from math import gcd, isqrt, prod
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Collection, NamedTuple
 
 from .arith import factorize, ikroot, is_prime
 from .arith import sieve_primes  # noqa: F401  (perfbench's tracer test reaches it here)
@@ -268,8 +268,15 @@ def x2p1_scan(bound: int) -> list[X2p1Witness]:
     return _checked([
         X2p1Witness(x, sp)
         for xs, ks in _scan._x2p1_sieve(isqrt(bound - 1))
-        for x, sp in _members(xs, ks, lambda x: x * x + 1)
+        for x, sp in _members(*_composite_marks(xs, ks), lambda x: x * x + 1)
     ])
+
+
+def _composite_marks(xs: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x2p1 sieve's marks less those with x^2 + 1 = k prime (a = 1),
+    compared in int64: x^2 + 1 is exact there for x below 3*10^9."""
+    keep = ks != xs * xs + 1
+    return xs[keep], ks[keep]
 
 
 def between_squares(x: int) -> BetweenSquaresWitness:
@@ -346,14 +353,19 @@ def _members(
             for x, k in zip(xs.tolist(), ks.tolist()) if (n := poly(x)) != k]
 
 
-def _checked(witnesses: list) -> list:
-    """The witnesses of a scan, each having passed its own checks(), so a
-    faulty scan raises instead of answering, and --verify can report the
-    pass without proving each prime again."""
+def _checked(witnesses: list, undecided: Collection[int] = ()) -> list:
+    """The witnesses of a scan that pass their own checks(), so a faulty
+    scan raises instead of answering, and --verify can report the pass
+    without proving each prime again.  A witness whose x is in undecided
+    names a k the scan did not prove prime: failing only "sp.p prime", it
+    is no member and is dropped.  Any other failure raises."""
+    out = []
     for w in witnesses:
-        if failed := w.checks():
+        if not (failed := w.checks()):
+            out.append(w)
+        elif w.x not in undecided or failed != ["sp.p prime"]:
             raise AssertionError(f"scan failed at x={w.x}: {'; '.join(failed)}")
-    return witnesses
+    return out
 
 
 def _b_square_xs(xmax: int) -> list[int]:
@@ -393,19 +405,20 @@ def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
     primes p = 1 (mod 3) up to its cube root (every other prime divisor of
     x^2 - x + 1 is 3).  What is left, R, is 1, q, q^2 or q*r, so the x is SP
     iff the trial part has one prime of odd exponent and R is 1 or a square,
-    or it has none and R is prime.  Every witness returned has passed its
-    checks().
+    or it has none and R is prime.  That last case is left to the witness's
+    checks(), which prove R prime once, or drop the x when R fails only that
+    check.  Every witness returned has passed its checks().
     """
     if bound < 2:
         return []
     from . import _scan
 
     xmax = ikroot(bound - 1, 3)
-    xs, ks = _scan._x3p1_candidates(xmax, _b_square_xs(xmax))
+    xs, ks, undecided = _scan._x3p1_candidates(xmax, _b_square_xs(xmax))
     return _checked([
         X3p1ScanWitness(x, w, (w.p, x, w.p * w.a))
         for x, w in _members(xs, ks, lambda x: x**3 + 1)
-    ])
+    ], set(xs[undecided].tolist()))
 
 
 class BunyakovskyReport(NamedTuple):

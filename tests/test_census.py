@@ -1,6 +1,7 @@
 """Counting routes cross-checked against each other and brute force."""
 
 import random
+import tracemalloc
 from math import isqrt, log
 
 import numpy as np
@@ -125,10 +126,11 @@ def pi_mod10_table_rows(n: int, divisors: np.ndarray):
     r = isqrt(n)
     kept, pos = census._kept(r, divisors)
     quot = n // kept
-    classes = np.array(census._CLASSES, dtype=np.int64)[:, None]
+    order = (1, 3, 7, 9)  # its own row order, so it cannot follow the library's
+    classes = np.array(order, dtype=np.int64)[:, None]
     gather = np.zeros((10, 4), dtype=np.intp)
-    for q in census._CLASSES:
-        gather[q] = [census._CLASSES.index(c * pow(q, -1, 10) % 10) for c in census._CLASSES]
+    for q in order:
+        gather[q] = [order.index(c * pow(q, -1, 10) % 10) for c in order]
     v = np.concatenate([np.arange(r + 1, dtype=np.int64), quot])
     vals = (v - classes + 10) // 10
     vals[0] -= v >= 1
@@ -335,6 +337,25 @@ def test_pi_mod10_table_equals_row_loop_route(ns):
         _assert_class_table_equals_row_loop(n)
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_pi_mod10_table_in_blocks_equals_row_loop_route(monkeypatch, chunk):
+    # blocks of a few columns, so a head prime's gather and the small update
+    # cross many block edges, as they do past n = 2^28 with the real block
+    monkeypatch.setattr(census, "_CHUNK", chunk)
+    for n in [*range(0, 3001, 37), 10**4 + 1, 10**5 - 1, 10**6 + 7]:
+        _assert_class_table_equals_row_loop(n)
+
+
+def test_class_rows_shift_by_the_residue():
+    # sifting p moves the count of class c to class c * p^-1 (mod 10): in the
+    # table's row order that is the row of c shifted back by p's shift
+    row = census._ROWS.index
+    for q in (1, 3, 7, 9):
+        s = int(census._SHIFT[q])
+        for c in (1, 3, 7, 9):
+            assert row(c * pow(q, -1, 10) % 10) == (row(c) - s) % 4, (q, c)
+
+
 def test_lookup_equals_full_table_at_every_kept_multiple():
     # each divisor d <= isqrt(n) answers at every multiple of d up to isqrt(n)
     for n in (10**4 + 1, 10**6 + 7, 2 * 10**8 + 3):
@@ -468,6 +489,18 @@ def test_digit_census_pinned():
         assert all(type(c) is int for c in dc.counts), n
         assert dc.total() == kp_count(n, 2), n
     assert digit_census(10**10).total() == kp_count(10**10, 2) == 343574817
+
+
+def test_digit_census_working_set_at_1e10():
+    """The class table's working set at 10^10: the table, one head prime's
+    index, and blocks of census._CHUNK columns gathered or repeated."""
+    tracemalloc.start()
+    try:
+        digit_census(10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.4 * 2**20, peak
 
 
 def test_census_table_kp():

@@ -519,11 +519,19 @@ def test_witness_x3p1_json(capsys):
 @pytest.mark.parametrize("kind, bound", [("x2p1", 10**7), ("x3p1", 10**12)])
 def test_scan_verify_checks_each_witness_once(capsys, monkeypatch, kind, bound, fmt):
     """--verify on a --bound scan reports the scan's own checks() gate: one
-    checks() call per witness, not a second proof of its prime."""
+    checks() call per witness, not a second proof of its prime.  The x3p1
+    scan also runs checks() once on each candidate it left undecided, whose
+    only failure must then be its prime."""
     cls = {"x2p1": construct.X2p1Witness, "x3p1": construct.X3p1ScanWitness}[kind]
-    checked = []
+    checked = {}
     real = cls.checks
-    monkeypatch.setattr(cls, "checks", lambda self: checked.append(self.x) or real(self))
+
+    def checks(self):
+        assert self.x not in checked, self.x
+        checked[self.x] = real(self)
+        return checked[self.x]
+
+    monkeypatch.setattr(cls, "checks", checks)
     rc, out, _ = run(capsys, "witness", kind, "--bound", str(bound), "--verify", "--format", fmt)
     assert rc == 0
     if fmt == "json":
@@ -534,7 +542,10 @@ def test_scan_verify_checks_each_witness_once(capsys, monkeypatch, kind, bound, 
         lines = out.splitlines()
         assert lines[1::2] == ["  verify: PASS"] * (len(lines) // 2)
         xs = [int(line.split(":")[0][2:]) for line in lines[::2]]
-    assert len(xs) > 10 and checked == xs
+    assert len(xs) > 10 and all(checked[x] == [] for x in xs)
+    dropped = set(checked) - set(xs)
+    assert all(checked[x] == ["sp.p prime"] for x in dropped)
+    assert bool(dropped) == (kind == "x3p1")
 
 
 def test_pell(capsys):

@@ -172,13 +172,28 @@ def test_scan_with_a_bad_witness_raises(monkeypatch, kind, kernel, x, claim, fai
 
     def wrong(*args):
         out = real(*args)
-        batches = [out] if kind == "x3p1" else out
-        fixed = [(xs, np.where(xs == x, claim, ks)) for xs, ks in batches]
+        batches = [out] if kind == "x3p1" else out  # x3p1 adds its undecided flags
+        fixed = [(xs, np.where(xs == x, claim, ks), *rest) for xs, ks, *rest in batches]
         return fixed[0] if kind == "x3p1" else iter(fixed)
 
     monkeypatch.setattr(_scan, kernel, wrong)
     with pytest.raises(AssertionError, match=re.escape(f"scan failed at x={x}: {failed}")):
         getattr(construct, f"{kind}_scan")(1100)
+
+
+def test_x3p1_scan_raises_when_a_decided_candidate_fails_its_prime(monkeypatch):
+    """Only a candidate the kernel left undecided may fail "sp.p prime" and be
+    dropped.  x = 23 is decided (its A' = 72 is factored): claiming 12168 as
+    8·39² fails only that check, and the scan raises."""
+    real = _scan._x3p1_candidates
+
+    def wrong(*args):
+        xs, ks, undecided = real(*args)
+        return xs, np.where(xs == 23, 8, ks), undecided
+
+    monkeypatch.setattr(_scan, "_x3p1_candidates", wrong)
+    with pytest.raises(AssertionError, match=re.escape("scan failed at x=23: sp.p prime")):
+        construct.x3p1_scan(23**3 + 1)
 
 
 def x2p1_classified(bound):
