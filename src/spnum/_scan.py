@@ -221,6 +221,16 @@ def _trial_odd_primes(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return count, prime
 
 
+def _is_square(vals: np.ndarray) -> np.ndarray:
+    """Which entries of a positive int64 array are perfect squares.
+
+    Exact for every positive int64: a square m^2 has m <= 3037000499, and
+    the float sqrt of float(m^2) is within 10^-6 of m, so rint gives m back.
+    A non-square never equals root^2, which wraps negative if it overflows."""
+    root = np.rint(np.sqrt(vals)).astype(np.int64)
+    return root * root == vals
+
+
 def _x3p1_candidates(
     xmax: int, b_square_xs: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,8 +249,7 @@ def _x3p1_candidates(
     xs = np.concatenate((t * t - 1, 3 * s * s - 1))
     vals = np.concatenate((t**4 - 3 * t * t + 3, 3 * s**4 - 3 * s * s + 1))
     count, prime = _trial_odd_primes(vals)
-    root = np.rint(np.sqrt(vals)).astype(np.int64)  # exact: vals < 2^52
-    square = root * root == vals
+    square = _is_square(vals)
     undecided = (count == 0) & ~square
     keep = ((count == 1) & square) | undecided
     xs, ks, undecided = xs[keep], np.where(count == 1, prime, vals)[keep], undecided[keep]

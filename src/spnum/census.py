@@ -65,16 +65,23 @@ def _kept(r: int, divisors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kept, pos
 
 
-def _head_bounds(n: int, kept: np.ndarray) -> tuple[int, list[int], list[int]]:
-    """(n^(1/3), lims, heads) for the head sift: a prime p <= n^(1/3) updates
-    large[:lims[p - 2]], the kept i <= n // p^2, and large[:heads[p - 2]]
-    are those with i * p <= isqrt(n), read back from large (the rest read small)."""
-    r, cube = isqrt(n), ikroot(n, 3)
-    cand = np.arange(2, cube + 1, dtype=np.int64)
-    top = n // (cand * cand)  # every kept i is <= r already
+def _sifted(n: int, kept: np.ndarray, modulus: int) -> tuple[list, np.ndarray]:
+    """The primes p <= isqrt(n) prime to modulus, from one sieve, as (heads, tail).
+
+    heads holds (p, lim, head) for each such p <= n^(1/3), ascending: p
+    updates large[:lim], the kept i <= n // p^2, and large[:head] are those
+    with i * p <= isqrt(n), read back from large (the rest read small).
+    tail is the int64 array of the rest, p^3 > n, for `_tail_pairs`.
+    """
+    r = isqrt(n)
+    primes = sieve_primes(r)
+    primes = primes[modulus % primes != 0]
+    split = primes.searchsorted(ikroot(n, 3), side="right")
+    head, tail = primes[:split], primes[split:]
+    top = n // (head * head)  # every kept i is <= r already
     lims = kept.searchsorted(top, side="right").tolist()
-    heads = kept.searchsorted(np.minimum(top, r // cand), side="right").tolist()
-    return cube, lims, heads
+    heads = kept.searchsorted(np.minimum(top, r // head), side="right").tolist()
+    return list(zip(head.tolist(), lims, heads)), tail
 
 
 def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -93,16 +100,15 @@ def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray
     it and nothing else is computed.  For an m <= r outside it the lookup
     reads an entry that was never built and answers wrong.
 
-    The primes p <= n^(1/3), from `sieve_primes`, are sifted one at a time,
-    in order.  The rest (p^3 > n, about 95% of them, read off small once
-    every p <= sqrt(r) is sifted) are sifted together by `_tail_pairs`: such
-    a p writes only large[i] for i <= n // p^2 < p and nothing in small
-    (p^2 > r), and it reads large[i * p] with i * p >= p, or small.  So no
-    tail prime reads what another writes, and every read already holds its
-    final value: large[i * p] is only written by head primes, and
-    small[v] = pi(v) for all v once p <= sqrt(r) is sifted.  The tail
-    gathers its terms _TAIL_CHUNK pairs at a time and sums them per i with
-    `np.add.reduceat`, so its memory stays a few arrays of 2^12 entries.
+    The primes p <= n^(1/3), from `_sifted`, are sifted one at a time, in
+    order.  The rest (p^3 > n, about 95% of them) are sifted together by
+    `_tail_pairs`: such a p writes only large[i] for i <= n // p^2 < p and
+    nothing in small (p^2 > r), and it reads large[i * p] with i * p >= p,
+    or small.  So no tail prime reads what another writes, and every read
+    already holds its final value: large[i * p] is only written by head
+    primes, and small[v] = pi(v) for all v once p <= sqrt(r) is sifted.
+    The tail gathers its terms _TAIL_CHUNK pairs at a time and sums them per
+    i with `np.add.reduceat`, so its memory stays a few arrays of 2^12 entries.
     """
     r = isqrt(n)
     kept, pos = _kept(r, divisors)
@@ -113,14 +119,13 @@ def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray
     vals[0] = 0
     small, large = vals[: r + 1], vals[r + 1 :]
     np.subtract(quot, 1, out=large)
-    cube, lims, heads = _head_bounds(n, kept)
+    heads, tail = _sifted(n, kept, 1)
 
-    for p in sieve_primes(cube).tolist():
+    for p, lim, head in heads:
         # pi(v) -= pi(v // p) - pi(p - 1) for every quotient v >= p^2.  Each
         # right-hand side is read in full before its in-place update, so
         # every term sees the table as it stood before p.
         sp = small[p - 1]
-        lim, head = lims[p - 2], heads[p - 2]
         large[:head] -= large.take(pos.take(kept[:head] * p)) - sp
         large[head:lim] -= small.take(quot[head:lim] // p) - sp
         if p * p <= r:
@@ -128,7 +133,6 @@ def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray
             drop = np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p]
             drop -= sp
             small[p * p :] -= drop
-    tail = (small[cube + 1 :] != small[cube:-1]).nonzero()[0] + cube + 1
     for lo, starts, p, at in _tail_pairs(n, tail, kept, pos):
         large[lo : lo + len(starts)] -= np.add.reduceat(vals.take(at) - small[p - 1], starts)
 
@@ -232,16 +236,13 @@ def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.n
     vals[0] -= v >= 1
     del v
     small, large = vals[:, : r + 1], vals[:, r + 1 :]
-    cube, lims, heads = _head_bounds(n, kept)
+    heads, tail = _sifted(n, kept, 10)
 
     shifts = _SHIFT.tolist()
-    for p in sieve_primes(cube).tolist():
-        if p == 2 or p == 5:
-            continue
+    for p, lim, head in heads:
         # pi(v; c) -= pi(v // p; c * p^-1) - pi(p - 1; c * p^-1) for every v >= p^2,
         # every term read as the table stood before p
         s = shifts[p % 10]
-        lim, head = lims[p - 2], heads[p - 2]
         at = np.concatenate([pos.take(kept[:head] * p) + (r + 1), quot[head:lim] // p])
         for a in range(0, lim, _CHUNK):
             got = vals.take(at[a : a + _CHUNK], axis=1)
@@ -258,9 +259,6 @@ def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.n
             for a in range(0, part.shape[1], step):
                 d = dst[:, a * p : (a + step) * p]
                 _shift_sub(d, np.repeat(part[:, a : a + step], p, axis=1)[:, : d.shape[1]], s)
-
-    total = small.sum(axis=0)  # final: every p <= sqrt(r) <= n^(1/3) is sifted
-    tail = (total[cube + 1 :] != total[cube:-1]).nonzero()[0] + cube + 1
 
     # the tail primes (p^3 > n) sift all at once, as in _pi_table; row j of
     # each pair reads row j - s of its prime

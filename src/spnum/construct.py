@@ -346,11 +346,12 @@ def _members(
     xs: np.ndarray, ks: np.ndarray, poly: Callable[[int], int]
 ) -> list[tuple[int, SpWitness]]:
     """(x, the SP witness n = k*a^2 the scan claims for n = poly(x)) for every
-    x of xs, with its one prime k of odd exponent from ks, skipping n = k
-    prime.  Built on Python ints, so no value is bounded by int64, and not
-    yet checked: each scan passes its witnesses through `_checked`."""
-    return [(x, SpWitness(n, k, isqrt(n // k)))
-            for x, k in zip(xs.tolist(), ks.tolist()) if (n := poly(x)) != k]
+    x of xs, with its one prime k of odd exponent from ks.  Built on Python
+    ints, so no value is bounded by int64, and not yet checked: each scan
+    passes its witnesses through `_checked`, so a claim of n = k (a = 1)
+    raises."""
+    return [(x, SpWitness(n := poly(x), k, isqrt(n // k)))
+            for x, k in zip(xs.tolist(), ks.tolist())]
 
 
 def _checked(witnesses: list, undecided: Collection[int] = ()) -> list:

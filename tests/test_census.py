@@ -2,13 +2,13 @@
 
 import random
 import tracemalloc
-from math import isqrt, log
+from math import gcd, isqrt, log
 
 import numpy as np
 import pytest
 
 from spnum import analytic, census
-from spnum.arith import sieve_primes
+from spnum.arith import ikroot, sieve_primes
 from spnum.census import (
     CensusRow,
     DigitCensus,
@@ -135,12 +135,15 @@ def pi_mod10_table_rows(n: int, divisors: np.ndarray):
     vals = (v - classes + 10) // 10
     vals[0] -= v >= 1
     small, large = vals[:, : r + 1], vals[:, r + 1 :]
-    cube, lims, heads = census._head_bounds(n, kept)
+    cube = ikroot(n, 3)
 
     def sift(p: int) -> None:
         g = gather[p % 10]
         sp = small[g, p - 1]
-        lim, head = lims[p - 2], heads[p - 2]
+        # large[:lim] holds the kept i <= n // p^2, large[:head] those with i * p <= r too
+        top = n // (p * p)
+        lim = int(kept.searchsorted(top, side="right"))
+        head = int(kept.searchsorted(min(top, r // p), side="right"))
         large[:, :head] -= large[g[:, None], pos[kept[:head] * p]] - sp[:, None]
         idx = quot[head:lim] // p
         for j, row in enumerate(g.tolist()):
@@ -354,6 +357,32 @@ def test_class_rows_shift_by_the_residue():
         s = int(census._SHIFT[q])
         for c in (1, 3, 7, 9):
             assert row(c * pow(q, -1, 10) % 10) == (row(c) - s) % 4, (q, c)
+
+
+def _assert_sift_schedule(n: int, divisors: np.ndarray, modulus: int) -> None:
+    r = isqrt(n)
+    cube = 0
+    while (cube + 1) ** 3 <= n:
+        cube += 1
+    mask = _prime_mask(max(r, 1))
+    primes = [p for p in range(2, r + 1) if mask[p] and gcd(p, modulus) == 1]
+    kept = np.array(sorted({i for d in divisors.tolist() for i in range(d, r + 1, d)}),
+                    dtype=np.int64)
+    heads, tail = census._sifted(n, census._kept(r, divisors)[0], modulus)
+    assert [p for p, _, _ in heads] == [p for p in primes if p <= cube], (n, modulus)
+    assert tail.dtype == np.int64 and tail.tolist() == [p for p in primes if p > cube], (n, modulus)
+    for p, lim, head in heads:
+        assert lim == int((kept <= n // (p * p)).sum()), (n, modulus, p)
+        assert head == int((kept <= min(n // (p * p), r // p)).sum()), (n, modulus, p)
+
+
+@pytest.mark.parametrize("modulus", [1, 10])
+def test_sift_schedule_is_the_coprime_primes_to_sqrt_n(modulus):
+    # 4 <= n < 8 has 2, and 25 <= n < 125 has 5, in the tail, where only
+    # modulus 1 keeps them
+    for n in [*range(3001), 10**6 + 7, 10**10 + 1]:
+        for divisors in (ONE, census._kp_divisors(n, 2)):
+            _assert_sift_schedule(n, divisors, modulus)
 
 
 def test_lookup_equals_full_table_at_every_kept_multiple():

@@ -164,6 +164,7 @@ def test_x2p1_scan():
     ("x2p1", "_x2p1_sieve", 7, 5, "sp.n = p·a²"),  # 50 = 2·5², claimed as 5·3²
     ("x3p1", "_x3p1_candidates", 3, 4,  # 28 = 7·2², claimed as 4·2²
      "y² = p·x³ + p; sp.n = p·a²; sp.p prime"),
+    ("x3p1", "_x3p1_candidates", 3, 28, "sp.a >= 2; sp.p prime"),  # 28 claimed as 28·1²
 ])
 def test_scan_with_a_bad_witness_raises(monkeypatch, kind, kernel, x, claim, failed):
     """A kernel that names the wrong prime makes the scan raise, naming the
@@ -427,7 +428,7 @@ def x3p1_kernel_scan(bound):
         for i in np.flatnonzero(~a_square & (b_count == 0)).tolist():
             odd = [p for p, e in factorize(int(a[i])).factors if e % 2]
             count[i], prime[i] = len(odd), odd[0]
-        marked = np.flatnonzero(count == 1)
+        marked = np.flatnonzero((count == 1) & (xs != 1))  # x = 1 marks the prime 2 = x^3 + 1
         out += [X3p1ScanWitness(x, sp, (sp.p, x, sp.p * sp.a))
                 for x, sp in construct._members(xs[marked], prime[marked], lambda x: x**3 + 1)]
     return out

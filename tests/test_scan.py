@@ -144,6 +144,20 @@ def test_lifted_classes(xmax):
         assert set(zip(m.tolist(), r.tolist())) == want
 
 
+def test_square_test_is_exact_for_every_positive_int64():
+    # m^2 near 2^52 and 2^53, where the float64 spacing reaches 1 and 2;
+    # m = 3037000499 is the largest root in int64, and 2^63 - 1 rounds up
+    # to a root whose square overflows
+    rng = np.random.default_rng(20221)
+    ms = np.concatenate([np.arange(2**26 - 1000, 2**26 + 1000),
+                         np.arange(94906265 - 1000, 94906265 + 1000),
+                         rng.integers(2, 3037000500, 10**5), [2, 3037000499]])
+    sq = ms * ms
+    assert _scan._is_square(sq).all()
+    assert not _scan._is_square(sq - 1).any() and not _scan._is_square(sq + 1).any()
+    assert not _scan._is_square(np.array([2**63 - 1, 2**63 - 2])).any()
+
+
 def test_scan_working_set_at_1e9():
     """The sieve's working set at x_max = 31622 holds one window's accumulators
     and a chunk of hits, not every (x, p) pair at once."""
