@@ -3,6 +3,11 @@ integer roots.
 
 Everything here works on arbitrary-precision Python ints and never goes
 through floating point, so floor/exactness guarantees hold at any size.
+The one exception is `is_prime` above ``DETERMINISTIC_PRIME_BOUND``
+(~3.3e24), where proven Miller-Rabin base sets end: there it is the
+Baillie-PSW test, deterministic and proven exact below 2^64, with no
+composite known to pass it but none proven not to exist.
+
 The one sieve is a bytearray of prime flags: the trial-division primes are
 read off it directly, and `sieve_primes` hands it to numpy, imported on
 that call only, so classification, factorization and Pell solving answer
@@ -11,7 +16,6 @@ without loading numpy.
 
 from __future__ import annotations
 
-import random
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -67,11 +71,6 @@ _MR_TIERS: list[tuple[int, tuple[int, ...]]] = [
 ]
 DETERMINISTIC_PRIME_BOUND = _MR_TIERS[-1][0]
 
-# Rounds of random-base Miller-Rabin above the deterministic bound.  Each
-# round has error probability < 1/4, so 64 rounds keep the per-call error
-# below 4^-64 = 2^-128.
-_MR_RANDOM_ROUNDS = 64
-
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
     """True if a witnesses compositeness of n = d*2^s + 1, d odd."""
@@ -85,12 +84,83 @@ def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
     return True
 
 
+# Above the deterministic bound: Baillie-PSW (Baillie & Wagstaff 1980,
+# Math. Comp. 35), a strong base-2 round followed by a strong Lucas test
+# with Selfridge's parameters (Pomerance, Selfridge & Wagstaff 1980, Math.
+# Comp. 35): D is the first of 5, -7, 9, -11, ... with Jacobi (D/n) = -1,
+# P = 1, Q = (1 - D)/4.  The test is deterministic: it is proven exact below
+# 2^64, and no composite is known to pass it, but none is proven not to.
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """True if odd n > 1, not a square, is a strong Lucas probable prime
+    with Selfridge's parameters.  A square has no D with (D/n) = -1, so the
+    caller must rule squares out first."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) < n:  # a factor of D divides n
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k, Q^k mod n, from k = 1 up the bits of d:
+    # k -> 2k: U = U*V, V = V^2 - 2Q^k; k -> k+1: U = (U + V)/2, V = (D*U + V)/2
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (D * u + v) % n
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):  # V_{d*2^r} for r = 1 .. s-1
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _bpsw(n: int, d: int, s: int) -> bool:
+    """Baillie-PSW for odd n = d*2^s + 1 > 1, d odd: true iff n is a
+    strong probable prime to base 2, not a square, and a strong Lucas
+    probable prime."""
+    if _mr_witness(n, 2, d, s):
+        return False
+    if isqrt(n) ** 2 == n:
+        return False
+    return _strong_lucas(n)
+
+
 def is_prime(n: int) -> bool:
     """Primality test, exact for all n below ``DETERMINISTIC_PRIME_BOUND``.
 
     Below the bound (~3.3e24 > 2^64) this is a deterministic strong
-    pseudoprime test with published witness sets.  Above it, 64 rounds of
-    random-base Miller-Rabin give error probability below 2^-128 per call.
+    pseudoprime test with published witness sets.  Above it, it is the
+    Baillie-PSW test (Baillie & Wagstaff 1980): a strong base-2 round, a
+    perfect-square guard and a strong Lucas test.  That test is
+    deterministic and no composite is known to pass it, but its exactness
+    is proven only below 2^64.
     """
     if n < 2:
         return False
@@ -105,12 +175,7 @@ def is_prime(n: int) -> bool:
     for bound, bases in _MR_TIERS:
         if n < bound:
             return not any(_mr_witness(n, a, d, s) for a in bases)
-    rng = random.Random(n)
-    for _ in range(_MR_RANDOM_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        if _mr_witness(n, a, d, s):
-            return False
-    return True
+    return _bpsw(n, d, s)
 
 
 _TRIAL_PRIMES = [p for p, flag in enumerate(_sieve(999)) if flag]
@@ -162,6 +227,19 @@ def _rho_split(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
+def _odd_power_root(m: int) -> int | None:
+    """r if m = r^j for an odd prime j, else None, for m whose prime factors
+    all exceed 1000 > 2^9, so that j <= m.bit_length() // 9."""
+    top = m.bit_length() // 9
+    for j in _TRIAL_PRIMES[1:]:
+        if j > top:
+            break
+        r = ikroot(m, j)
+        if r**j == m:
+            return r
+    return None
+
+
 def _prime_divisors(n: int) -> Iterator[tuple[int, int]]:
     """The factoring loop of n > 1: yields (p, e) for each prime power p^e
     exactly dividing n as soon as p is proven, so that a caller needing
@@ -172,8 +250,10 @@ def _prime_divisors(n: int) -> Iterator[tuple[int, int]]:
     Each cofactor first loses every prime already found; a perfect square
     is replaced by its root; a composite is set aside, and rho splits it
     only once no other cofactor is waiting, with no second primality test
-    if it comes back unchanged.  So n = p*q^2 takes one rho run at most,
-    whichever factor rho returns (q, p*q, p or q^2), and none for q^2 alone.
+    if it comes back unchanged.  Before rho, a perfect power r^j with j an
+    odd prime is replaced by r, since rho needs about sqrt(q) steps on q^3.
+    So n = p*q^2 takes one rho run at most, whichever factor rho returns
+    (q, p*q, p or q^2), and none for q^2 or q^3 alone.
     """
     rest = n  # n without the prime powers yielded so far
 
@@ -202,8 +282,11 @@ def _prime_divisors(n: int) -> Iterator[tuple[int, int]]:
             while m % p == 0:
                 m //= p
         if not easy and m == before:
-            d = _rho_split(m)
-            todo += [m // d, d]  # d, usually the smaller, comes off first
+            if root := _odd_power_root(m):
+                todo.append(root)
+            else:
+                d = _rho_split(m)
+                todo += [m // d, d]  # d, usually the smaller, comes off first
         elif m == 1:
             continue
         elif is_prime(m):

@@ -1,6 +1,7 @@
 """Integer primitives against brute-force oracles."""
 
 import random
+from itertools import count
 from math import isqrt, prod
 
 import numpy as np
@@ -14,6 +15,7 @@ from spnum.arith import (
     ikroot,
     is_prime,
 )
+from spnum.classify import KpWitness, kp_decompose
 from spnum.construct import gap_witness
 
 
@@ -81,6 +83,113 @@ def test_is_prime_rejects_the_tier_bounds():
     assert (psi12, psi13) == (318665857834031151167461, DETERMINISTIC_PRIME_BOUND)
     assert not is_prime(psi12) and not is_prime(psi13)
     assert factorize(4 * psi12).as_dict() == {2: 2, 399165290221: 1, 798330580441: 1}
+
+
+def _odd_part(n: int) -> tuple[int, int]:
+    """(d, s) with n = d * 2^s, d odd."""
+    d, s = n, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    return d, s
+
+
+def is_prime_random_bases(n: int) -> bool:
+    """The test is_prime ran above DETERMINISTIC_PRIME_BOUND before it took
+    Baillie-PSW: 64 rounds of Miller-Rabin with bases drawn from
+    random.Random(n), after trial division by the primes to 37."""
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = _odd_part(n - 1)
+    rng = random.Random(n)
+    return not any(arith._mr_witness(n, rng.randrange(2, n - 1), d, s) for _ in range(64))
+
+
+def test_is_prime_matches_random_base_oracle_above_the_bound():
+    rng = random.Random(20221)
+    bound = DETERMINISTIC_PRIME_BOUND
+    sample = [rng.randrange(bound, 10 ** rng.randint(26, 60)) | 1 for _ in range(1500)]
+    # primes stepped up to from random starts, with every odd n on the way
+    primes = 0
+    for _ in range(40):
+        n = rng.randrange(bound, 10 ** rng.randint(26, 80)) | 1
+        while not is_prime_random_bases(n):
+            sample.append(n)
+            n += 2
+        sample.append(n)
+        primes += 1
+    # products of two primes of 13-20 digits
+    for _ in range(100):
+        starts = (rng.randrange(10**12, 10 ** rng.randint(13, 20)) for _ in range(2))
+        p, q = (next(filter(is_prime, count(start))) for start in starts)
+        if p * q >= bound:
+            sample.append(p * q)
+    assert sum(map(is_prime_random_bases, sample)) > primes + 20
+    assert len(sample) > 2000 and min(sample) >= bound
+    for n in sample:
+        assert is_prime(n) == is_prime_random_bases(n), n
+
+
+def test_chernick_carmichael_number_above_the_bound_is_rejected():
+    k = 13679106
+    n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+    assert n == 3317249643051242788534009 > DETERMINISTIC_PRIME_BOUND
+    assert all(map(is_prime, (6 * k + 1, 12 * k + 1, 18 * k + 1)))
+    assert pow(2, n - 1, n) == 1  # a base-2 Fermat pseudoprime
+    assert not is_prime(n) and not is_prime_random_bases(n)
+
+
+# OEIS A217255: the strong Lucas pseudoprimes (Selfridge's parameters) below 2*10^5
+STRONG_LUCAS_PSEUDOPRIMES = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077,
+    97439, 100127, 113573, 115639, 130139, 155819, 158399, 161027, 162133,
+    176399, 176471, 189419, 192509, 197801,
+]
+
+
+def test_strong_lucas_accepts_primes_and_exactly_a217255():
+    limit = 2 * 10**5
+    mask = _sieve(limit)
+    accepted = [n for n in range(39, limit + 1, 2)
+                if isqrt(n) ** 2 != n and arith._strong_lucas(n)]
+    assert [n for n in accepted if not mask[n]] == STRONG_LUCAS_PSEUDOPRIMES
+    assert [n for n in accepted if mask[n]] == [n for n in range(39, limit + 1, 2) if mask[n]]
+
+
+def test_bpsw_rejects_strong_lucas_pseudoprimes():
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert not arith._bpsw(n, *_odd_part(n - 1)), n
+
+
+@pytest.mark.parametrize("n", [1093**2, 3511**2])
+def test_bpsw_square_guard_stops_base_2_pseudoprime_squares(monkeypatch, n):
+    """1093^2 and 3511^2 (Wieferich squares) pass the strong base-2 round,
+    and no D has (D/n) = -1, so only the square guard ends the search."""
+    d, s = _odd_part(n - 1)
+    assert not arith._mr_witness(n, 2, d, s)
+    monkeypatch.setattr(arith, "_jacobi", lambda a, m: pytest.fail("D search on a square"))
+    assert not arith._bpsw(n, d, s)
+
+
+@pytest.mark.parametrize("n, ds", [(5 * 1000003, [5]), (7 * 1000003, [5, -7])])
+def test_strong_lucas_stops_at_a_d_sharing_a_factor(monkeypatch, n, ds):
+    """(D/n) = 0 with |D| < n proves n composite, before any ladder step."""
+    tried = []
+    real = arith._jacobi
+    monkeypatch.setattr(arith, "_jacobi", lambda a, m: tried.append(a) or real(a, m))
+    assert not arith._strong_lucas(n)
+    assert tried == ds
+
+
+def test_jacobi_matches_euler_criterion():
+    for p in (3, 5, 7, 11, 13, 1009):
+        for a in range(-30, 60):
+            euler = pow(a, (p - 1) // 2, p)
+            assert arith._jacobi(a, p) == (euler - p if euler > 1 else euler), (a, p)
+    # multiplicative in the modulus: (a/15) = (a/3)(a/5)
+    for a in range(-30, 60):
+        assert arith._jacobi(a, 15) == arith._jacobi(a, 3) * arith._jacobi(a, 5)
 
 
 def is_prime_12_bases(n: int) -> bool:
@@ -250,6 +359,36 @@ def test_factorize_pq2_one_rho_whatever_it_returns(monkeypatch, part):
     calls = _count_rho(monkeypatch, {p * Q * Q: factor})
     assert factorize(p * Q * Q).as_dict() == {p: 1, Q: 2}
     assert calls == [p * Q * Q]
+
+
+Q20 = 10**19 + 51  # a 20-digit prime: rho would need about 10^10 steps on Q20^j
+
+
+def test_odd_prime_powers_skip_rho(monkeypatch):
+    """An odd prime power past trial division goes to its root, not to rho."""
+    assert is_prime(Q20)
+    monkeypatch.setattr(arith, "_rho_split", lambda n: pytest.fail(f"rho on {n}"))
+    assert kp_decompose(Q20**3, 2) == KpWitness(Q20**3, 2, Q20, Q20)
+    assert kp_decompose(Q20**5, 2) == KpWitness(Q20**5, 2, Q20, Q20**2)
+    assert factorize(Q20**9).as_dict() == {Q20: 9}  # root of a root: Q20^3, then Q20
+    assert factorize(Q20**15 * 7).as_dict() == {7: 1, Q20: 15}
+
+
+def test_composite_root_of_a_cube_is_what_rho_splits(monkeypatch):
+    """1009 is past trial division, so 1009^3 * Q20^3 is the cube of a
+    semiprime: rho runs once, on that root alone."""
+    calls = _count_rho(monkeypatch)
+    assert factorize(1009**3 * Q20**3).as_dict() == {1009: 3, Q20: 3}
+    assert calls == [1009 * Q20]
+
+
+def test_odd_power_root_examples():
+    assert arith._odd_power_root(1009**3) == 1009
+    assert arith._odd_power_root(1009**7) == 1009
+    assert arith._odd_power_root(1009**9) == 1009**3
+    assert arith._odd_power_root(1009**2 * 1013) is None
+    assert arith._odd_power_root(1009 * 1013) is None
+    assert arith._odd_power_root(1009**3 + 2) is None
 
 
 @pytest.mark.parametrize("x", [
