@@ -65,23 +65,85 @@ def _kept(r: int, divisors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kept, pos
 
 
-def _sifted(n: int, kept: np.ndarray, modulus: int) -> tuple[list, np.ndarray]:
-    """The primes p <= isqrt(n) prime to modulus, from one sieve, as (heads, tail).
+_CLASSES = (1, 3, 7, 9)  # the residues mod 10 of every prime but 2 and 5
+_ROWS = (1, 3, 9, 7)  # the class of each row of a class table: 3^j (mod 10) in row j
 
-    heads holds (p, lim, head) for each such p <= n^(1/3), ascending: p
-    updates large[:lim], the kept i <= n // p^2, and large[:head] are those
-    with i * p <= isqrt(n), read back from large (the rest read small).
-    tail is the int64 array of the rest, p^3 > n, for `_tail_pairs`.
+
+# The tables start with the primes 2..13 already sifted: S(v) = #{2 <= m <= v : m is
+# prime or has no prime factor <= 13}, the count after Lucy_Hedgehog's first six steps.
+# For v >= 13, S(v + _WHEEL) = S(v) + phi(_WHEEL) (Legendre's phi(x, 6) is periodic
+# mod the primorial), so one table over [0, _WHEEL + 13) gives S at every v.
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)  # the first six primes, never sifted
+_WHEEL = 2 * 3 * 5 * 7 * 11 * 13
+
+
+def _wheel_counts() -> tuple[np.ndarray, np.ndarray]:
+    """S(x) per class row (in _ROWS order) and in total, int16, for 0 <= x < _WHEEL + 13."""
+    counted = np.ones(_WHEEL + 13, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        counted[::p] = False
+    counted[1] = False
+    counted[list(_WHEEL_PRIMES)] = True
+    digit = np.arange(_WHEEL + 13, dtype=np.int16) % 10
+    digit[~counted] = 0  # a class no counted m is in
+    rows = np.empty((4, _WHEEL + 13), dtype=np.int16)
+    for row, c in zip(rows, _ROWS):
+        np.cumsum(digit == c, dtype=np.int16, out=row)
+    return rows, np.cumsum(counted, dtype=np.int16)
+
+
+_WHEEL_ROWS, _WHEEL_TOTAL = _wheel_counts()
+_WHEEL_PHI = 5760  # phi(_WHEEL), the counted m in each period past 13; a quarter per class
+
+
+def _wheel_start(vals: np.ndarray, r: int, quot: np.ndarray, table: np.ndarray, phi: int) -> None:
+    """Fill a table's vals with S(v) before any sifting past 13: small[v] = S(v) for
+    v <= r and large[j] = S(quot[j]), in place, from table[..., x] = S(x) for
+    x < _WHEEL + 13 (the counts of one class row per row of vals, or the total)."""
+    small, large = vals[..., : r + 1], vals[..., r + 1 :]
+    small[..., : _WHEEL + 13] = table[..., : r + 1]
+    for a in range(_WHEEL + 13, r + 1, _WHEEL):  # small[v] = small[v - _WHEEL] + phi
+        b = min(a + _WHEEL, r + 1)
+        np.add(small[..., a - _WHEEL : b - _WHEEL], phi, out=small[..., a:b])
+    for a in range(0, len(quot), _CHUNK):
+        v = quot[a : a + _CHUNK]
+        q = (v - 13) // _WHEEL
+        np.maximum(q, 0, out=q)  # v < 13 only below n = 169, and reads table[v]
+        x = v - q * _WHEEL
+        q *= phi
+        np.add(table.take(x, axis=-1), q, out=large[..., a : a + _CHUNK])
+
+
+_TAIL_ROWS = 256  # a prime p <= n^(1/3) that updates more kept entries stays in the head
+_SMALL_PRIMES = sieve_primes(1 << 12)  # the sifting primes of every n < 2^24
+
+
+def _sifted(n: int, kept: np.ndarray) -> tuple[list, np.ndarray]:
+    """The primes 13 < p <= isqrt(n), from one sieve, as (heads, tail).
+
+    heads holds (p, lim, head) for each head prime, ascending: p updates
+    large[:lim], the kept i <= n // p^2, and large[:head] are those with
+    i * p <= isqrt(n), read back from large (the rest read small).  tail is
+    the int64 array of the rest, for `_tail_pairs`: the primes p with
+    kept[0] * p^3 > n and p^2 > isqrt(n) (see `_pi_table`), except that one
+    with p^3 <= n stays in the head while it updates more than _TAIL_ROWS
+    entries, where sifting it alone is the faster route.
     """
     r = isqrt(n)
-    primes = sieve_primes(r)
-    primes = primes[modulus % primes != 0]
-    split = primes.searchsorted(ikroot(n, 3), side="right")
-    head, tail = primes[:split], primes[split:]
-    top = n // (head * head)  # every kept i is <= r already
-    lims = kept.searchsorted(top, side="right").tolist()
-    heads = kept.searchsorted(np.minimum(top, r // head), side="right").tolist()
-    return list(zip(head.tolist(), lims, heads)), tail
+    if r <= _SMALL_PRIMES[-1]:
+        primes = _SMALL_PRIMES[len(_WHEEL_PRIMES) : _SMALL_PRIMES.searchsorted(r, side="right")]
+    else:
+        primes = sieve_primes(r)[len(_WHEEL_PRIMES) :]
+    # with nothing kept there is no large part: only the p^2 <= isqrt(n) that update small stay
+    first = int(kept[0]) if len(kept) else n + 1
+    lo = primes.searchsorted(max(ikroot(n // first, 3), isqrt(r)), side="right")
+    hi = primes.searchsorted(ikroot(n, 3), side="right")
+    cube = primes[:hi]  # the primes <= n^(1/3)
+    top = n // (cube * cube)  # every kept i is <= r already
+    lims = kept.searchsorted(top, side="right")
+    split = lo + int((lims[lo:hi] > _TAIL_ROWS).sum())  # lims descend, so a prefix
+    heads = kept.searchsorted(np.minimum(top, r // cube)[:split], side="right").tolist()
+    return list(zip(primes[:split].tolist(), lims[:split].tolist(), heads)), primes[split:]
 
 
 def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -100,26 +162,29 @@ def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray
     it and nothing else is computed.  For an m <= r outside it the lookup
     reads an entry that was never built and answers wrong.
 
-    The primes p <= n^(1/3), from `_sifted`, are sifted one at a time, in
-    order.  The rest (p^3 > n, about 95% of them) are sifted together by
-    `_tail_pairs`: such a p writes only large[i] for i <= n // p^2 < p and
-    nothing in small (p^2 > r), and it reads large[i * p] with i * p >= p,
-    or small.  So no tail prime reads what another writes, and every read
-    already holds its final value: large[i * p] is only written by head
-    primes, and small[v] = pi(v) for all v once p <= sqrt(r) is sifted.
+    The table starts as it stands after the primes 2..13 (`_wheel_start`).
+    `_sifted` splits the primes 13 < p <= sqrt(n) into a head, sifted one
+    at a time, in order, and a tail, sifted together by `_tail_pairs`.  A
+    tail prime has kept[0] * p^3 > n and p^2 > r, so it writes only large[i]
+    for i <= n // p^2 < kept[0] * p and nothing in small, and it reads
+    large[i * p] with i * p >= kept[0] * p (every kept i is >= kept[0]), or
+    small.  So no tail prime reads what another writes (the least one
+    writes the most), and every read already holds what it held before p:
+    large[i * p] is only written by head primes and counts to
+    n // (i * p) < p^2, and small[v] = pi(v) for all v once p <= sqrt(r) is
+    sifted.  For kp_count(3 * 10^6) that sifts 18 primes alone and 245 in
+    the tail (a split at n^(1/3) sifted 34 alone).
     The tail gathers its terms _TAIL_CHUNK pairs at a time and sums them per
     i with `np.add.reduceat`, so its memory stays a few arrays of 2^12 entries.
     """
     r = isqrt(n)
     kept, pos = _kept(r, divisors)
     quot = n // kept
-    # small and large share one buffer: small[v] = vals[v], large[j] = vals[r + 1 + j];
-    # each starts as v - 1, the integers in [2, v] before sifting
-    vals = np.arange(-1, r + len(kept), dtype=np.int64)
-    vals[0] = 0
+    # small and large share one buffer: small[v] = vals[v], large[j] = vals[r + 1 + j]
+    vals = np.empty(r + 1 + len(kept), dtype=np.int64)
+    _wheel_start(vals, r, quot, _WHEEL_TOTAL, _WHEEL_PHI)
     small, large = vals[: r + 1], vals[r + 1 :]
-    np.subtract(quot, 1, out=large)
-    heads, tail = _sifted(n, kept, 1)
+    heads, tail = _sifted(n, kept)
 
     for p, lim, head in heads:
         # pi(v) -= pi(v // p) - pi(p - 1) for every quotient v >= p^2.  Each
@@ -158,8 +223,8 @@ def _tail_pairs(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """The (i, p) updates of the batched tail over the kept i, grouped by i, in chunks.
 
-    tail holds the ascending primes with p^3 > n; p updates large[i] for
-    i <= n // p^2, so the primes updating large[i] are the prefix of tail
+    tail holds the ascending tail primes of `_sifted`; p updates large[i]
+    for i <= n // p^2, so the primes updating large[i] are the prefix of tail
     with p^2 <= n // i.  Only the kept i (a closed set, see `_pi_table`) are
     grouped, so i * p of a kept i is kept too.  Pairs are ordered by i, then
     p, and cut into chunks of at most _TAIL_CHUNK pairs (a group may span
@@ -184,15 +249,12 @@ def _tail_pairs(
         g1 = int(np.searchsorted(begins, b, side="left"))
         first = np.maximum(begins[g0:g1], a)
         sizes = np.minimum(ends[g0:g1], b) - first
-        t = np.arange(a, b) - np.repeat(begins[g0:g1], sizes)
-        p = tail[t]
-        k = np.repeat(rows[g0:g1], sizes) * p
-        yield g0, first - a, p, _at(n, r, pos, k)
+        # no other chunk-sized array stays referenced while the caller works
+        p = tail[np.arange(a, b) - np.repeat(begins[g0:g1], sizes)]
+        yield g0, first - a, p, _at(n, r, pos, np.repeat(rows[g0:g1], sizes) * p)
 
 
 _CHUNK = 1 << 14  # columns of the class table a head prime gathers or repeats at once
-_CLASSES = (1, 3, 7, 9)  # the residues mod 10 of every prime but 2 and 5
-_ROWS = (1, 3, 9, 7)  # the class of each row of a class table: 3^j (mod 10) in row j
 _LOOKUP_ROWS = np.array([_ROWS.index(c) for c in _CLASSES])[:, None]  # the row of each class
 # _SHIFT[q]: log_3 of q (mod 10), for q prime to 10; the row of the class c * q^-1
 # is the row of c less _SHIFT[q] (mod 4)
@@ -207,7 +269,8 @@ def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.n
     small[j, v] and large[j, pos[i]] count the primes = _ROWS[j] (mod 10)
     up to v and up to n // i.  A number = c (mod 10) with least prime
     factor p is p * m with m = c * p^-1, so sifting p moves counts between
-    rows; 2 and 5 divide no member of a class and are never sifted.  The
+    rows.  The table starts as it stands after 2..13, as `_pi_table` does
+    (2 and 5 divide no member of a class, so move no counts).  The
     lookup maps an int64 array of divisors m to a (4, len) array of counts,
     in the order of _CLASSES.
 
@@ -228,15 +291,10 @@ def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.n
     r = isqrt(n)
     kept, pos = _kept(r, divisors)
     quot = n // kept
-    classes = np.array(_ROWS, dtype=np.int64)[:, None]
-
-    # integers in [2, v] per class, before sifting; 1 is not counted
-    v = np.concatenate([np.arange(r + 1, dtype=np.int64), quot])
-    vals = (v - classes + 10) // 10
-    vals[0] -= v >= 1
-    del v
+    vals = np.empty((4, r + 1 + len(kept)), dtype=np.int64)
+    _wheel_start(vals, r, quot, _WHEEL_ROWS, _WHEEL_PHI // 4)
     small, large = vals[:, : r + 1], vals[:, r + 1 :]
-    heads, tail = _sifted(n, kept, 10)
+    heads, tail = _sifted(n, kept)
 
     shifts = _SHIFT.tolist()
     for p, lim, head in heads:
@@ -260,12 +318,17 @@ def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.n
                 d = dst[:, a * p : (a + step) * p]
                 _shift_sub(d, np.repeat(part[:, a : a + step], p, axis=1)[:, : d.shape[1]], s)
 
-    # the tail primes (p^3 > n) sift all at once, as in _pi_table; row j of
+    # the tail primes sift all at once, as in _pi_table; row j of
     # each pair reads row j - s of its prime
     rows = np.arange(4)[:, None]
+    width = vals.shape[1]
     for lo, starts, p, at in _tail_pairs(n, tail, kept, pos):
-        src = (rows - _SHIFT[p % 10]) % 4
-        got = vals[src, at] - small[src, p - 1]
+        # flat indices into vals: row j - s of each pair at its column, then at p - 1
+        flat = (rows - _SHIFT[p % 10]) % 4 * width
+        flat += at
+        got = vals.take(flat)
+        flat += p - 1 - at
+        got -= vals.take(flat)
         large[:, lo : lo + len(starts)] -= np.add.reduceat(got, starts, axis=1)
 
     def lookup(ms: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from bisect import bisect_right
 from math import gcd, isqrt, log
 
 import numpy as np
@@ -359,30 +360,176 @@ def test_class_rows_shift_by_the_residue():
             assert row(c * pow(q, -1, 10) % 10) == (row(c) - s) % 4, (q, c)
 
 
-def _assert_sift_schedule(n: int, divisors: np.ndarray, modulus: int) -> None:
+def _assert_sift_schedule(n: int, divisors: np.ndarray) -> None:
     r = isqrt(n)
-    cube = 0
-    while (cube + 1) ** 3 <= n:
-        cube += 1
     mask = _prime_mask(max(r, 1))
-    primes = [p for p in range(2, r + 1) if mask[p] and gcd(p, modulus) == 1]
-    kept = np.array(sorted({i for d in divisors.tolist() for i in range(d, r + 1, d)}),
-                    dtype=np.int64)
-    heads, tail = census._sifted(n, census._kept(r, divisors)[0], modulus)
-    assert [p for p, _, _ in heads] == [p for p in primes if p <= cube], (n, modulus)
-    assert tail.dtype == np.int64 and tail.tolist() == [p for p in primes if p > cube], (n, modulus)
-    for p, lim, head in heads:
-        assert lim == int((kept <= n // (p * p)).sum()), (n, modulus, p)
-        assert head == int((kept <= min(n // (p * p), r // p)).sum()), (n, modulus, p)
+    primes = [p for p in range(17, r + 1) if mask[p]]  # 2..13 start the table sifted
+    kept = sorted({i for d in divisors.tolist() if d <= r for i in range(d, r + 1, d)})
+    first = kept[0] if kept else n + 1  # with nothing kept only small is sifted
+
+    def lim(p: int) -> int:
+        return bisect_right(kept, n // (p * p))
+
+    def in_tail(p: int) -> bool:
+        # the tail reads nothing it writes, and a row range of more than
+        # _TAIL_ROWS keeps a prime at or below n^(1/3) in the head
+        return (first * p**3 > n and p * p > r
+                and (p**3 > n or lim(p) <= census._TAIL_ROWS))
+
+    heads, tail = census._sifted(n, census._kept(r, divisors)[0])
+    assert [p for p, _, _ in heads] == [p for p in primes if not in_tail(p)], n
+    assert tail.dtype == np.int64 and tail.tolist() == [p for p in primes if in_tail(p)], n
+    for p, lim_p, head in heads:
+        assert lim_p == lim(p), (n, p)
+        assert head == bisect_right(kept, min(n // (p * p), r // p)), (n, p)
 
 
-@pytest.mark.parametrize("modulus", [1, 10])
-def test_sift_schedule_is_the_coprime_primes_to_sqrt_n(modulus):
-    # 4 <= n < 8 has 2, and 25 <= n < 125 has 5, in the tail, where only
-    # modulus 1 keeps them
+# n = c * p^3 - 1, c * p^3 and c * p^3 + 1 put p on either side of the tail's
+# start kept[0] * p^3 > n for c = kept[0]: 4 for kp and psp k = 2, 8 for kp
+# k = 3 (at p = 1009 the row range keeps p in the head); n = 30030 * m +- 1
+# sit beside a period of the wheel start
+SPLIT_NS = sorted({c * p**3 + d for c in (4, 8) for p in (17, 19, 101, 1009) for d in (-1, 0, 1)}
+                  | {30030 * m + d for m in (1, 2, 7) for d in (-1, 1)})
+KEPT_SETS = [(census._kp_divisors, 2), (census._kp_divisors, 3), (census._psp_divisors, 2)]
+
+
+def test_sift_schedule_is_the_primes_past_13_to_sqrt_n():
     for n in [*range(3001), 10**6 + 7, 10**10 + 1]:
         for divisors in (ONE, census._kp_divisors(n, 2)):
-            _assert_sift_schedule(n, divisors, modulus)
+            _assert_sift_schedule(n, divisors)
+
+
+def test_sift_schedule_across_the_lowered_split(monkeypatch):
+    for n in SPLIT_NS:
+        for divisors, k in KEPT_SETS:
+            _assert_sift_schedule(n, divisors(n, k))
+    # every prime with kept[0] * p^3 > n joins the tail, or none past n^(1/3) does
+    for rows in (0, 10**9):
+        monkeypatch.setattr(census, "_TAIL_ROWS", rows)
+        for n in (4 * 1009**3, 10**8 + 7):
+            for divisors, k in KEPT_SETS:
+                _assert_sift_schedule(n, divisors(n, k))
+
+
+def pi_lucy(n: int):
+    """pi(n // m) for every m >= 1, by the textbook Lucy_Hedgehog recurrence:
+    every prime p <= isqrt(n) sifted alone over every floor quotient, from
+    the v - 1 integers in [2, v] (no wheel start, kept set or batched tail).
+    The oracle of the tables where pi_segmented would take too long."""
+    r = isqrt(n)
+    small = np.arange(-1, r, dtype=np.int64)  # small[v] counts up to v
+    small[0] = 0
+    i = np.arange(1, r + 1, dtype=np.int64)
+    large = n // i - 1  # large[i - 1] counts up to n // i
+    mask = _prime_mask(max(r, 1))
+    for p in (p for p in range(2, r + 1) if mask[p]):
+        sp = small[p - 1]
+        lim = min(r, n // (p * p))
+        ip = i[:lim] * p
+        large[:lim] -= np.where(ip <= r, large[np.minimum(ip, r) - 1],
+                                small[np.minimum(n // ip, r)]) - sp
+        if p * p <= r:
+            small[p * p :] -= small[np.arange(p * p, r + 1) // p] - sp
+
+    def lookup(ms: np.ndarray) -> np.ndarray:
+        return np.where(ms <= r, large[np.minimum(ms, r) - 1], small[np.minimum(n // ms, r)])
+
+    return lookup
+
+
+def _pi_oracle(n: int):
+    """pi(n // m) for every m >= 1, by a segmented sieve up to 10^7 and pi_lucy past it."""
+    if n > 10**7:
+        return pi_lucy(n)
+    oracle = pi_segmented(_floor_quotients(n))
+    return lambda ms: np.array([oracle[v] for v in (n // ms).tolist()], dtype=np.int64)
+
+
+def _assert_tables_at_every_kept_multiple(n: int, divisors: np.ndarray, oracle) -> None:
+    ms = kept_quotient_divisors(n, divisors)
+    v = n // ms
+    want = oracle(ms)
+    assert (_pi_table(n, divisors)(ms) == want).all(), n
+    got = _pi_mod10_table(n, divisors)(ms)
+    assert (got == pi_mod10_table_rows(n, divisors)(ms)).all(), n
+    assert (got.sum(axis=0) + (v >= 2) + (v >= 5) == want).all(), n
+
+
+def test_pi_lucy_oracle():
+    for n in (1, 2, 3, 10, 99, 10**4 + 1, 4 * 101**3 - 1, 10**7 + 1):
+        r = isqrt(n)
+        ms = np.unique(np.concatenate([np.arange(1, r + 2), _divisors_of(n, range(r + 1))]))
+        oracle = pi_segmented((n // ms).tolist())
+        assert pi_lucy(n)(ms).tolist() == [oracle[v] for v in (n // ms).tolist()], n
+    assert int(pi_lucy(10**9)(ONE)[0]) == PUBLISHED_PI[10**9]
+
+
+def test_tables_across_the_lowered_split(monkeypatch):
+    whole = census._TAIL_CHUNK
+    for n in SPLIT_NS:
+        oracle = _pi_oracle(n)
+        for chunk in (whole, 1, 3) if n < 10**5 else (whole,):
+            # tail chunks of 1 and 3 pairs cross every chunk edge of the lowered tail
+            monkeypatch.setattr(census, "_TAIL_CHUNK", chunk)
+            for divisors, k in KEPT_SETS:
+                _assert_tables_at_every_kept_multiple(n, divisors(n, k), oracle)
+
+
+def test_tables_where_the_head_keeps_a_long_row_prime():
+    # at 10^8 the kp k = 2 kept set starts at 4, so every prime in (292, 464]
+    # could join the tail, but those with more than _TAIL_ROWS rows stay in the head
+    n = 10**8 + 7
+    divisors = census._kp_divisors(n, 2)
+    kept = census._kept(isqrt(n), divisors)[0]
+    heads, tail = census._sifted(n, kept)
+    assert any(4 * p**3 > n and lim > census._TAIL_ROWS for p, lim, _ in heads)
+    assert int(tail[0]) ** 3 <= n
+    _assert_tables_at_every_kept_multiple(n, divisors, _pi_oracle(n))
+
+
+def _wheel_brute(vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(v) = #{2 <= m <= v : m is prime or prime to 30030} per class row (in
+    the table's row order 1, 3, 9, 7) and in total, by Mobius inclusion-exclusion
+    over the divisors d of 3003: the m = c (mod 10) prime to 3003 are
+    sum mu(d) #{t <= v // d : t = c / d (mod 10)}."""
+    odd = (3, 7, 11, 13)
+    rows = []
+    for c in census._ROWS:
+        count = np.zeros(len(vs), dtype=np.int64)
+        for bits in range(16):
+            d = 1
+            for j, q in enumerate(odd):
+                if bits >> j & 1:
+                    d *= q
+            e = c * pow(d, -1, 10) % 10
+            count += (-1) ** bin(bits).count("1") * ((vs // d + 10 - e) // 10)
+        count -= (c == 1) * (vs >= 1)  # 1 is not counted
+        rows.append(count + sum(vs >= q for q in odd if q % 10 == c))
+    rows = np.array(rows)
+    return rows, rows.sum(axis=0) + (vs >= 2) + (vs >= 5)
+
+
+def test_wheel_start_equals_brute_force():
+    # the Mobius count holds to a direct sieve at every v <= 2 * 30030 + 13
+    top = 2 * census._WHEEL + 13
+    every = np.arange(top + 1, dtype=np.int64)
+    mask = _prime_mask(top)
+    counted = np.array([m >= 2 and (mask[m] == 1 or gcd(m, 30030) == 1) for m in range(top + 1)])
+    rows, total = _wheel_brute(every)
+    by_class = counted & (every % 10 == np.array(census._ROWS)[:, None])
+    assert (rows == np.cumsum(by_class, axis=1)).all()
+    assert (total == np.cumsum(counted)).all()
+    # every v <= top, v < 13 included, as small and as large entries in
+    # blocks; then 10^4 seeded v <= 10^12 as large entries
+    rng = random.Random(2024)
+    seeded = np.array([rng.randrange(10**12 + 1) for _ in range(10**4)], dtype=np.int64)
+    for r, quot in ((top, every), (0, seeded)):
+        size = r + 1 + len(quot)
+        rows, total = np.empty((4, size), dtype=np.int64), np.empty(size, dtype=np.int64)
+        census._wheel_start(rows, r, quot, census._WHEEL_ROWS, census._WHEEL_PHI // 4)
+        census._wheel_start(total, r, quot, census._WHEEL_TOTAL, census._WHEEL_PHI)
+        want_rows, want_total = _wheel_brute(np.concatenate([every[: r + 1], quot]))
+        assert (rows == want_rows).all() and (total == want_total).all(), r
 
 
 def test_lookup_equals_full_table_at_every_kept_multiple():
@@ -518,6 +665,18 @@ def test_digit_census_pinned():
         assert all(type(c) is int for c in dc.counts), n
         assert dc.total() == kp_count(n, 2), n
     assert digit_census(10**10).total() == kp_count(10**10, 2) == 343574817
+
+
+def test_kp_count_working_set_at_1e10():
+    """The prime-count table's working set at 10^10: the table, its kept
+    positions, and one head prime's gathers or the small update's repeat."""
+    tracemalloc.start()
+    try:
+        kp_count(10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.4 * 2**20, peak
 
 
 def test_digit_census_working_set_at_1e10():
