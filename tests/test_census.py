@@ -393,9 +393,17 @@ SPLIT_NS = sorted({c * p**3 + d for c in (4, 8) for p in (17, 19, 101, 1009) for
 KEPT_SETS = [(census._kp_divisors, 2), (census._kp_divisors, 3), (census._psp_divisors, 2)]
 
 
-def test_sift_schedule_is_the_primes_past_13_to_sqrt_n():
+@pytest.mark.parametrize("modulus", [1, 10])
+def test_sift_schedule_is_the_coprime_primes_to_sqrt_n(modulus):
+    # both tables sift the same primes past 13: the plain table (modulus 1)
+    # and the class table (modulus 10), whose row shifts need p coprime to 10,
+    # so 2 and 5 must be among the wheel primes the start already holds
+    assert all(p in census._WHEEL_PRIMES for p in (2, 3, 5, 7) if gcd(p, modulus) > 1)
     for n in [*range(3001), 10**6 + 7, 10**10 + 1]:
         for divisors in (ONE, census._kp_divisors(n, 2)):
+            heads, tail = census._sifted(n, census._kept(isqrt(n), divisors)[0])
+            assert all(gcd(p, modulus) == 1 for p, _, _ in heads), (n, modulus)
+            assert all(gcd(p, modulus) == 1 for p in tail.tolist()), (n, modulus)
             _assert_sift_schedule(n, divisors)
 
 
