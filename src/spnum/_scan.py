@@ -1,6 +1,10 @@
 """Numpy kernels of the two exhaustive scans in `construct`: the windowed
 kernel sieve of x^2 + 1 and the trial division of the x^3 + 1 candidates.
 
+Both kernels return only members, x with value k*a^2 for a prime k and
+a >= 2 (never a = 1), or x^3 + 1 candidates whose k the witness gate
+`construct._checked` proves prime or drops.
+
 They live apart from `construct` so that numpy is loaded only by a scan;
 every other construction answers on Python ints alone.
 """
@@ -123,8 +127,8 @@ def _x2p1_marks(
     xs: np.ndarray, p: np.ndarray, k: np.ndarray, first: np.ndarray, m: np.ndarray, n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(x, prime) of the x of one window xs whose x^2 + 1 has exactly one
-    prime of odd exponent, given the classes that hit it: p^k = m, hit n
-    times, first at xs[first].
+    prime of odd exponent and is not that prime itself (a >= 2), given the
+    classes that hit it: p^k = m, hit n times, first at xs[first].
 
     Each x keeps its cofactor rem, starting at x^2 + 1 with the one 2 of odd
     x taken out, and each hit of a class p^k divides rem by p once.  x lies
@@ -133,7 +137,8 @@ def _x2p1_marks(
     two such primes would exceed (x_max + 1)^2 > x^2 + 1.  The hit of p^k
     adds (-1)^(k+1) to x's count and that times p to its sum, so each p adds
     1 and p to them iff its exponent is odd.  x is marked iff
-    count + (rem > 1) == 1, with the prime rem if rem > 1 and else the sum."""
+    count + (rem > 1) == 1, with the prime rem if rem > 1 and else the sum,
+    unless that prime is x^2 + 1 itself, exact in int64 for x below 3*10^9."""
     count = xs & 1
     rem = xs * xs
     rem += 1
@@ -157,13 +162,15 @@ def _x2p1_marks(
         np.add.at(total, hit, s * q)
     rest = rem > 1
     marked = (count + rest == 1).nonzero()[0]
-    return xs[marked], np.where(rest, rem, total)[marked]
+    xs, prime = xs[marked], np.where(rest, rem, total)[marked]
+    keep = prime != xs * xs + 1
+    return xs[keep], prime[keep]
 
 
 def _x2p1_sieve(xmax: int):
-    """(x, prime) arrays of the x whose x^2 + 1 has exactly one prime of odd
-    exponent, and that prime, per window of x up to xmax, by `_x2p1_marks`
-    over the classes of `_x2p1_classes`.
+    """(x, prime) arrays of the x whose x^2 + 1 is prime * a^2 with a >= 2,
+    and that prime, per window of x up to xmax, by `_x2p1_marks` over the
+    classes of `_x2p1_classes`.
 
     Every class carries its next hit r from window to window, filed under
     the window that holds it, so a window visits only the classes that hit
@@ -231,13 +238,24 @@ def _is_square(vals: np.ndarray) -> np.ndarray:
     return root * root == vals
 
 
-def _x3p1_candidates(
-    xmax: int, b_square_xs: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _b_square_xs(xmax: int) -> list[int]:
+    """The x in [2, xmax] with (x^2 - x + 1)/3 a square m^2: x = (X + 1)/2
+    for X^2 - 12m^2 = -3.  X = 3v turns that into (2m)^2 - 3v^2 = 1, whose
+    solutions with 2m even are the odd powers of 2 + sqrt(3), so all of
+    them come from (X, m) = (3, 1) by (X, m) -> (7X + 24m, 2X + 7m)."""
+    out = []
+    big_x, m = 3, 1
+    while (x := (big_x + 1) // 2) <= xmax:
+        out.append(x)
+        big_x, m = 7 * big_x + 24 * m, 2 * big_x + 7 * m
+    return out
+
+
+def _x3p1_candidates(xmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, k, undecided) arrays, ascending in x, of the x <= xmax whose
     x^3 + 1 has exactly one prime k of odd exponent, or may have, over the
-    three candidate sets of `construct.x3p1_scan`; b_square_xs is the third
-    set, where A' = 3(x + 1) is factored.
+    three candidate sets of `construct.x3p1_scan`, the third from
+    `_b_square_xs`, where A' = 3(x + 1) is factored.
 
     An x whose trial part has no prime of odd exponent and whose rest R is
     no square is a member iff R is prime.  Its R is returned as k with
@@ -253,7 +271,7 @@ def _x3p1_candidates(
     undecided = (count == 0) & ~square
     keep = ((count == 1) & square) | undecided
     xs, ks, undecided = xs[keep], np.where(count == 1, prime, vals)[keep], undecided[keep]
-    for x in b_square_xs:
+    for x in _b_square_xs(xmax):
         odd = [p for p, e in factorize(3 * (x + 1)).factors if e % 2]
         if len(odd) == 1:
             xs, ks, undecided = np.append(xs, x), np.append(ks, odd[0]), np.append(undecided, False)

@@ -65,7 +65,6 @@ def _kept(r: int, divisors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kept, pos
 
 
-_CLASSES = (1, 3, 7, 9)  # the residues mod 10 of every prime but 2 and 5
 _ROWS = (1, 3, 9, 7)  # the class of each row of a class table: 3^j (mod 10) in row j
 
 
@@ -255,14 +254,13 @@ def _tail_pairs(
 
 
 _CHUNK = 1 << 14  # columns of the class table a head prime gathers or repeats at once
-_LOOKUP_ROWS = np.array([_ROWS.index(c) for c in _CLASSES])[:, None]  # the row of each class
 # _SHIFT[q]: log_3 of q (mod 10), for q prime to 10; the row of the class c * q^-1
 # is the row of c less _SHIFT[q] (mod 4)
 _SHIFT = np.array([_ROWS.index(q) if q in _ROWS else 0 for q in range(10)], dtype=np.intp)
 
 
 def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """pi(n // m; 10, c) for c = 1, 3, 7, 9 and the divisors m asked for.
+    """pi(n // m; 10, c) for c = 1, 3, 9, 7 (_ROWS) and the divisors m asked for.
 
     `_pi_table` with one row per class, over the same kept i and with the
     same closure argument (so the lookup is wrong for m outside it):
@@ -272,7 +270,7 @@ def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.n
     rows.  The table starts as it stands after 2..13, as `_pi_table` does
     (2 and 5 divide no member of a class, so move no counts).  The
     lookup maps an int64 array of divisors m to a (4, len) array of counts,
-    in the order of _CLASSES.
+    one row per class in the order of _ROWS.
 
     The rows are stored in powers-of-3 order, 3^0, 3^1, 3^2, 3^3 (mod 10):
     3 generates the cyclic group (Z/10)^x, so for p = 3^s (mod 10) the class
@@ -332,7 +330,7 @@ def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.n
         large[:, lo : lo + len(starts)] -= np.add.reduceat(got, starts, axis=1)
 
     def lookup(ms: np.ndarray) -> np.ndarray:
-        return vals[_LOOKUP_ROWS, _at(n, r, pos, ms)]
+        return vals.take(_at(n, r, pos, ms), axis=1)
 
     return lookup
 
@@ -403,7 +401,7 @@ def psp_count(n: int, k: int = 2) -> int:
     return _pi_sum(n, _psp_divisors(n, k))
 
 
-_RESIDUES = _CLASSES + (2, 5)  # every residue mod 10 of a prime
+_RESIDUES = _ROWS + (2, 5)  # every residue mod 10 of a prime, the classes in row order
 # _DIGIT[j, t]: the final digit of p * a^2 for p = _RESIDUES[j] and a = t + 2 (mod 10)
 _DIGIT = np.array(_RESIDUES)[:, None] * np.arange(2, 12) ** 2 % 10
 

@@ -21,6 +21,14 @@ __all__ = [
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
+def _failed(conditions: dict[str, bool], **parts: SpWitness) -> list[str]:
+    """What every checks() returns: the names of the false conditions, then
+    the failed checks of each SP part prefixed by its field (e.g. "hi.p prime")."""
+    return [name for name, ok in conditions.items() if not ok] + [
+        f"{field}.{name}" for field, sp in parts.items() for name in sp.checks()
+    ]
+
+
 class SpWitness(NamedTuple):
     """Certificate n = p * a^2 with p prime, a >= 2."""
 
@@ -32,9 +40,8 @@ class SpWitness(NamedTuple):
         """Names of the failed invariants, empty iff valid, which by uniqueness
         of the decomposition means sp_decompose(n) == self.  Never factors n, so
         it stays cheap for hundred-digit square bases (Pell-built gap pairs)."""
-        conditions = (("a >= 2", self.a >= 2), ("n = p·a²", self.n == self.p * self.a**2),
-                      ("p prime", is_prime(self.p)))
-        return [name for name, ok in conditions if not ok]
+        return _failed({"a >= 2": self.a >= 2, "n = p·a²": self.n == self.p * self.a**2,
+                        "p prime": is_prime(self.p)})
 
     def __str__(self) -> str:
         return f"{self.n} = {self.p} · {self.a}²"

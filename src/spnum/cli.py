@@ -228,6 +228,9 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
                                2 * pell.stream_log10(2, -1, args.count + 1))
             witnesses = construct.x2p1_stream(args.count)
     elif kind == "between-squares":
+        # (x + 2)^2 is the reply's largest integer; an x < 1 is refused by between_squares
+        _check_digit_limit("between-squares", args.x, "the bound (x+2)²",
+                           2 * (max(args.x, 0).bit_length() - 1) * log10(2))
         witnesses = [construct.between_squares(args.x)]
     elif kind == "sum":
         sp = sp_decompose(args.n)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Collection, NamedTuple
 
 from .arith import factorize, ikroot, is_prime
 from .arith import sieve_primes  # noqa: F401  (perfbench's tracer test reaches it here)
-from .classify import SpWitness
+from .classify import SpWitness, _failed
 from .pell import fundamental_solution, solution_stream
 
 if TYPE_CHECKING:
@@ -38,14 +38,6 @@ __all__ = [
     "x3p1_scan",
     "bunyakovsky_report",
 ]
-
-
-def _failed(conditions: dict[str, bool], **parts: SpWitness) -> list[str]:
-    """Names of the false conditions, then the failed checks of each SP part
-    prefixed by its field name (e.g. "hi.p prime")."""
-    return [name for name, ok in conditions.items() if not ok] + [
-        f"{field}.{name}" for field, sp in parts.items() for name in sp.checks()
-    ]
 
 
 def _curve_checks(x0: int, sp: SpWitness, curve_point: tuple[int, int, int]) -> list[str]:
@@ -268,15 +260,8 @@ def x2p1_scan(bound: int) -> list[X2p1Witness]:
     return _checked([
         X2p1Witness(x, sp)
         for xs, ks in _scan._x2p1_sieve(isqrt(bound - 1))
-        for x, sp in _members(*_composite_marks(xs, ks), lambda x: x * x + 1)
+        for x, sp in _members(xs, ks, lambda x: x * x + 1)
     ])
-
-
-def _composite_marks(xs: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The x2p1 sieve's marks less those with x^2 + 1 = k prime (a = 1),
-    compared in int64: x^2 + 1 is exact there for x below 3*10^9."""
-    keep = ks != xs * xs + 1
-    return xs[keep], ks[keep]
 
 
 def between_squares(x: int) -> BetweenSquaresWitness:
@@ -369,19 +354,6 @@ def _checked(witnesses: list, undecided: Collection[int] = ()) -> list:
     return out
 
 
-def _b_square_xs(xmax: int) -> list[int]:
-    """The x in [2, xmax] with (x^2 - x + 1)/3 a square m^2: x = (X + 1)/2
-    for X^2 - 12m^2 = -3.  X = 3v turns that into (2m)^2 - 3v^2 = 1, whose
-    solutions with 2m even are the odd powers of 2 + sqrt(3), so all of
-    them come from (X, m) = (3, 1) by (X, m) -> (7X + 24m, 2X + 7m)."""
-    out = []
-    big_x, m = 3, 1
-    while (x := (big_x + 1) // 2) <= xmax:
-        out.append(x)
-        big_x, m = 7 * big_x + 24 * m, 2 * big_x + 7 * m
-    return out
-
-
 def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
     """All x with x^3 + 1 <= bound and x^3 + 1 an SP number.
 
@@ -390,7 +362,8 @@ def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
     moved onto A (A' = 3(x + 1), B' = B/3).  Then the two parts are
     coprime, x^3 + 1 is SP iff exactly one prime has odd exponent in them,
     and so one part must be a perfect square.  That leaves three candidate
-    sets, about 1.6*sqrt(x_max) x in all:
+    sets, about 1.6*sqrt(x_max) x in all, which `_scan._x3p1_candidates`
+    builds:
 
       x = t^2 - 1, 3 ∤ t:  A = t^2 and B = t^4 - 3t^2 + 3 (the family
                            polynomial f(t) of x3p1_family);
@@ -415,7 +388,7 @@ def x3p1_scan(bound: int) -> list[X3p1ScanWitness]:
     from . import _scan
 
     xmax = ikroot(bound - 1, 3)
-    xs, ks, undecided = _scan._x3p1_candidates(xmax, _b_square_xs(xmax))
+    xs, ks, undecided = _scan._x3p1_candidates(xmax)
     return _checked([
         X3p1ScanWitness(x, w, (w.p, x, w.p * w.a))
         for x, w in _members(xs, ks, lambda x: x**3 + 1)

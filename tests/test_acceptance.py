@@ -259,9 +259,8 @@ def test_criterion_16_scans_to_2e6_in_windows(monkeypatch):
         parts = list(_scan._x2p1_sieve(top))
         marks.append([np.concatenate([part[i] for part in parts]) for i in (0, 1)])
     same = all(np.array_equal(a, b) for a, b in zip(*marks))
-    # a scan keeps every marked x whose prime is not the value itself
-    x, k = marks[0]
-    found = [int(np.count_nonzero(k != x * x + 1)), len(construct.x3p1_scan(top**3 + 1))]
+    # the kernel marks only SP numbers x^2 + 1 (a >= 2), so every mark is a member
+    found = [len(marks[0][0]), len(construct.x3p1_scan(top**3 + 1))]
     _report(16, f"scans to x = 2e6 find {found[0]} = 17705 SP numbers x^2+1, the same "
                 f"in kernel-sieve windows of 2^18 and 2^16, and {found[1]} = 317 SP numbers x^3+1",
             found == [17705, 317] and same, time.perf_counter() - t0, 5.0)

@@ -119,15 +119,19 @@ DIGITS_AT = {
 }
 
 
+ROW_LOOP_ORDER = (1, 3, 7, 9)  # the oracle's own row order, so it cannot follow the library's
+
+
 def pi_mod10_table_rows(n: int, divisors: np.ndarray):
     """The class table's earlier route, kept as the oracle of `_pi_mod10_table`:
     it finds the head primes by scanning small for a step in any row, and
     updates large by a 2-D (row, column) gather for the head part and one row
-    at a time for the rest.  Same kept i, same tail, same lookup."""
+    at a time for the rest.  Same kept i, same tail, same lookup, with its
+    rows in ROW_LOOP_ORDER."""
     r = isqrt(n)
     kept, pos = census._kept(r, divisors)
     quot = n // kept
-    order = (1, 3, 7, 9)  # its own row order, so it cannot follow the library's
+    order = ROW_LOOP_ORDER
     classes = np.array(order, dtype=np.int64)[:, None]
     gather = np.zeros((10, 4), dtype=np.intp)
     for q in order:
@@ -176,6 +180,12 @@ def pi_mod10_table_rows(n: int, divisors: np.ndarray):
         return vals[:, census._at(n, r, pos, ms)]
 
     return lookup
+
+
+def row_loop_counts(n: int, divisors: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """The row-loop oracle's counts at ms, its rows put in `census._ROWS` order."""
+    got = pi_mod10_table_rows(n, divisors)(ms)
+    return got[[ROW_LOOP_ORDER.index(c) for c in census._ROWS]]
 
 
 def _kp_mask(limit: int, k: int) -> np.ndarray:
@@ -265,7 +275,7 @@ def test_pi_mod10_table_at_every_floor_quotient(monkeypatch):
         quotients = _floor_quotients(n)
         got = _pi_mod10_table(n, ONE)(_divisors_of(n, quotients))
         primes = np.flatnonzero(np.frombuffer(_prime_mask(max(n, 1)), dtype=np.uint8))
-        for row, c in zip(got.tolist(), (1, 3, 7, 9)):
+        for row, c in zip(got.tolist(), census._ROWS):
             want = np.searchsorted(primes[primes % 10 == c], quotients, side="right")
             assert row == want.tolist(), (n, c, chunk)
 
@@ -331,7 +341,7 @@ def _assert_class_table_equals_row_loop(n: int) -> None:
     for divisors in (ONE, census._kp_divisors(n, 2)):
         ms = kept_quotient_divisors(n, divisors)
         got = _pi_mod10_table(n, divisors)(ms)
-        assert (got == pi_mod10_table_rows(n, divisors)(ms)).all(), (n, len(divisors))
+        assert (got == row_loop_counts(n, divisors, ms)).all(), (n, len(divisors))
 
 
 @pytest.mark.parametrize("ns", [range(3001), [10**k + d for k in range(4, 9) for d in (-1, 0, 1, 7)]],
@@ -459,7 +469,7 @@ def _assert_tables_at_every_kept_multiple(n: int, divisors: np.ndarray, oracle) 
     want = oracle(ms)
     assert (_pi_table(n, divisors)(ms) == want).all(), n
     got = _pi_mod10_table(n, divisors)(ms)
-    assert (got == pi_mod10_table_rows(n, divisors)(ms)).all(), n
+    assert (got == row_loop_counts(n, divisors, ms)).all(), n
     assert (got.sum(axis=0) + (v >= 2) + (v >= 5) == want).all(), n
 
 

@@ -636,6 +636,23 @@ def test_gap_pair_past_digit_limit_refused(capsys, argv):
     assert rc == 0 and len(out.split()[2]) == 1197  # hi.n
 
 
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="bounds pinned at the default digit limit")
+@pytest.mark.parametrize("fmt", [[], ["--verify", "--format", "json"]])
+def test_between_squares_past_digit_limit_refused(capsys, monkeypatch, fmt):
+    """An x whose (x + 2)² passes the digit limit is refused by name before
+    any witness is built, while x = 10^2149, whose (x + 2)² has 4299 digits,
+    still prints."""
+    nines = "9" * 2200
+    monkeypatch.setattr(construct, "between_squares", lambda x: pytest.fail("built"))
+    assert run(capsys, "witness", "between-squares", nines, *fmt) == (2, "", (
+        f"error: between-squares {nines} exceeds the digit budget: the bound (x+2)² "
+        "would have more than 4300 digits, past the interpreter's int-to-str limit "
+        "(4300 digits), which PYTHONINTMAXSTRDIGITS sets\n"))
+    monkeypatch.undo()
+    rc, out, _ = run(capsys, "witness", "between-squares", "1e2149")
+    assert rc == 0 and len(out.split()[-1]) == 4299  # (x + 2)²
+
+
 @pytest.mark.parametrize("argv, solves", [
     (["pell", "61", "--count", "3"], {"fundamental_solution": [61]}),
     (["pell", "13", "--count", "0"], {"fundamental_solution": [13]}),

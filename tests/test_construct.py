@@ -455,8 +455,8 @@ def test_b_square_xs_by_brute_force():
         return r * r == v
 
     third = b % 3 == 0
-    assert construct._b_square_xs(10**6) == x[third][square(b[third] // 3)].tolist()
-    assert construct._b_square_xs(10**6) == [2, 23, 314, 4367, 60818, 847079]
+    assert _scan._b_square_xs(10**6) == x[third][square(b[third] // 3)].tolist()
+    assert _scan._b_square_xs(10**6) == [2, 23, 314, 4367, 60818, 847079]
     assert x[square(b)].tolist() == [0, 1]
 
 

@@ -61,7 +61,8 @@ def _odd_primes(vals, lo, ps, rs):
 
 def oracle_x2p1_sieve(xmax: int):
     """(x, prime) arrays per window, as `_scan._x2p1_sieve` yields them, by
-    stripping the classes (2, 1) and (p, +-s) of every p <= xmax."""
+    stripping the classes (2, 1) and (p, +-s) of every p <= xmax and leaving
+    out the x whose x^2 + 1 is that prime itself (a = 1)."""
     primes = sieve_primes(xmax)
     ps = primes[primes % 4 == 1]
     s = _oracle_unity_root(ps)
@@ -69,7 +70,7 @@ def oracle_x2p1_sieve(xmax: int):
     for lo in range(0, xmax + 1, _ORACLE_WINDOW):
         xs = np.arange(lo, min(lo + _ORACLE_WINDOW, xmax + 1), dtype=np.int64)
         count, prime = _odd_primes(xs * xs + 1, lo, ps, rs)
-        marked = np.flatnonzero(count == 1)
+        marked = np.flatnonzero((count == 1) & (prime != xs * xs + 1))
         yield xs[marked], prime[marked]
 
 
@@ -100,14 +101,22 @@ def test_marks_match_oracle_across_windows(monkeypatch):
 
 
 def test_marks_match_factorization():
-    """x is marked iff x^2 + 1 has exactly one prime of odd exponent, and the
-    mark names it."""
-    xmax = 2 * 10**4
-    got = dict(zip(*_marks(_scan._x2p1_sieve, xmax)))
-    assert 0 not in got
-    for x in range(1, xmax + 1):
+    """x is marked iff x^2 + 1 = p*a^2 with a >= 2: exactly one prime p of
+    odd exponent, other than x^2 + 1 itself, and the mark names it.  So
+    x = 1 (x^2 + 1 = 2) and the even x with x^2 + 1 prime are never marked,
+    at every x_max <= 400 and at 2*10^4."""
+    top = 2 * 10**4
+    want, prime_values = {}, []
+    for x in range(1, top + 1):
         odd = [p for p, e in factorize(x * x + 1).factors if e % 2]
-        assert got.get(x) == (odd[0] if len(odd) == 1 else None), x
+        if odd == [x * x + 1]:
+            prime_values.append(x)
+        elif len(odd) == 1:
+            want[x] = odd[0]
+    assert prime_values[:4] == [1, 2, 4, 6] and all(x % 2 == 0 for x in prime_values[1:])
+    for xmax in [*range(401), top]:
+        got = dict(zip(*_marks(_scan._x2p1_sieve, xmax)))
+        assert got == {x: p for x, p in want.items() if x <= xmax}, xmax
 
 
 def test_least_nonresidue_and_unity_root():
