@@ -187,15 +187,6 @@ class Factorization(NamedTuple):
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
-    def recombine(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
 
 def _rho_split(n: int) -> int:
     """A nontrivial factor of odd composite n, by Brent's cycle method."""

@@ -1,16 +1,14 @@
-"""Exact counting and enumeration of p*a^k and p1*p2^k numbers up to n.
+"""Exact counting of p*a^k and p1*p2^k numbers up to n.
 
-Two independent routes are kept deliberately separate: pair enumeration
-(`kp_enumerate`, merging per-base streams of p*a^k products) and the
-prime-counting identity (`kp_count`, summing pi(n/a^k); `digit_census`,
-summing pi(n/a^2; 10, c) by final digit).  They must agree exactly, and the
-test suite holds them to that.
+The library counts by the prime-counting identity only: `kp_count` sums
+pi(n/a^k), `psp_count` sums pi(n/p2^k), and `digit_census` sums
+pi(n/a^2; 10, c) by final digit.  The independent route, enumerating the
+members by a heap merge of per-base streams, is kept in `tests/` as the
+oracle these counts must equal exactly.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
 from math import isqrt, log
 from typing import Callable, Iterator, NamedTuple
 
@@ -18,12 +16,10 @@ import numpy as np
 
 from . import analytic
 from .arith import ikroot, sieve_primes
-from .classify import KpWitness
 
 __all__ = [
     "CensusRow",
     "DigitCensus",
-    "kp_enumerate",
     "kp_count",
     "psp_count",
     "digit_census",
@@ -340,29 +336,6 @@ def _shift_sub(dst: np.ndarray, got: np.ndarray, s: int) -> None:
     dst[s:] -= got[: 4 - s]
     if s:
         dst[:s] -= got[4 - s :]
-
-
-def kp_enumerate(n: int, k: int = 2) -> Iterator[KpWitness]:
-    """Every KP_k number <= n exactly once, ascending, with its witness.
-
-    One stream per base a emits p*a^k over primes p <= n/a^k; the streams
-    are heap-merged.  Decomposition uniqueness makes the union duplicate
-    free, so no dedup pass is needed.
-    """
-    if k < 2:
-        raise ValueError(f"kp_enumerate requires k >= 2, got {k}")
-    a_max = ikroot(n // 2, k) if n >= 2 else 0
-    if a_max < 2:
-        return
-    primes = sieve_primes(n // 2**k).tolist()
-
-    def stream(a: int) -> Iterator[tuple[int, int, int]]:
-        m = a**k
-        for p in primes[: bisect_right(primes, n // m)]:
-            yield (p * m, p, a)
-
-    for value, p, a in heapq.merge(*(stream(a) for a in range(2, a_max + 1))):
-        yield KpWitness(value, k, p, a)
 
 
 def _kp_divisors(n: int, k: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from math import log10
+from typing import Callable
 
 from .classify import kp_decompose, sp_decompose
 
@@ -86,12 +86,12 @@ def _json_text(command: str, parameters: dict, results: list) -> str:
                       indent=2)
 
 
-def _check_digit_limit(refused: str, value: int, what: str, log10_value: float) -> None:
-    """Refuse `refused value` (an option or command and its argument) when the
-    largest integer of its reply, `what`, has log10 at least log10_value, so
-    that it certainly passes the interpreter's int-to-str digit limit."""
+def _check_digit_limit(refused: str, value: int, what: str, past: Callable[[int], bool]) -> None:
+    """Refuse `refused value` (an option or command and its argument) when
+    past(limit) holds: the largest integer of its reply, `what`, certainly has
+    more digits than the interpreter's int-to-str limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and log10_value >= limit:
+    if limit and past(limit):
         raise ValueError(
             f"{refused} {value} exceeds the digit budget: {what} would have more "
             f"than {limit} digits, past the interpreter's int-to-str limit ({limit} digits), "
@@ -214,7 +214,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
         w = construct.gap_witness(args.x)
         # hi.n is the pair's largest integer; a prime gap's Pell pair can pass the digit limit
         _check_digit_limit("gap", args.x, "the pair's larger member hi.n",
-                           (w.hi.n.bit_length() - 1) * log10(2))
+                           lambda limit: w.hi.n >= 10**limit)
         witnesses = [w]
     elif kind == "x2p1":
         if args.bound is not None:
@@ -225,12 +225,12 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
 
             # n = x^2 + 1 of the last member, x running over the x^2 - 2y^2 = -1 stream after (1, 1)
             _check_digit_limit("--count", args.count, "the last n = x²+1",
-                               2 * pell.stream_log10(2, -1, args.count + 1))
+                               lambda limit: 2 * pell.stream_log10(2, -1, args.count + 1) >= limit)
             witnesses = construct.x2p1_stream(args.count)
     elif kind == "between-squares":
         # (x + 2)^2 is the reply's largest integer; an x < 1 is refused by between_squares
         _check_digit_limit("between-squares", args.x, "the bound (x+2)²",
-                           2 * (max(args.x, 0).bit_length() - 1) * log10(2))
+                           lambda limit: (max(args.x, 0) + 2) ** 2 >= 10**limit)
         witnesses = [construct.between_squares(args.x)]
     elif kind == "sum":
         sp = sp_decompose(args.n)
@@ -291,8 +291,10 @@ def cmd_pell(args: argparse.Namespace) -> tuple[int, list[str]]:
     except pell.NoSolutionError as exc:
         print(exc, file=sys.stderr)
         return 1, []
-    _check_digit_limit("--count", args.count, "the last x",
-                       pell.stream_log10(args.D, args.norm, args.count, start))
+    # a lower bound on the last x's log10 refuses the stream before it is composed
+    _check_digit_limit(
+        "--count", args.count, "the last x",
+        lambda limit: pell.stream_log10(args.D, args.norm, args.count, start) >= limit)
     sols = pell.solution_stream(args.D, args.norm, args.count, start)
     if args.format == "json":
         params = {"D": args.D, "norm": args.norm, "count": args.count}

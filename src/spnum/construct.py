@@ -14,7 +14,7 @@ from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING, Callable, Collection, NamedTuple
 
 from .arith import factorize, ikroot, is_prime
-from .arith import sieve_primes  # noqa: F401  (perfbench's tracer test reaches it here)
+from .arith import sieve_primes  # noqa: F401  (the tracer test in perfbench/ reads it here)
 from .classify import SpWitness, _failed
 from .pell import fundamental_solution, solution_stream
 
@@ -283,6 +283,11 @@ def sum_decompose(sp: SpWitness) -> SumWitness | None:
     With q = u^2 + v^2 and (X, Y) = (u^2 - v^2, 2uv), q^2 = X^2 + Y^2, so
     writing a = scale*q gives p*(scale*X)^2 + p*(scale*Y)^2 = p*a^2.  Both
     X and Y exceed 1, so both parts are genuine SP numbers.
+
+    q = u^2 + v^2 (u > v) by Hermite-Serret: for the least c with
+    c^((q-1)/2) = -1 (mod q), r = c^((q-1)/4) is a square root of -1, and
+    Euclid's algorithm on (q, r) reaches u as its first remainder with
+    u^2 < q.
     """
     if sp.checks():
         raise ValueError(f"invalid SP witness {sp!r}")
@@ -290,15 +295,16 @@ def sum_decompose(sp: SpWitness) -> SumWitness | None:
     if q is None:
         return None
     scale = sp.a // q
-    u, v = isqrt(q), 0
-    while 2 * u * u > q:
-        w = q - u * u
-        v = isqrt(w)
-        if v >= 1 and v * v == w:
+    for c in range(2, q):
+        t = pow(c, (q - 1) // 2, q)
+        if t != 1:
             break
-        u -= 1
-    else:
-        raise AssertionError(f"no two-squares representation of {q}")
+    if t != q - 1:
+        raise AssertionError(f"no two-squares representation of {q}: it is not prime")
+    big, u = q, pow(c, (q - 1) // 4, q)
+    while u * u > q:
+        big, u = u, big % u
+    v = isqrt(q - u * u)
     big_x, big_y = u * u - v * v, 2 * u * v
     part1 = SpWitness(sp.p * (scale * big_x) ** 2, sp.p, scale * big_x)
     part2 = SpWitness(sp.p * (scale * big_y) ** 2, sp.p, scale * big_y)

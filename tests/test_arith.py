@@ -82,7 +82,7 @@ def test_is_prime_rejects_the_tier_bounds():
     psi13 = 1287836182261 * 2575672364521
     assert (psi12, psi13) == (318665857834031151167461, DETERMINISTIC_PRIME_BOUND)
     assert not is_prime(psi12) and not is_prime(psi13)
-    assert factorize(4 * psi12).as_dict() == {2: 2, 399165290221: 1, 798330580441: 1}
+    assert dict(factorize(4 * psi12).factors) == {2: 2, 399165290221: 1, 798330580441: 1}
 
 
 def _odd_part(n: int) -> tuple[int, int]:
@@ -266,7 +266,7 @@ def test_factorize_pq_tests_the_deferred_cofactor_once(monkeypatch):
     calls = []
     real = arith.is_prime
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
-    assert factorize(p * q).as_dict() == {p: 1, q: 1}
+    assert dict(factorize(p * q).factors) == {p: 1, q: 1}
     assert calls.count(p * q) == 1
     assert sorted(calls) == [p, q, p * q]
 
@@ -295,9 +295,9 @@ def test_prime_divisors_yields_as_it_proves():
 
 
 def test_factorize_examples():
-    assert factorize(75).as_dict() == {3: 1, 5: 2}
-    assert factorize(12).as_dict() == {2: 2, 3: 1}
-    assert factorize(1025).as_dict() == {5: 2, 41: 1}
+    assert dict(factorize(75).factors) == {3: 1, 5: 2}
+    assert dict(factorize(12).factors) == {2: 2, 3: 1}
+    assert dict(factorize(1025).factors) == {5: 2, 41: 1}
 
 
 def test_factorize_domain():
@@ -310,7 +310,7 @@ def test_factorize_recombines_and_primes_verified():
     for n in range(2, 10**5 + 1):
         f = factorize(n)
         assert f.value == n
-        assert f.recombine() == n
+        assert prod(p**e for p, e in f.factors) == n
         primes = [p for p, _ in f.factors]
         assert primes == sorted(primes) and len(set(primes)) == len(primes)
         assert all(is_prime(p) for p in primes)
@@ -319,8 +319,8 @@ def test_factorize_recombines_and_primes_verified():
 
 def test_factorize_large_semiprime_via_rho():
     p, q = 10**9 + 7, 10**9 + 9
-    assert factorize(p * q).as_dict() == {p: 1, q: 1}
-    assert factorize(p * p).as_dict() == {p: 2}
+    assert dict(factorize(p * q).factors) == {p: 1, q: 1}
+    assert dict(factorize(p * p).factors) == {p: 2}
 
 
 Q = 10000019  # a prime in [10^7, 10^8]: rho needs thousands of steps to find it
@@ -357,7 +357,7 @@ def test_factorize_pq2_one_rho_whatever_it_returns(monkeypatch, part):
     p = 1000003
     factor = {"q": Q, "pq": p * Q, "p": p, "qq": Q * Q}[part]
     calls = _count_rho(monkeypatch, {p * Q * Q: factor})
-    assert factorize(p * Q * Q).as_dict() == {p: 1, Q: 2}
+    assert dict(factorize(p * Q * Q).factors) == {p: 1, Q: 2}
     assert calls == [p * Q * Q]
 
 
@@ -370,15 +370,15 @@ def test_odd_prime_powers_skip_rho(monkeypatch):
     monkeypatch.setattr(arith, "_rho_split", lambda n: pytest.fail(f"rho on {n}"))
     assert kp_decompose(Q20**3, 2) == KpWitness(Q20**3, 2, Q20, Q20)
     assert kp_decompose(Q20**5, 2) == KpWitness(Q20**5, 2, Q20, Q20**2)
-    assert factorize(Q20**9).as_dict() == {Q20: 9}  # root of a root: Q20^3, then Q20
-    assert factorize(Q20**15 * 7).as_dict() == {7: 1, Q20: 15}
+    assert dict(factorize(Q20**9).factors) == {Q20: 9}  # root of a root: Q20^3, then Q20
+    assert dict(factorize(Q20**15 * 7).factors) == {7: 1, Q20: 15}
 
 
 def test_composite_root_of_a_cube_is_what_rho_splits(monkeypatch):
     """1009 is past trial division, so 1009^3 * Q20^3 is the cube of a
     semiprime: rho runs once, on that root alone."""
     calls = _count_rho(monkeypatch)
-    assert factorize(1009**3 * Q20**3).as_dict() == {1009: 3, Q20: 3}
+    assert dict(factorize(1009**3 * Q20**3).factors) == {1009: 3, Q20: 3}
     assert calls == [1009 * Q20]
 
 
@@ -406,8 +406,8 @@ def test_gap_witness_factors_x_once(monkeypatch, x):
 
 def test_factorization_record():
     f = Factorization(12, ((2, 2), (3, 1)))
-    assert f.as_dict() == {2: 2, 3: 1}
-    assert f.recombine() == 12
+    assert dict(f.factors) == {2: 2, 3: 1}
+    assert prod(p**e for p, e in f.factors) == 12
 
 
 def test_ikroot_examples():

@@ -1,9 +1,16 @@
-"""Counting routes cross-checked against each other and brute force."""
+"""Counting routes cross-checked against each other and brute force.
 
+The enumeration route, `kp_enumerate`, lives here: the library counts by
+the prime-counting identity only, and the other test modules import this
+oracle from here.
+"""
+
+import heapq
 import random
 import tracemalloc
 from bisect import bisect_right
 from math import gcd, isqrt, log
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -18,10 +25,9 @@ from spnum.census import (
     census_table,
     digit_census,
     kp_count,
-    kp_enumerate,
     psp_count,
 )
-from spnum.classify import kp_decompose
+from spnum.classify import KpWitness, kp_decompose
 from test_classify import psp_decompose
 
 
@@ -186,6 +192,29 @@ def row_loop_counts(n: int, divisors: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """The row-loop oracle's counts at ms, its rows put in `census._ROWS` order."""
     got = pi_mod10_table_rows(n, divisors)(ms)
     return got[[ROW_LOOP_ORDER.index(c) for c in census._ROWS]]
+
+
+def kp_enumerate(n: int, k: int = 2) -> Iterator[KpWitness]:
+    """Every KP_k number <= n exactly once, ascending, with its witness.
+
+    One stream per base a emits p*a^k over primes p <= n/a^k; the streams
+    are heap-merged.  Decomposition uniqueness makes the union duplicate
+    free, so no dedup pass is needed.
+    """
+    if k < 2:
+        raise ValueError(f"kp_enumerate requires k >= 2, got {k}")
+    a_max = ikroot(n // 2, k) if n >= 2 else 0
+    if a_max < 2:
+        return
+    primes = sieve_primes(n // 2**k).tolist()
+
+    def stream(a: int) -> Iterator[tuple[int, int, int]]:
+        m = a**k
+        for p in primes[: bisect_right(primes, n // m)]:
+            yield (p * m, p, a)
+
+    for value, p, a in heapq.merge(*(stream(a) for a in range(2, a_max + 1))):
+        yield KpWitness(value, k, p, a)
 
 
 def _kp_mask(limit: int, k: int) -> np.ndarray:

@@ -6,7 +6,6 @@ from math import isqrt
 import pytest
 
 from spnum.arith import factorize, ikroot, is_prime
-from spnum.census import kp_enumerate
 from spnum.classify import KpWitness, SpWitness, kp_decompose, sp_decompose
 from test_arith import _count_rho
 
@@ -136,9 +135,12 @@ def test_kp_uniqueness_and_agreement_to_1e5():
 @pytest.mark.parametrize("k", [2, 3])
 def test_early_exit_matches_enumeration_to_1e6(k):
     """kp_decompose, which stops factoring once certain, against
-    census.kp_enumerate, which builds every p*a^k <= 10^6 from a prime sieve
-    with no factoring.  Below 10^6 the factoring loop ends in trial division;
-    the hypothesis property and the rho-count cases reach the paths past it."""
+    the enumeration oracle kp_enumerate, which builds every p*a^k <= 10^6
+    from a prime sieve with no factoring.  Below 10^6 the factoring loop ends
+    in trial division; the hypothesis property and the rho-count cases reach
+    the paths past it."""
+    from test_census import kp_enumerate  # test_census imports this module
+
     limit = 10**6
     members = {w.n: w for w in kp_enumerate(limit, k)}
     for n in range(limit + 1):

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import spnum
-from spnum import analytic, census, cli, construct, pell
+from spnum import analytic, arith, census, cli, construct, pell
 from spnum.arith import is_prime
 from spnum.classify import SpWitness
 from spnum.cli import main
+from test_census import kp_enumerate
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -242,7 +243,7 @@ def test_census_psp_family_k3(capsys):
     rc, out, _ = run(capsys, "census", "1000", "--family", "psp", "--k", "3", "--format", "csv")
     assert rc == 0
     # p1 * p2^3: the KP_3 numbers whose base is prime
-    exact = sum(1 for w in census.kp_enumerate(1000, 3) if is_prime(w.a))
+    exact = sum(1 for w in kp_enumerate(1000, 3) if is_prime(w.a))
     estimate = cli._fmt6(analytic.psp_estimate(1000, 3))
     assert out.splitlines()[1].startswith(f"1000,{exact},{estimate},")
 
@@ -653,6 +654,36 @@ def test_between_squares_past_digit_limit_refused(capsys, monkeypatch, fmt):
     assert rc == 0 and len(out.split()[-1]) == 4299  # (x + 2)²
 
 
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="bounds pinned at the default digit limit")
+def test_between_squares_digit_budget_is_exact(capsys):
+    """(x + 2)² = 10^4300 has 4301 digits and is refused by name; one less
+    x gives (10^2150 - 1)², 4300 digits, and answers."""
+    x = 10**2150 - 2
+    assert run(capsys, "witness", "between-squares", str(x)) == (2, "", (
+        f"error: between-squares {x} exceeds the digit budget: the bound (x+2)² "
+        "would have more than 4300 digits, past the interpreter's int-to-str limit "
+        "(4300 digits), which PYTHONINTMAXSTRDIGITS sets\n"))
+    rc, out, _ = run(capsys, "witness", "between-squares", str(x - 1))
+    assert rc == 0 and out.split()[-1] == str((x + 1) ** 2)
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int-to-str digit limit in this interpreter")
+def test_gap_digit_budget_is_exact(capsys):
+    """The Pell pair of the prime 43997 has a 698-digit hi.n: refused by name
+    at a limit of 697 digits, printed at 698."""
+    try:
+        sys.set_int_max_str_digits(697)
+        assert run(capsys, "witness", "gap", "43997") == (2, "", (
+            "error: gap 43997 exceeds the digit budget: the pair's larger member hi.n "
+            "would have more than 697 digits, past the interpreter's int-to-str limit "
+            "(697 digits), which PYTHONINTMAXSTRDIGITS sets\n"))
+        sys.set_int_max_str_digits(698)
+        rc, out, _ = run(capsys, "witness", "gap", "43997")
+    finally:
+        sys.set_int_max_str_digits(_DIGIT_LIMIT)
+    assert rc == 0 and len(out.split()[2]) == 698  # hi.n
+
+
 @pytest.mark.parametrize("argv, solves", [
     (["pell", "61", "--count", "3"], {"fundamental_solution": [61]}),
     (["pell", "13", "--count", "0"], {"fundamental_solution": [13]}),
@@ -945,6 +976,15 @@ def test_tables_and_scans_load_numpy(argv):
     assert (rc, "numpy" in loaded, "dataclasses" in loaded) == (0, True, False)
 
 
+def test_census_loads_neither_classify_nor_heapq():
+    """census counts by the identity only; the heap-merge enumerator is a
+    test oracle, so importing census loads no classify and no heapq."""
+    code = "import sys, spnum.census; print(sorted({'spnum.classify', 'heapq'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 _TIMED_CHILD = """
 import contextlib, io, json, sys, time
 from spnum.cli import main
@@ -966,3 +1006,25 @@ def test_classify_3pq_answers_without_rho():
     rc, out, seconds = json.loads(proc.stdout)
     assert (rc, out) == (1, f"{n} is not a KP_2 number\n")
     assert seconds < 1
+
+
+def test_sum_of_a_41_digit_square_base_answers_at_once():
+    """witness sum 3·q², q the least prime = 1 (mod 4) above 10^40: finding
+    q = u² + v² takes a few modular powers, where a descent over u from √q
+    would not end."""
+    q = next(m for m in range(10**40 + 1, 10**40 + 10**4, 4) if is_prime(m))
+    n = 3 * q * q
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_CHILD, json.dumps(["witness", "sum", str(n), "--verify"])],
+        capture_output=True, text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    rc, out, seconds = json.loads(proc.stdout)
+    assert (rc, out.splitlines()[-1]) == (0, "  verify: PASS")
+    assert seconds < 1
+
+
+def test_names_the_benchmark_imports_resolve():
+    """perfbench imports these names from the library; they must stay."""
+    assert cli.main is main
+    assert callable(pell.cf_fundamental)
+    assert construct.sieve_primes is arith.sieve_primes

@@ -1,5 +1,6 @@
 """Constructive certificates: gaps, quadratic/cubic families, sums."""
 
+import random
 import re
 from math import isqrt, prod
 
@@ -298,6 +299,41 @@ def test_sum_decompose_all_small_sp():
         assert w.part1.n + w.part2.n == n
         assert w.part1.checks() == w.part2.checks() == []
         assert w.part1.p == w.part2.p == sp.p
+
+
+def two_squares_by_descent(q: int) -> tuple[int, int]:
+    """q = u^2 + v^2 with u > v >= 1, walking u down from isqrt(q): the
+    library's route before Hermite-Serret, whose time grows as sqrt(q)."""
+    u, v = isqrt(q), 0
+    while 2 * u * u > q:
+        w = q - u * u
+        v = isqrt(w)
+        if v >= 1 and v * v == w:
+            return u, v
+        u -= 1
+    raise AssertionError(f"no two-squares representation of {q}")
+
+
+def test_sum_decompose_matches_descent_below_1e5():
+    primes = [q for q in sieve_primes(10**5).tolist() if q % 4 == 1]
+    assert len(primes) == 4783
+    for q in primes:
+        w = sum_decompose(SpWitness(2 * q * q, 2, q))
+        assert (w.q, w.u, w.v) == (q, *two_squares_by_descent(q)), q
+
+
+def test_sum_decompose_large_primes():
+    """Above 10^5 u > v >= 1 with u^2 + v^2 = q pins the answer: a prime has
+    one such representation."""
+    rng = random.Random(26)
+    for digits in (7, 12, 20, 30, 41, 60):
+        for _ in range(4):
+            q = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+            while not (q % 4 == 1 and is_prime(q)):
+                q += 2
+            w = sum_decompose(SpWitness(3 * q * q, 3, q))
+            assert w.q == q and w.u > w.v >= 1 and w.u**2 + w.v**2 == q, q
+            assert w.checks() == []
 
 
 def test_sum_decompose_rejects_bad_witness():

@@ -1,5 +1,6 @@
 """Pell equation solver against brute-force minimal solutions."""
 
+import random
 from math import inf, isqrt, log10
 
 import pytest
@@ -69,6 +70,13 @@ def test_chakravala_agrees_with_continued_fraction():
         if _is_square(d):
             continue
         assert fundamental_solution(d) == cf_fundamental(d), d
+
+
+def test_chakravala_agrees_with_continued_fraction_to_1e6():
+    rng = random.Random(26)
+    for d in [*range(101, 2001), *sorted(rng.sample(range(2001, 10**6), 200))]:
+        if not _is_square(d):
+            assert fundamental_solution(d) == cf_fundamental(d), d
 
 
 def test_domain_errors():
