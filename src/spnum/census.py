@@ -46,7 +46,8 @@ class DigitCensus(NamedTuple):
 
 def _kept(r: int, divisors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ascending i <= r that are multiples of some divisor, and pos with
-    pos[i] = the index of i among them (meaningless for any other i).
+    pos[i] = r + 1 + the index of i among them, the column of a table's vals
+    that holds large for i (meaningless for any other i).
 
     Divisors are marked ascending, skipping any that a smaller one already
     covers, so for the a^k of kp_count only the primes a mark.
@@ -56,8 +57,8 @@ def _kept(r: int, divisors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not mark[d]:
             mark[d::d] = True
     kept = mark.nonzero()[0]
-    pos = np.zeros(r + 1, dtype=np.int32 if r < 2**31 else np.int64)
-    pos[kept] = np.arange(len(kept), dtype=pos.dtype)
+    pos = np.zeros(r + 1, dtype=np.int32 if 2 * r < 2**31 else np.int64)
+    pos[kept] = np.arange(r + 1, r + 1 + len(kept), dtype=pos.dtype)
     return kept, pos
 
 
@@ -91,6 +92,9 @@ _WHEEL_ROWS, _WHEEL_TOTAL = _wheel_counts()
 _WHEEL_PHI = 5760  # phi(_WHEEL), the counted m in each period past 13; a quarter per class
 
 
+_BLOCK = 1 << 16  # table entries (rows x columns) a head prime gathers, or the start fills, at once
+
+
 def _wheel_start(vals: np.ndarray, r: int, quot: np.ndarray, table: np.ndarray, phi: int) -> None:
     """Fill a table's vals with S(v) before any sifting past 13: small[v] = S(v) for
     v <= r and large[j] = S(quot[j]), in place, from table[..., x] = S(x) for
@@ -100,13 +104,14 @@ def _wheel_start(vals: np.ndarray, r: int, quot: np.ndarray, table: np.ndarray, 
     for a in range(_WHEEL + 13, r + 1, _WHEEL):  # small[v] = small[v - _WHEEL] + phi
         b = min(a + _WHEEL, r + 1)
         np.add(small[..., a - _WHEEL : b - _WHEEL], phi, out=small[..., a:b])
-    for a in range(0, len(quot), _CHUNK):
-        v = quot[a : a + _CHUNK]
+    step = max(_BLOCK // table[..., 0].size, 1)
+    for a in range(0, len(quot), step):
+        v = quot[a : a + step]
         q = (v - 13) // _WHEEL
         np.maximum(q, 0, out=q)  # v < 13 only below n = 169, and reads table[v]
         x = v - q * _WHEEL
         q *= phi
-        np.add(table.take(x, axis=-1), q, out=large[..., a : a + _CHUNK])
+        np.add(table.take(x, axis=-1), q, out=large[..., a : a + step])
 
 
 _TAIL_ROWS = 256  # a prime p <= n^(1/3) that updates more kept entries stays in the head
@@ -120,7 +125,7 @@ def _sifted(n: int, kept: np.ndarray) -> tuple[list, np.ndarray]:
     large[:lim], the kept i <= n // p^2, and large[:head] are those with
     i * p <= isqrt(n), read back from large (the rest read small).  tail is
     the int64 array of the rest, for `_tail_pairs`: the primes p with
-    kept[0] * p^3 > n and p^2 > isqrt(n) (see `_pi_table`), except that one
+    kept[0] * p^3 > n and p^2 > isqrt(n) (see `_table`), except that one
     with p^3 <= n stays in the head while it updates more than _TAIL_ROWS
     entries, where sifting it alone is the faster route.
     """
@@ -141,72 +146,134 @@ def _sifted(n: int, kept: np.ndarray) -> tuple[list, np.ndarray]:
     return list(zip(primes[:split].tolist(), lims[:split].tolist(), heads)), primes[split:]
 
 
-def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """pi(n // m) for the divisors m asked for, by Lucy_Hedgehog.
+# _SHIFT[q]: log_3 of q (mod 10), for q prime to 10; the row of the class c * q^-1
+# is the row of c less _SHIFT[q] (mod 4)
+_SHIFT = np.array([_ROWS.index(q) if q in _ROWS else 0 for q in range(10)], dtype=np.intp)
+_NO_SHIFT = np.zeros(10, dtype=np.intp)  # one row: sifting p moves no counts between rows
 
-    Builds ``small[v] = pi(v)`` for v <= r = isqrt(n), and
-    ``large[pos[i]] = pi(n // i)`` only for the i <= r in ``kept``, the
-    multiples of a requested divisor, in O(n^(3/4)) time and O(sqrt(n))
-    memory.  It returns a lookup that maps an int64 array of divisors m to
-    pi(n // m).  The lookup is right for every multiple m of a requested
-    divisor and for every m > r; ``divisors=[1]`` keeps every i, the full
-    table of every floor quotient.
 
-    The recurrence updates large[i] from large[i * p] (or from small), and
-    i * p is a multiple of d whenever i is, so the kept set is closed under
-    it and nothing else is computed.  For an m <= r outside it the lookup
-    reads an entry that was never built and answers wrong.
+def _table(
+    n: int, divisors: np.ndarray, wheel: np.ndarray, phi: int, shift: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Prime counts at n // m for the divisors m asked for, by Lucy_Hedgehog, in
+    rows laid out as data: ``wheel[..., x]`` = S(x) per row for x < _WHEEL + 13
+    (1-D `_WHEEL_TOTAL`, or the 4 class rows of `_WHEEL_ROWS`), ``phi`` each
+    row's counted m per period, and ``shift[p % 10]`` the row shift of sifting
+    p (all zero for one row).  The table holds ``small[..., v]``, the count up
+    to v, for v <= r = isqrt(n), and the count up to n // i only for the kept
+    i <= r, the multiples of a requested divisor, at column pos[i] (`_kept`),
+    in O(n^(3/4)) time and O(sqrt(n)) memory per row.  Its lookup maps an int64
+    array of divisors m to the counts at n // m, one row per table row; it is
+    right for every multiple of a requested divisor and every m > r, and
+    ``divisors=[1]`` keeps every floor quotient.
 
-    The table starts as it stands after the primes 2..13 (`_wheel_start`).
-    `_sifted` splits the primes 13 < p <= sqrt(n) into a head, sifted one
-    at a time, in order, and a tail, sifted together by `_tail_pairs`.  A
-    tail prime has kept[0] * p^3 > n and p^2 > r, so it writes only large[i]
-    for i <= n // p^2 < kept[0] * p and nothing in small, and it reads
-    large[i * p] with i * p >= kept[0] * p (every kept i is >= kept[0]), or
-    small.  So no tail prime reads what another writes (the least one
-    writes the most), and every read already holds what it held before p:
-    large[i * p] is only written by head primes and counts to
-    n // (i * p) < p^2, and small[v] = pi(v) for all v once p <= sqrt(r) is
-    sifted.  For kp_count(3 * 10^6) that sifts 18 primes alone and 245 in
-    the tail (a split at n^(1/3) sifted 34 alone).
-    The tail gathers its terms _TAIL_CHUNK pairs at a time and sums them per
-    i with `np.add.reduceat`, so its memory stays a few arrays of 2^12 entries.
+    Sifting p sets S(v) -= S(v // p) - S(p - 1) for every v >= p^2, each term
+    read as the table stood before p.  A number = c (mod 10) with least prime
+    factor p is p * m with m = c * p^-1, so a class row reads the row of
+    c * p^-1; the rows go in powers-of-3 order (_ROWS), and 3 generates
+    (Z/10)^x, so for p = 3^s (mod 10) row j reads row j - s (mod 4), one
+    cyclic shift for every column.  The update of large at i reads large at
+    i * p (or small), a multiple of d whenever i is, so the kept set is closed
+    under it; for an m <= r outside it the lookup reads an entry never built.
+
+    The table starts after the primes 2..13 (`_wheel_start`; 2 and 5 move no
+    class counts).  `_sifted` splits the primes 13 < p <= sqrt(n) into a head,
+    sifted one at a time, and a tail, sifted together.  A head prime builds one
+    index ``at`` into vals (the kept i with i * p <= r read large at
+    pos[i * p], the rest small at (n // i) // p) and gathers it _BLOCK entries
+    at a time, in column order: a block reads large only at pos[i * p] >
+    pos[i], at or past its own columns, which still stand as before p.
+    `_shift_sub` subtracts each block, and each block of the small update
+    (whose source is read in full first), as at most two row blocks.  A tail
+    prime has kept[0] * p^3 > n and p^2 > r: it writes only large at
+    i <= n // p^2 < kept[0] * p, nothing in small, and reads small or large at
+    i * p >= kept[0] * p, which counts to n // (i * p) < p^2 and so is written
+    only by head primes.  So no tail prime reads what another writes, and
+    small is final once every p <= sqrt(r) is sifted; kp_count(3 * 10^6)
+    sifts 18 primes alone and 245 in the tail (34 alone with a split at
+    n^(1/3)).  `_tail_pairs` yields the tail's terms in chunks; each row of a
+    pair reads the row its prime's shift names, and `np.add.reduceat` sums
+    them per i.
     """
     r = isqrt(n)
     kept, pos = _kept(r, divisors)
     quot = n // kept
-    # small and large share one buffer: small[v] = vals[v], large[j] = vals[r + 1 + j]
-    vals = np.empty(r + 1 + len(kept), dtype=np.int64)
-    _wheel_start(vals, r, quot, _WHEEL_TOTAL, _WHEEL_PHI)
-    small, large = vals[: r + 1], vals[r + 1 :]
+    # small and large share one buffer: small = vals[..., : r + 1], large = vals[..., r + 1 :]
+    lead = wheel.shape[:-1]  # the shape of the rows: () for one, (4,) for the classes
+    vals = np.empty((*lead, r + 1 + len(kept)), dtype=np.int64)
+    _wheel_start(vals, r, quot, wheel, phi)
+    small, large = vals[..., : r + 1], vals[..., r + 1 :]
     heads, tail = _sifted(n, kept)
 
+    rows = wheel[..., 0].size
+    step = max(_BLOCK // rows, 1)  # columns per block
+    shifts = shift.tolist()
+    # one index buffer for every head prime: a fresh one per prime let the allocator return
+    # its pages and fault them in again for the next, a third of the census cap's build time
+    idx = np.empty(len(kept), dtype=np.intp)
     for p, lim, head in heads:
-        # pi(v) -= pi(v // p) - pi(p - 1) for every quotient v >= p^2.  Each
-        # right-hand side is read in full before its in-place update, so
-        # every term sees the table as it stood before p.
-        sp = small[p - 1]
-        large[:head] -= large.take(pos.take(kept[:head] * p)) - sp
-        large[head:lim] -= small.take(quot[head:lim] // p) - sp
+        s = shifts[p % 10]
+        sp = small[..., p - 1 : p]
+        at = idx[:lim]
+        at[:head] = pos.take(kept[:head] * p)
+        np.floor_divide(quot[head:lim], p, out=at[head:])
+        for a in range(0, lim, step):
+            b = min(a + step, lim)
+            got = vals.take(at[a:b], axis=-1)
+            got -= sp
+            _shift_sub(large[..., a:b], got, s)
         if p * p <= r:
-            # v // p for v = p^2..r is p, p, ..., p + 1, ... (p copies each)
-            drop = np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p]
-            drop -= sp
-            small[p * p :] -= drop
-    for lo, starts, p, at in _tail_pairs(n, tail, kept, pos):
-        large[lo : lo + len(starts)] -= np.add.reduceat(vals.take(at) - small[p - 1], starts)
+            # v // p for v = p^2..r is p, p, ..., p + 1, ... (p copies each); part is
+            # read in full before small is written, and repeated about step columns at a time
+            part = small[..., p : r // p + 1] - sp
+            dst = small[..., p * p :]
+            each = max(step // p, 1)
+            for a in range(0, part.shape[-1], each):
+                d = dst[..., a * p : (a + each) * p]
+                _shift_sub(d, part[..., a : a + each].repeat(p, axis=-1)[..., : d.shape[-1]], s)
+
+    # where each row reads in the flat vals when a prime p = q (mod 10) sifts, the start of
+    # the row its shift names, per tail prime, and that row's count up to p - 1, final by now
+    offsets = ((np.arange(rows)[:, None] - shift) % rows * vals.shape[-1]).reshape(*lead, 10)
+    offsets = offsets.take(tail % 10, axis=-1)
+    below = vals.take(offsets + (tail - 1))
+    for lo, starts, t, at in _tail_pairs(n, tail, kept, pos):
+        flat = offsets.take(t, axis=-1)
+        flat += at
+        got = vals.take(flat)
+        got -= below.take(t, axis=-1)
+        large[..., lo : lo + len(starts)] -= np.add.reduceat(got, starts, axis=-1)
 
     def lookup(ms: np.ndarray) -> np.ndarray:
-        return vals[_at(n, r, pos, ms)]
+        return vals.take(_at(n, r, pos, ms), axis=-1)
 
     return lookup
 
 
+def _pi_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """pi(n // m) for the divisors m asked for (see `_table`)."""
+    return _table(n, divisors, _WHEEL_TOTAL, _WHEEL_PHI, _NO_SHIFT)
+
+
+def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """pi(n // m; 10, c) for c = 1, 3, 9, 7 (_ROWS), one row each (see `_table`)."""
+    return _table(n, divisors, _WHEEL_ROWS, _WHEEL_PHI // 4, _SHIFT)
+
+
+def _shift_sub(dst: np.ndarray, got: np.ndarray, s: int) -> None:
+    """dst[j] -= got[j - s] along the first axis (mod its length); s = 0 for one row."""
+    if s:
+        dst[:s] -= got[-s:]
+        dst[s:] -= got[:-s]
+    else:
+        dst -= got
+
+
 def _at(n: int, r: int, pos: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """Where a table's vals buffer holds pi(n // m), for each divisor m."""
+    """The column of a table's vals that holds the count up to n // m, for each divisor m."""
     at = n // ms
-    big = at > r  # then m <= n // (r + 1) <= r, and pi(n // m) is large[pos[m]]
-    at[big] = r + 1 + pos[ms[big]]
+    big = at > r  # then m <= n // (r + 1) <= r, and pi(n // m) is large for m
+    at[big] = pos[ms[big]]
     return at
 
 
@@ -220,13 +287,14 @@ def _tail_pairs(
 
     tail holds the ascending tail primes of `_sifted`; p updates large[i]
     for i <= n // p^2, so the primes updating large[i] are the prefix of tail
-    with p^2 <= n // i.  Only the kept i (a closed set, see `_pi_table`) are
+    with p^2 <= n // i.  Only the kept i (a closed set, see `_table`) are
     grouped, so i * p of a kept i is kept too.  Pairs are ordered by i, then
     p, and cut into chunks of at most _TAIL_CHUNK pairs (a group may span
-    chunks).  Each chunk yields (lo, starts, p, at): its groups update the
+    chunks).  Each chunk yields (lo, starts, t, at): its groups update the
     large entries lo, lo + 1, ..., group g starts at pair starts[g], and the
-    pair reads pi((n // i) // p) from vals[at], the table's buffer that
-    holds small[v] at v and large[j] at r + 1 + j.
+    pair with p = tail[t] reads the count up to (n // i) // p from a row of
+    vals at column at, the table's buffer that holds small[v] at v and
+    large[j] at r + 1 + j.
     """
     if len(tail) == 0:
         return
@@ -235,107 +303,18 @@ def _tail_pairs(
     rows = kept[: kept.searchsorted(n // int(squares[0]), side="right")]
     if len(rows) == 0:
         return
-    per = np.searchsorted(squares, n // rows, side="right")
-    ends = np.cumsum(per)  # pairs of rows[g] are ends[g] - per[g] .. ends[g] - 1
+    per = squares.searchsorted(n // rows, side="right")
+    ends = per.cumsum()  # pairs of rows[g] are ends[g] - per[g] .. ends[g] - 1
     begins = ends - per
     for a in range(0, int(ends[-1]), _TAIL_CHUNK):
         b = min(a + _TAIL_CHUNK, int(ends[-1]))
-        g0 = int(np.searchsorted(ends, a, side="right"))
-        g1 = int(np.searchsorted(begins, b, side="left"))
+        g0 = int(ends.searchsorted(a, side="right"))
+        g1 = int(begins.searchsorted(b))
         first = np.maximum(begins[g0:g1], a)
         sizes = np.minimum(ends[g0:g1], b) - first
+        t = np.arange(a, b) - begins[g0:g1].repeat(sizes)
         # no other chunk-sized array stays referenced while the caller works
-        p = tail[np.arange(a, b) - np.repeat(begins[g0:g1], sizes)]
-        yield g0, first - a, p, _at(n, r, pos, np.repeat(rows[g0:g1], sizes) * p)
-
-
-_CHUNK = 1 << 14  # columns of the class table a head prime gathers or repeats at once
-# _SHIFT[q]: log_3 of q (mod 10), for q prime to 10; the row of the class c * q^-1
-# is the row of c less _SHIFT[q] (mod 4)
-_SHIFT = np.array([_ROWS.index(q) if q in _ROWS else 0 for q in range(10)], dtype=np.intp)
-
-
-def _pi_mod10_table(n: int, divisors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """pi(n // m; 10, c) for c = 1, 3, 9, 7 (_ROWS) and the divisors m asked for.
-
-    `_pi_table` with one row per class, over the same kept i and with the
-    same closure argument (so the lookup is wrong for m outside it):
-    small[j, v] and large[j, pos[i]] count the primes = _ROWS[j] (mod 10)
-    up to v and up to n // i.  A number = c (mod 10) with least prime
-    factor p is p * m with m = c * p^-1, so sifting p moves counts between
-    rows.  The table starts as it stands after 2..13, as `_pi_table` does
-    (2 and 5 divide no member of a class, so move no counts).  The
-    lookup maps an int64 array of divisors m to a (4, len) array of counts,
-    one row per class in the order of _ROWS.
-
-    The rows are stored in powers-of-3 order, 3^0, 3^1, 3^2, 3^3 (mod 10):
-    3 generates the cyclic group (Z/10)^x, so for p = 3^s (mod 10) the class
-    3^j * p^-1 is 3^(j - s), and sifting p updates row j from row j - s
-    (mod 4).  The move is a cyclic shift of the rows, the same for every
-    column, so each head prime builds one index ``at`` into a row of vals
-    (large[:head] reads large at pos[i * p], the rest of large[:lim] reads
-    small at (n // i) // p), gathers all four rows with one 2-D ``take``
-    per _CHUNK columns, and subtracts each gathered block from large as at
-    most two contiguous row blocks, with no per-row permutation.  Blocks go
-    in column order: a block reads large only at pos[i * p] > pos[i], at
-    or past its own columns, so everything it reads still stands as before
-    p.  The small update shifts the same way, after reading its source in
-    full.
-    """
-    r = isqrt(n)
-    kept, pos = _kept(r, divisors)
-    quot = n // kept
-    vals = np.empty((4, r + 1 + len(kept)), dtype=np.int64)
-    _wheel_start(vals, r, quot, _WHEEL_ROWS, _WHEEL_PHI // 4)
-    small, large = vals[:, : r + 1], vals[:, r + 1 :]
-    heads, tail = _sifted(n, kept)
-
-    shifts = _SHIFT.tolist()
-    for p, lim, head in heads:
-        # pi(v; c) -= pi(v // p; c * p^-1) - pi(p - 1; c * p^-1) for every v >= p^2,
-        # every term read as the table stood before p
-        s = shifts[p % 10]
-        at = np.concatenate([pos.take(kept[:head] * p) + (r + 1), quot[head:lim] // p])
-        for a in range(0, lim, _CHUNK):
-            got = vals.take(at[a : a + _CHUNK], axis=1)
-            got -= small[:, p - 1 : p]
-            _shift_sub(large[:, a : a + got.shape[1]], got, s)
-        del at  # so the small update's copies do not add to it
-        if p * p <= r:
-            # v // p for v = p^2..r is p, p, ..., p + 1, ... (p copies each);
-            # part is read in full before small is written, and repeated a
-            # block of about _CHUNK columns at a time
-            part = small[:, p : r // p + 1] - small[:, p - 1 : p]
-            dst = small[:, p * p :]
-            step = _CHUNK // p + 1
-            for a in range(0, part.shape[1], step):
-                d = dst[:, a * p : (a + step) * p]
-                _shift_sub(d, np.repeat(part[:, a : a + step], p, axis=1)[:, : d.shape[1]], s)
-
-    # the tail primes sift all at once, as in _pi_table; row j of
-    # each pair reads row j - s of its prime
-    rows = np.arange(4)[:, None]
-    width = vals.shape[1]
-    for lo, starts, p, at in _tail_pairs(n, tail, kept, pos):
-        # flat indices into vals: row j - s of each pair at its column, then at p - 1
-        flat = (rows - _SHIFT[p % 10]) % 4 * width
-        flat += at
-        got = vals.take(flat)
-        flat += p - 1 - at
-        got -= vals.take(flat)
-        large[:, lo : lo + len(starts)] -= np.add.reduceat(got, starts, axis=1)
-
-    def lookup(ms: np.ndarray) -> np.ndarray:
-        return vals.take(_at(n, r, pos, ms), axis=1)
-
-    return lookup
-
-
-def _shift_sub(dst: np.ndarray, got: np.ndarray, s: int) -> None:
-    """dst[j] -= got[j - s] for the four rows j (mod 4): two block subtracts."""
-    dst[s:] -= got[: 4 - s]
-    if s:
-        dst[:s] -= got[4 - s :]
+        yield g0, first - a, t, _at(n, r, pos, rows[g0:g1].repeat(sizes) * tail[t])
 
 
 def _kp_divisors(n: int, k: int) -> np.ndarray:
@@ -431,18 +410,17 @@ def census_table(
         raise ValueError("checkpoints must be ascending")
     if k < 2:
         raise ValueError(f"{fam}_count requires k >= 2, got {k}")
-    if fam == "kp":
-        divisors, estimate = _kp_divisors, analytic.kp_estimate
-    else:
-        divisors, estimate = _psp_divisors, analytic.psp_estimate
+    estimate = analytic.kp_estimate if fam == "kp" else analytic.psp_estimate
     top = checkpoints[-1] if checkpoints else 0
+    # every checkpoint's divisors are the prefix of top's that is <= n // 2
+    every = (_kp_divisors if fam == "kp" else _psp_divisors)(top, k)
     full = None  # the table for top, built on first use
     rows = []
     for n in checkpoints:
-        ms, scale = divisors(n, k), top // n
+        ms, scale = every[: every.searchsorted(n // 2, side="right")], top // n
         if top // scale == n and len(ms):
             if full is None:
-                full = _pi_table(top, divisors(top, k))
+                full = _pi_table(top, every)
             exact = int(full(scale * ms).sum())
         else:
             exact = _pi_sum(n, ms)

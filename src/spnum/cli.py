@@ -26,9 +26,9 @@ from typing import Callable
 from .classify import kp_decompose, sp_decompose
 
 # The prime-count tables hold pi at v <= r = isqrt(bound), an int32 position map of r entries,
-# and three int64 entries per kept index, the multiples of some a^k: 0.39·r of them at k = 2.
-MAX_CENSUS_BOUND = 10**12  # prime-count table: up to 2.7·isqrt(bound) int64 entries (21 MB)
-MAX_DIGITS_BOUND = 10**11  # class table, 4 rows wide: 6.9·isqrt(bound) int64 entries (17 MB)
+# and four int64 entries per kept index, the multiples of some a^k (0.39·r of them at k = 2).
+MAX_CENSUS_BOUND = 10**12  # up to 2.7·isqrt(bound) int64 entries; kp_count's traced peak 31.7 MiB
+MAX_DIGITS_BOUND = 10**11  # class table, 4 rows: 6.9·isqrt(bound) int64 entries; peak 24.9 MiB
 MAX_SCAN_X = 10**7  # x2p1/x3p1 --bound: x2p1 sieves every x <= it in windows; x3p1 about 1.6·sqrt(it) x
 MAX_FAMILY_T = 10**5  # x3p1 --t-max: one is_prime per t (2.0 s at the cap)
 _SCAN_COST = {  # why a --bound scan past MAX_SCAN_X is refused, per kind
@@ -46,10 +46,24 @@ class _NotAnInteger(argparse.ArgumentTypeError, ValueError):
     an `error: …` from main when a command parses the text itself."""
 
 
+class _PastDigitLimit(Exception):
+    """An input past the interpreter's int-to-str limit, refused before it is
+    printed; not a ValueError, which argparse would turn into a usage message."""
+
+    def __init__(self, what: str, limit: int) -> None:
+        super().__init__(f"{what} has more than {limit} digits, the interpreter's "
+                         "int-to-str limit, which PYTHONINTMAXSTRDIGITS sets")
+
+
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit, 0 where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _nat(text: str) -> int:
     """Integer argument, accepting scientific notation like 1e6.  Plain ASCII
     digits are read by int(); other text, and digits int() refuses (past the
-    digit limit), by Decimal."""
+    digit limit), by Decimal, which refuses a value past the limit by name."""
     if text.isascii() and text.isdigit():
         try:
             return int(text)
@@ -65,6 +79,9 @@ def _nat(text: str) -> int:
         raise _NotAnInteger(f"not a finite number: {text!r}")
     if d != d.to_integral_value():
         raise _NotAnInteger(f"not an integer: {text!r}")
+    limit = _digit_limit()
+    if limit and d and d.adjusted() >= limit:
+        raise _PastDigitLimit("an integer argument", limit)
     return int(d)
 
 
@@ -90,7 +107,7 @@ def _check_digit_limit(refused: str, value: int, what: str, past: Callable[[int]
     """Refuse `refused value` (an option or command and its argument) when
     past(limit) holds: the largest integer of its reply, `what`, certainly has
     more digits than the interpreter's int-to-str limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and past(limit):
         raise ValueError(
             f"{refused} {value} exceeds the digit budget: {what} would have more "
@@ -321,6 +338,9 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[int, list[str]]:
             q = Fraction(args.value)
         except ZeroDivisionError:  # a zero denominator, as in "1/0"
             raise ValueError(f"zero denominator: {args.value!r}") from None
+        limit = _digit_limit()
+        if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
+            raise _PastDigitLimit("the value's numerator or denominator", limit)
         est, label = analytic.hurwitz_zeta2(q), f"zeta(2, {q})"
     if args.format == "json":
         return 0, [_json_text(
@@ -437,10 +457,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         rc, lines = args.func(args)
-    except ValueError as exc:
+    except (ValueError, _PastDigitLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write("".join(line + "\n" for line in lines))

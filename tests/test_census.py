@@ -155,7 +155,7 @@ def pi_mod10_table_rows(n: int, divisors: np.ndarray):
         top = n // (p * p)
         lim = int(kept.searchsorted(top, side="right"))
         head = int(kept.searchsorted(min(top, r // p), side="right"))
-        large[:, :head] -= large[g[:, None], pos[kept[:head] * p]] - sp[:, None]
+        large[:, :head] -= vals[g[:, None], pos[kept[:head] * p]] - sp[:, None]
         idx = quot[head:lim] // p
         for j, row in enumerate(g.tolist()):
             large[j, head:lim] -= small[row][idx] - sp[j]
@@ -175,7 +175,8 @@ def pi_mod10_table_rows(n: int, divisors: np.ndarray):
     tail = primes[primes > cube]
     for p in primes[: len(primes) - len(tail)].tolist():
         sift(p)
-    for lo, starts, p, at in census._tail_pairs(n, tail, kept, pos):
+    for lo, starts, t, at in census._tail_pairs(n, tail, kept, pos):
+        p = tail[t]
         g = gather[p % 10]
         for j in range(4):
             src = g[:, j]
@@ -380,13 +381,37 @@ def test_pi_mod10_table_equals_row_loop_route(ns):
         _assert_class_table_equals_row_loop(n)
 
 
+BLOCK_NS = [*range(0, 3001, 37), 10**4 + 1, 10**5 - 1, 10**6 + 7]
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 64])
 def test_pi_mod10_table_in_blocks_equals_row_loop_route(monkeypatch, chunk):
-    # blocks of a few columns, so a head prime's gather and the small update
-    # cross many block edges, as they do past n = 2^28 with the real block
-    monkeypatch.setattr(census, "_CHUNK", chunk)
-    for n in [*range(0, 3001, 37), 10**4 + 1, 10**5 - 1, 10**6 + 7]:
+    # budgets of a few entries (at least one column of four rows), so a head
+    # prime's gather, the small update and the wheel start cross many block
+    # edges, as with the real budget the small update does past n = 2^28 and
+    # the gathers of digit_census past n of about 1.8 * 10^9
+    monkeypatch.setattr(census, "_BLOCK", chunk)
+    for n in BLOCK_NS:
         _assert_class_table_equals_row_loop(n)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 40])
+def test_pi_table_in_blocks_equals_exact_pi(monkeypatch, budget):
+    # with the real budget the one-row table blocks its small update only past
+    # n = 2^32, and its gathers where a head prime updates more than 2^16
+    # entries, past n of about 2.8 * 10^10 for kp_count; 40 entries split the
+    # head part of the first head primes (the kept i with i * p <= isqrt(n))
+    # at 10^6 + 7, and 1 and 3 split every gather and small update
+    monkeypatch.setattr(census, "_BLOCK", budget)
+    for n in BLOCK_NS:
+        quotients = _floor_quotients(n)
+        oracle = pi_segmented(quotients, segment_size=4096)
+        for divisors in (ONE, census._kp_divisors(n, 2), census._psp_divisors(n, 3)):
+            ms = kept_quotient_divisors(n, divisors)
+            want = [oracle[v] for v in (n // ms).tolist()]
+            assert _pi_table(n, divisors)(ms).tolist() == want, (n, len(divisors))
+    heads = census._sifted(10**6 + 7, census._kept(1000, ONE)[0])[0]
+    assert any(0 < budget < head for _, _, head in heads)
 
 
 def test_class_rows_shift_by_the_residue():

@@ -85,8 +85,8 @@ def test_classify_scientific_notation(capsys):
 
 
 _CLASSIFY_USAGE = "usage: spnum classify [-h] [--k K] [--format {table,json}] n\n"
-_PAST_STR_LIMIT = ("error: Exceeds the limit (4300 digits) for integer string conversion; "
-                   "use sys.set_int_max_str_digits() to increase the limit\n")
+_PAST_STR_LIMIT = ("error: an integer argument has more than 4300 digits, the interpreter's "
+                   "int-to-str limit, which PYTHONINTMAXSTRDIGITS sets\n")
 _DIGITS_5000 = "7" * 5000
 
 
@@ -117,9 +117,52 @@ def test_classify_integer_forms(capsys, text, expected):
     ["witness", "x2p1", "--count", _DIGITS_5000],
 ], ids=lambda argv: f"{argv[0]} {len(argv[-1])}-digit")
 def test_argument_past_digit_limit_read_by_decimal(capsys, argv):
-    """int() refuses digits past the limit; Decimal reads them, so the
-    command, not the parser, fails when it renders the number."""
+    """int() refuses digits past the limit; Decimal reads them and refuses
+    them by name, in one stderr line, before any command runs."""
     assert run(capsys, *argv) == (2, "", _PAST_STR_LIMIT)
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="text pinned at the default digit limit")
+@pytest.mark.parametrize("argv", [
+    "classify 1e5000", "census 1e5000", "digits 1e5000", "witness gap 1e5000",
+    "witness sum 1e5000", "witness between-squares 1e5000", "witness x2p1 --bound 1e5000",
+    "witness x2p1 --count 1e5000", "witness x3p1 --t-max 1e5000", "pell 2 --count 1e5000",
+    "estimate zeta 1e5000", "census 100 --checkpoints 1e5000", "classify 1e4300",
+])
+def test_argument_past_digit_limit_refused_by_name(capsys, argv):
+    """An exponent past the limit is refused by name before any command runs."""
+    assert run(capsys, *argv.split()) == (2, "", _PAST_STR_LIMIT)
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="text pinned at the default digit limit")
+def test_hurwitz_value_past_digit_limit_refused_by_name(capsys):
+    """A denominator of 4301 digits is refused by name; one of 4300 digits
+    reaches the command, whose range check prints it."""
+    assert run(capsys, "estimate", "hurwitz", "1e-4300") == (2, "", (
+        "error: the value's numerator or denominator has more than 4300 digits, the "
+        "interpreter's int-to-str limit, which PYTHONINTMAXSTRDIGITS sets\n"))
+    assert run(capsys, "estimate", "hurwitz", "1e-4299") == (2, "", (
+        f"error: hurwitz_zeta2 requires 0 < q <= 1, got 1/{10**4299}\n"))
+    q = f"{10**4299 - 1}/{10**4299}"
+    rc, out, _ = run(capsys, "estimate", "hurwitz", q)
+    assert rc == 0 and out.startswith(f"zeta(2, {q}) = ")
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="boundary pinned at the default digit limit")
+def test_argument_digit_limit_boundary(capsys):
+    """10^4299 has 4300 digits and answers; with no limit nothing is refused
+    by name, and 10^5000 answers as it did before the refusal existed."""
+    assert run(capsys, "classify", "1e4299") == (1, f"{10**4299} is not a KP_2 number\n", "")
+    assert run(capsys, "classify", "0e5000") == (1, "0 is not a KP_2 number\n", "")
+    big = "1" + "0" * 5000
+    try:
+        sys.set_int_max_str_digits(0)
+        classified = run(capsys, "classify", "1e5000")
+        hurwitz = run(capsys, "estimate", "hurwitz", "1e-5000")
+    finally:
+        sys.set_int_max_str_digits(_DIGIT_LIMIT)
+    assert classified == (1, f"{big} is not a KP_2 number\n", "")
+    assert hurwitz == (2, "", f"error: hurwitz_zeta2 requires 0 < q <= 1, got 1/{big}\n")
 
 
 def test_malformed_argument_exits_2(capsys):
