@@ -107,22 +107,6 @@ def _windows(xmax: int):
         yield lo, np.arange(lo, min(lo + _WINDOW, xmax + 1), dtype=np.int64)
 
 
-def _runs(a: np.ndarray) -> list[int]:
-    """Where the runs of equal neighbours in a start, and len(a) last."""
-    return [0, *((a[1:] != a[:-1]).nonzero()[0] + 1).tolist(), len(a)] if len(a) else [0]
-
-
-def _file(due: list, c: np.ndarray, at: np.ndarray) -> None:
-    """Append the classes c, whose next hits are at, to due[at // _WINDOW]:
-    the list of the classes the window holding their next hit must visit."""
-    w = at // _WINDOW
-    order = np.argsort(w)
-    w = w[order]
-    cuts = _runs(w)
-    for a, b in zip(cuts, cuts[1:]):
-        due[w[a]].append(c[order[a:b]])
-
-
 def _x2p1_marks(
     xs: np.ndarray, p: np.ndarray, k: np.ndarray, first: np.ndarray, m: np.ndarray, n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +132,8 @@ def _x2p1_marks(
     start = np.cumsum(n) - n  # index of each class's first hit in the window's list
     jump = first.copy()  # from the last hit of the class before to the first of this one
     jump[1:] -= first[:-1] + (n[:-1] - 1) * m[:-1]
-    cuts = _runs(start // _HIT_CHUNK)
+    chunk = start // _HIT_CHUNK  # a new chunk starts where this changes
+    cuts = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), len(n)] if len(n) else [0]
     for a, b in zip(cuts, cuts[1:]):
         reps = n[a:b]
         hit = np.repeat(m[a:b], reps)  # steps between successive hits, summed below
@@ -172,25 +157,18 @@ def _x2p1_sieve(xmax: int):
     and that prime, per window of x up to xmax, by `_x2p1_marks` over the
     classes of `_x2p1_classes`.
 
-    Every class carries its next hit r from window to window, filed under
-    the window that holds it, so a window visits only the classes that hit
-    it, and divides once per hit, with no trial division."""
+    Every class carries its next hit r from window to window, and each
+    window takes the classes whose next hit falls in it, so it divides once
+    per hit, with no trial division.  A class with no hit left carries
+    xmax + 1, past every window, so r stays int32."""
     p, r, k = _x2p1_classes(xmax)
-    due = [[] for _ in range(xmax // _WINDOW + 1)]
-    _file(due, np.arange(len(p), dtype=np.int32), r)
     for lo, xs in _windows(xmax):
-        c = np.concatenate(due[lo // _WINDOW] or [np.zeros(0, dtype=np.int32)])
-        due[lo // _WINDOW] = None
+        c = np.flatnonzero(r <= xs[-1])
         pc, kc, rc = p[c].astype(np.int64), k[c], r[c].astype(np.int64)
         mc = pc**kc
         n = (xs[-1] - rc) // mc + 1  # hits of each class in this window, as rc <= xs[-1]
-        marks = _x2p1_marks(xs, pc, kc, rc - lo, mc, n)
-        rc += n * mc
-        later = rc <= xmax
-        c, rc = c[later], rc[later]
-        r[c] = rc
-        _file(due, c, rc)
-        yield marks
+        yield _x2p1_marks(xs, pc, kc, rc - lo, mc, n)
+        r[c] = np.minimum(rc + n * mc, xmax + 1)
 
 
 def _strip(

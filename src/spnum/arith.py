@@ -32,22 +32,25 @@ __all__ = [
 
 
 def _sieve(limit: int) -> bytearray:
-    """Prime flags of 0..limit for limit >= 2: byte n is 1 iff n is prime."""
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes((limit - p * p) // p + 1)
+    """Prime flags of odd numbers to limit >= 2: byte i is 1 iff 2i + 1 is prime; byte 0 stands for 2."""
+    sieve = bytearray([1]) * ((limit + 1) // 2)
+    for p in range(3, isqrt(limit) + 1, 2):
+        if sieve[p // 2]:
+            sieve[p * p // 2 :: p] = bytes((len(sieve) - 1 - p * p // 2) // p + 1)
     return sieve
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array, read off `_sieve`."""
+    """All primes <= limit as an int64 array, read off `_sieve` in place."""
     import numpy as np
 
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    return np.flatnonzero(np.frombuffer(_sieve(limit), dtype=bool))
+    primes = np.flatnonzero(np.frombuffer(_sieve(limit), dtype=bool))
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 # Deterministic Miller-Rabin witness tiers.  Each entry (bound, bases) is a
 # published exhaustively-verified result: testing against `bases` is exact for
@@ -178,7 +181,7 @@ def is_prime(n: int) -> bool:
     return _bpsw(n, d, s)
 
 
-_TRIAL_PRIMES = [p for p, flag in enumerate(_sieve(999)) if flag]
+_TRIAL_PRIMES = [max(2, 2 * i + 1) for i, flag in enumerate(_sieve(999)) if flag]
 
 
 class Factorization(NamedTuple):

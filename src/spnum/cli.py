@@ -85,6 +85,23 @@ def _nat(text: str) -> int:
     return int(d)
 
 
+def _written_past(text: str, limit: int) -> bool:
+    """Whether a fraction's text alone shows its reduced numerator or
+    denominator reaching 10**limit, so it is refused unbuilt: a side of a/b
+    with more than limit digits, which int() refuses anyway, or a nonzero
+    decimal >= 10**limit or < 10**-limit, before 10**|exponent| is built."""
+    num, slash, den = text.partition("/")
+    if slash:
+        return max(sum(map(str.isdecimal, num)), sum(map(str.isdecimal, den))) > limit
+    from decimal import Decimal, InvalidOperation
+
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        return False
+    return d.is_finite() and d != 0 and not -limit <= d.adjusted() < limit
+
+
 def _plain(obj):
     """A record or dict as a dict and a list or tuple as a list, recursively."""
     if hasattr(obj, "_asdict"):
@@ -334,11 +351,13 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[int, list[str]]:
     else:
         from fractions import Fraction
 
+        limit = _digit_limit()
+        if limit and _written_past(args.value, limit):
+            raise _PastDigitLimit("the value's numerator or denominator", limit)
         try:
             q = Fraction(args.value)
         except ZeroDivisionError:  # a zero denominator, as in "1/0"
             raise ValueError(f"zero denominator: {args.value!r}") from None
-        limit = _digit_limit()
         if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
             raise _PastDigitLimit("the value's numerator or denominator", limit)
         est, label = analytic.hurwitz_zeta2(q), f"zeta(2, {q})"

@@ -1,6 +1,7 @@
 """Integer primitives against brute-force oracles."""
 
 import random
+import tracemalloc
 from itertools import count
 from math import isqrt, prod
 
@@ -47,6 +48,18 @@ def test_sieve_primes_matches_trial_division_to_2000():
             primes.append(limit)
         got = arith.sieve_primes(limit)
         assert got.dtype == np.int64 and got.tolist() == primes, limit
+
+
+def test_sieve_primes_working_set_at_1e7():
+    """sieve_primes(10^7) holds the odd numbers' flags (4.8 MiB) and the
+    primes (5.1 MiB) read off them in place, and no copy of either."""
+    tracemalloc.start()
+    try:
+        primes = arith.sieve_primes(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 664579 and peak <= 10.5 * 2**20, peak
 
 
 def test_is_prime_examples():

@@ -1066,6 +1066,23 @@ def test_sum_of_a_41_digit_square_base_answers_at_once():
     assert seconds < 1
 
 
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="text pinned at the default digit limit")
+@pytest.mark.parametrize("value", ["1e-100000000", "1/" + "7" * 4301, "7" * 4301 + "/8"],
+                         ids=["1e-100000000", "4301-digit denominator", "4301-digit numerator"])
+def test_hurwitz_value_past_digit_limit_refused_unbuilt(value):
+    """A value whose text shows it past the limit is refused by name at once:
+    10^(10^8) is never built, and int() never refuses a side of a/b in
+    CPython's own words."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_CHILD, json.dumps(["estimate", "hurwitz", value])],
+        capture_output=True, text=True, timeout=60, env=_child_env())
+    rc, out, seconds = json.loads(proc.stdout)
+    assert (rc, out, proc.stderr) == (2, "", (
+        "error: the value's numerator or denominator has more than 4300 digits, the "
+        "interpreter's int-to-str limit, which PYTHONINTMAXSTRDIGITS sets\n"))
+    assert seconds < 1
+
+
 def test_names_the_benchmark_imports_resolve():
     """perfbench imports these names from the library; they must stay."""
     assert cli.main is main

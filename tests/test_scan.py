@@ -91,11 +91,12 @@ def test_marks_match_oracle(xmax):
 
 
 def test_marks_match_oracle_across_windows(monkeypatch):
-    """Classes carried across the boundaries of 8, 31 and 123 windows mark
-    what the oracle marks at x_max = 2·10^6."""
+    """Classes carried across the boundaries of 8, 31, 123 and 1954 windows
+    mark what the oracle marks at x_max = 2·10^6, where the classes whose
+    modulus exceeds 2^31 hit once and are never taken again."""
     top = 2 * 10**6
     want = _marks(oracle_x2p1_sieve, top)
-    for window in (1 << 18, 1 << 16, 1 << 14):
+    for window in (1 << 18, 1 << 16, 1 << 14, 1 << 10):
         monkeypatch.setattr(_scan, "_WINDOW", window)
         assert _marks(_scan._x2p1_sieve, top) == want, window
 
