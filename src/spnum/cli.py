@@ -31,10 +31,6 @@ MAX_CENSUS_BOUND = 10**12  # up to 2.7·isqrt(bound) int64 entries; kp_count's t
 MAX_DIGITS_BOUND = 10**11  # class table, 4 rows: 6.9·isqrt(bound) int64 entries; peak 24.9 MiB
 MAX_SCAN_X = 10**7  # x2p1/x3p1 --bound: x2p1 sieves every x <= it in windows; x3p1 about 1.6·sqrt(it) x
 MAX_FAMILY_T = 10**5  # x3p1 --t-max: one is_prime per t (2.0 s at the cap)
-_SCAN_COST = {  # why a --bound scan past MAX_SCAN_X is refused, per kind
-    "x2p1": "the kernel sieve runs over x in windows, its time growing with x",
-    "x3p1": "the candidate scan trial-divides about 1.6·√x_max values",
-}
 
 
 def _fmt6(x: float) -> str:
@@ -120,6 +116,14 @@ def _json_text(command: str, parameters: dict, results: list) -> str:
                       indent=2)
 
 
+def _check_budget(arg: str, value: int, cap: int, budget: str, why: str, remedy: str) -> None:
+    """Refuse `arg value` past cap: it exceeds the `budget` budget, `why`
+    gives the cap and its cost, and `remedy` the constant that sets the cap."""
+    if value > cap:
+        raise ValueError(f"{arg} {value} exceeds the {budget} budget ({why}); "
+                         f"raise {remedy} to spare")
+
+
 def _check_digit_limit(refused: str, value: int, what: str, past: Callable[[int], bool]) -> None:
     """Refuse `refused value` (an option or command and its argument) when
     past(limit) holds: the largest integer of its reply, `what`, certainly has
@@ -157,11 +161,9 @@ def cmd_census(args: argparse.Namespace) -> tuple[int, list[str]]:
     bound = args.bound
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    if bound > MAX_CENSUS_BOUND:
-        raise ValueError(
-            f"bound {bound} exceeds the prime-count table budget ({MAX_CENSUS_BOUND}; "
-            "the table holds up to 2.7·isqrt(bound) int64 entries); "
-            "raise MAX_CENSUS_BOUND only with memory to spare")
+    _check_budget("bound", bound, MAX_CENSUS_BOUND, "prime-count table",
+                  f"{MAX_CENSUS_BOUND}; the table holds up to 2.7·isqrt(bound) int64 entries",
+                  "MAX_CENSUS_BOUND only with memory")
     checkpoints = args.checkpoints if args.checkpoints is not None else [bound]
     if not checkpoints:
         raise ValueError("--checkpoints names no bound")
@@ -171,19 +173,10 @@ def cmd_census(args: argparse.Namespace) -> tuple[int, list[str]]:
 
     rows = census.census_table(checkpoints, args.k, args.family)
     if args.format == "json":
-        return 0, [_json_text(
-            "census",
-            {"bound": bound, "k": args.k, "family": args.family, "checkpoints": checkpoints},
-            [
-                {
-                    "n": r.n,
-                    "exact": r.exact,
-                    "estimate": float(_fmt6(r.estimate)),
-                    "ratio": float(_fmt6(r.ratio)),
-                }
-                for r in rows
-            ],
-        )]
+        params = {"bound": bound, "k": args.k, "family": args.family, "checkpoints": checkpoints}
+        return 0, [_json_text("census", params, [
+            r._replace(estimate=float(_fmt6(r.estimate)), ratio=float(_fmt6(r.ratio)))
+            for r in rows])]
     if args.format == "csv":
         return 0, ["n,exact,estimate,ratio"] + [
             f"{r.n},{r.exact},{_fmt6(r.estimate)},{_fmt6(r.ratio)}" for r in rows]
@@ -201,11 +194,9 @@ def cmd_digits(args: argparse.Namespace) -> tuple[int, list[str]]:
     bound = args.bound
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    if bound > MAX_DIGITS_BOUND:
-        raise ValueError(
-            f"bound {bound} exceeds the class prime-count table budget ({MAX_DIGITS_BOUND}; "
-            "the table holds 6.9·isqrt(bound) int64 entries); "
-            "raise MAX_DIGITS_BOUND only with memory to spare")
+    _check_budget("bound", bound, MAX_DIGITS_BOUND, "class prime-count table",
+                  f"{MAX_DIGITS_BOUND}; the table holds 6.9·isqrt(bound) int64 entries",
+                  "MAX_DIGITS_BOUND only with memory")
     from . import analytic, census
 
     dc = census.digit_census(bound)
@@ -230,37 +221,32 @@ def cmd_digits(args: argparse.Namespace) -> tuple[int, list[str]]:
 # ----------------------------------------------------------------- witness
 
 
-def _check_scan_budget(kind: str, power: int, bound: int) -> None:
-    """Refuse a --bound scan of x^power + 1 past x = MAX_SCAN_X."""
-    if bound > MAX_SCAN_X**power + 1:
-        raise ValueError(
-            f"bound {bound} exceeds the {kind} scan budget "
-            f"(x <= {MAX_SCAN_X}, so bound <= {MAX_SCAN_X**power + 1}; {_SCAN_COST[kind]}); "
-            "raise MAX_SCAN_X only with time to spare")
-
-
 def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
-    from . import construct
+    from . import construct, pell
 
     kind = args.kind
+    # a --bound scan returns only witnesses that passed checks()
+    scanned = vars(args).get("bound") is not None
     witnesses: list
-    if kind == "gap":
+    if scanned:  # x2p1 or x3p1 --bound: every x^power + 1 up to the bound
+        power, cost = ((2, "the kernel sieve runs over x in windows, its time growing with x")
+                       if kind == "x2p1" else
+                       (3, "the candidate scan trial-divides about 1.6·√x_max values"))
+        cap = MAX_SCAN_X**power + 1
+        _check_budget("bound", args.bound, cap, f"{kind} scan",
+                      f"x <= {MAX_SCAN_X}, so bound <= {cap}; {cost}", "MAX_SCAN_X only with time")
+        witnesses = getattr(construct, f"{kind}_scan")(args.bound)
+    elif kind == "gap":
         w = construct.gap_witness(args.x)
         # hi.n is the pair's largest integer; a prime gap's Pell pair can pass the digit limit
         _check_digit_limit("gap", args.x, "the pair's larger member hi.n",
                            lambda limit: w.hi.n >= 10**limit)
         witnesses = [w]
     elif kind == "x2p1":
-        if args.bound is not None:
-            _check_scan_budget(kind, 2, args.bound)
-            witnesses = construct.x2p1_scan(args.bound)
-        else:
-            from . import pell
-
-            # n = x^2 + 1 of the last member, x running over the x^2 - 2y^2 = -1 stream after (1, 1)
-            _check_digit_limit("--count", args.count, "the last n = x²+1",
-                               lambda limit: 2 * pell.stream_log10(2, -1, args.count + 1) >= limit)
-            witnesses = construct.x2p1_stream(args.count)
+        # n = x^2 + 1 of the last member, x running over the x^2 - 2y^2 = -1 stream after (1, 1)
+        _check_digit_limit("--count", args.count, "the last n = x²+1",
+                           lambda limit: 2 * pell.stream_log10(2, -1, args.count + 1) >= limit)
+        witnesses = construct.x2p1_stream(args.count)
     elif kind == "between-squares":
         # (x + 2)^2 is the reply's largest integer; an x < 1 is refused by between_squares
         _check_digit_limit("between-squares", args.x, "the bound (x+2)²",
@@ -277,17 +263,9 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
             return 1, []
         witnesses = [w]
     else:  # x3p1
-        if args.bound is not None:
-            _check_scan_budget(kind, 3, args.bound)
-            witnesses = construct.x3p1_scan(args.bound)
-        else:
-            if args.t_max > MAX_FAMILY_T:
-                raise ValueError(
-                    f"--t-max {args.t_max} exceeds the x3p1 family budget ({MAX_FAMILY_T}; "
-                    "one primality test per t); raise MAX_FAMILY_T only with time to spare")
-            witnesses = construct.x3p1_family(args.t_max)
-    # a --bound scan returns only witnesses that passed checks()
-    scanned = vars(args).get("bound") is not None
+        _check_budget("--t-max", args.t_max, MAX_FAMILY_T, "x3p1 family",
+                      f"{MAX_FAMILY_T}; one primality test per t", "MAX_FAMILY_T only with time")
+        witnesses = construct.x3p1_family(args.t_max)
     failed = [[] if scanned else w.checks() for w in witnesses] if args.verify else None
     rc = 1 if failed is not None and any(failed) else 0
     if args.format == "json":

@@ -322,6 +322,60 @@ def test_census_budget_refused_before_counting(capsys, monkeypatch):
         main(["census", "1e12"])  # the largest bound passes the guard
 
 
+@pytest.mark.parametrize("argv, err", [
+    ("census 1000000000001",
+     "bound 1000000000001 exceeds the prime-count table budget (1000000000000; the table "
+     "holds up to 2.7·isqrt(bound) int64 entries); raise MAX_CENSUS_BOUND only with memory "
+     "to spare"),
+    ("digits 100000000001",
+     "bound 100000000001 exceeds the class prime-count table budget (100000000000; the table "
+     "holds 6.9·isqrt(bound) int64 entries); raise MAX_DIGITS_BOUND only with memory to spare"),
+    ("witness x2p1 --bound 100000000000002",
+     "bound 100000000000002 exceeds the x2p1 scan budget (x <= 10000000, so bound <= "
+     "100000000000001; the kernel sieve runs over x in windows, its time growing with x); "
+     "raise MAX_SCAN_X only with time to spare"),
+    ("witness x3p1 --bound 1000000000000000000002 --verify --format json",
+     "bound 1000000000000000000002 exceeds the x3p1 scan budget (x <= 10000000, so bound <= "
+     "1000000000000000000001; the candidate scan trial-divides about 1.6·√x_max values); "
+     "raise MAX_SCAN_X only with time to spare"),
+    ("witness x3p1 --t-max 100001",
+     "--t-max 100001 exceeds the x3p1 family budget (100000; one primality test per t); "
+     "raise MAX_FAMILY_T only with time to spare"),
+], ids=["census", "digits", "x2p1 --bound", "x3p1 --bound", "x3p1 --t-max"])
+def test_budget_refusals_at_cap_plus_one(capsys, argv, err):
+    """Each budget refusal's whole text, one past its cap."""
+    assert run(capsys, *argv.split()) == (2, "", f"error: {err}\n")
+
+
+def _census_rows(*rows):
+    return [dict(zip(("n", "exact", "estimate", "ratio"), row)) for row in rows]
+
+
+@pytest.mark.parametrize("argv, params, results", [
+    ("census 1e4 --checkpoints 1e2,1e3,1e4",
+     {"bound": 10000, "k": 2, "family": "kp", "checkpoints": [100, 1000, 10000]},
+     _census_rows((100, 21, 14.0046, 0.967086), (1000, 169, 93.3638, 1.16741),
+                  (10000, 1230, 700.228, 1.13287))),
+    ("census 1e8 --checkpoints 2,1e7,1e8",
+     {"bound": 100000000, "k": 2, "family": "kp", "checkpoints": [2, 10000000, 100000000]},
+     _census_rows((2, 0, 1.86089, 0.0), (10000000, 553539, 400130.0, 0.892199),
+                  (100000000, 4597843, 3501140.0, 0.846954))),
+    ("census 1e4 --k 3 --checkpoints 1e2,1e3,1e4",
+     {"bound": 10000, "k": 3, "family": "kp", "checkpoints": [100, 1000, 10000]},
+     _census_rows((100, 7, 4.38761, 0.322362), (1000, 55, 29.2507, 0.379927),
+                  (10000, 391, 219.38, 0.360124))),
+    ("census 1e4 --family psp --checkpoints 1e2,1e3,1e4",
+     {"bound": 10000, "k": 2, "family": "psp", "checkpoints": [100, 1000, 10000]},
+     _census_rows((100, 17, 9.82043, 0.782879), (1000, 112, 65.4695, 0.773669),
+                  (10000, 769, 491.021, 0.708275))),
+], ids=["kp k=2", "kp k=2 1e8", "kp k=3", "psp"])
+def test_census_json_golden(capsys, argv, params, results):
+    """The whole JSON reply: each row's estimate and ratio are the table's
+    6-significant-digit values, as floats."""
+    assert run(capsys, *argv.split(), "--format", "json") == (
+        0, _json_reply("census", params, results), "")
+
+
 def test_census_table_columns_align_at_13_digits(capsys, monkeypatch):
     # the counts are kp_count's; stubbed so that only the layout is under test
     exact = {10**11: 3053140646, 10**12: 27485515099}
