@@ -81,21 +81,49 @@ def _nat(text: str) -> int:
     return int(d)
 
 
-def _written_past(text: str, limit: int) -> bool:
-    """Whether a fraction's text alone shows its reduced numerator or
-    denominator reaching 10**limit, so it is refused unbuilt: a side of a/b
-    with more than limit digits, which int() refuses anyway, or a nonzero
-    decimal >= 10**limit or < 10**-limit, before 10**|exponent| is built."""
-    num, slash, den = text.partition("/")
-    if slash:
-        return max(sum(map(str.isdecimal, num)), sum(map(str.isdecimal, den))) > limit
+def _decimal(text: str):
+    """(mantissa, exponent) of a finite decimal's text, or None: the mantissa
+    read by Decimal, the exponent by int(), which unlike Decimal reads one
+    past 10**18."""
+    import re
     from decimal import Decimal, InvalidOperation
 
+    parts = re.fullmatch(r"\s*([^\seE]*)(?:[eE]([-+]?\d+(?:_\d+)*))?\s*", text)
     try:
-        d = Decimal(text)
-    except InvalidOperation:
-        return False
-    return d.is_finite() and d != 0 and not -limit <= d.adjusted() < limit
+        mantissa = Decimal(parts[1])
+    except (TypeError, InvalidOperation):  # no match, or no number
+        return None
+    return (mantissa, int(parts[2] or 0)) if mantissa.is_finite() else None
+
+
+def _rational(text: str):
+    """The Fraction that text writes, refused by name when its reduced
+    numerator or denominator reaches 10**limit.  The text alone refuses it
+    unbuilt when it shows a side of a/b with more than limit digits, which
+    int() refuses anyway, or a nonzero decimal >= 10**limit or < 10**-limit;
+    a zero decimal is 0 at once, so no 10**|exponent| is built."""
+    from fractions import Fraction
+
+    limit = _digit_limit()
+    num, slash, den = text.partition("/")
+    if slash:
+        past = max(sum(map(str.isdecimal, num)), sum(map(str.isdecimal, den))) > limit
+    elif decimal := _decimal(text):
+        mantissa, exponent = decimal
+        if not mantissa:
+            return Fraction(0)
+        past = not -limit <= mantissa.adjusted() + exponent < limit
+    else:
+        past = False
+    if limit and past:
+        raise _PastDigitLimit("the value's numerator or denominator", limit)
+    try:
+        q = Fraction(text)
+    except ZeroDivisionError:  # a zero denominator, as in "1/0"
+        raise ValueError(f"zero denominator: {text!r}") from None
+    if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
+        raise _PastDigitLimit("the value's numerator or denominator", limit)
+    return q
 
 
 def _plain(obj):
@@ -237,10 +265,13 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
                       f"x <= {MAX_SCAN_X}, so bound <= {cap}; {cost}", "MAX_SCAN_X only with time")
         witnesses = getattr(construct, f"{kind}_scan")(args.bound)
     elif kind == "gap":
-        w = construct.gap_witness(args.x)
+        try:
+            w = construct.gap_witness(args.x, _digit_limit())
+        except pell.DigitLimitError:  # the Pell x = M alone passed the limit, and hi.n >= M
+            w = None
         # hi.n is the pair's largest integer; a prime gap's Pell pair can pass the digit limit
         _check_digit_limit("gap", args.x, "the pair's larger member hi.n",
-                           lambda limit: w.hi.n >= 10**limit)
+                           lambda limit: w is None or w.hi.n >= 10**limit)
         witnesses = [w]
     elif kind == "x2p1":
         # n = x^2 + 1 of the last member, x running over the x^2 - 2y^2 = -1 stream after (1, 1)
@@ -303,11 +334,12 @@ def cmd_pell(args: argparse.Namespace) -> tuple[int, list[str]]:
     except pell.NoSolutionError as exc:
         print(exc, file=sys.stderr)
         return 1, []
+    except pell.DigitLimitError:  # the fundamental x alone passed the limit
+        start = None
     # a lower bound on the last x's log10 refuses the stream before it is composed
-    _check_digit_limit(
-        "--count", args.count, "the last x",
-        lambda limit: pell.stream_log10(args.D, args.norm, args.count, start) >= limit)
-    sols = pell.solution_stream(args.D, args.norm, args.count, start)
+    _check_digit_limit("--count", args.count, "the last x", lambda limit: args.count > 0 and (
+        start is None or pell.stream_log10(args.D, args.norm, args.count, start) >= limit))
+    sols = pell.solution_stream(args.D, args.norm, args.count, start) if args.count else []
     if args.format == "json":
         params = {"D": args.D, "norm": args.norm, "count": args.count}
         return 0, [_json_text("pell", params, sols)]
@@ -327,17 +359,7 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[int, list[str]]:
         k = _nat(args.value)
         est, label = analytic.prime_zeta(k), f"P({k})"
     else:
-        from fractions import Fraction
-
-        limit = _digit_limit()
-        if limit and _written_past(args.value, limit):
-            raise _PastDigitLimit("the value's numerator or denominator", limit)
-        try:
-            q = Fraction(args.value)
-        except ZeroDivisionError:  # a zero denominator, as in "1/0"
-            raise ValueError(f"zero denominator: {args.value!r}") from None
-        if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
-            raise _PastDigitLimit("the value's numerator or denominator", limit)
+        q = _rational(args.value)
         est, label = analytic.hurwitz_zeta2(q), f"zeta(2, {q})"
     if args.format == "json":
         return 0, [_json_text(

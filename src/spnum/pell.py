@@ -9,12 +9,14 @@ pin them against each other.
 
 from __future__ import annotations
 
+import sys
 from math import inf, isqrt, log10, sqrt
 from typing import NamedTuple
 
 __all__ = [
     "PellSolution",
     "NoSolutionError",
+    "DigitLimitError",
     "fundamental_solution",
     "negative_fundamental",
     "cf_fundamental",
@@ -38,12 +40,17 @@ class NoSolutionError(ValueError):
     """x^2 - D*y^2 = -1 has no integer solution: an answer, not a bad input."""
 
 
+class DigitLimitError(OverflowError):
+    """The fundamental solution's x would have more digits than the digit
+    limit the solve was given, so it could not be printed under that limit."""
+
+
 def _check_d(d: int) -> None:
     if d < 2 or isqrt(d) ** 2 == d:
         raise ValueError(f"D must be a non-square integer >= 2, got {d}")
 
 
-def fundamental_solution(d: int) -> PellSolution:
+def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution:
     """Minimal positive solution of x^2 - D*y^2 = 1, by chakravala.
 
     From the triple (a, b, k) with a^2 - D*b^2 = k, each step picks the
@@ -52,6 +59,12 @@ def fundamental_solution(d: int) -> PellSolution:
     ((a*m + D*b)/|k|, (a + b*m)/|k|, (m^2 - D)/k).  The first return to
     k = 1 is the fundamental solution.
 
+    The iterates a grow at every step up to that x, so the solve stops with
+    DigitLimitError once a reaches 10**digit_limit, an x that could not be
+    printed: a period of millions of steps then ends after a few thousand.
+    digit_limit defaults to the interpreter's int-to-str limit; 0, like an
+    interpreter with no limit, never stops.
+
     The admissible m are those = -m_prev (mod |k|), m_prev the previous
     step's m (0 before the first): with m = -m_prev + t*k,
     a + b*m = k*(b*t - b_prev*sign(k_prev)), so no modular inverse of b
@@ -59,6 +72,10 @@ def fundamental_solution(d: int) -> PellSolution:
     """
     _check_d(d)
     s = isqrt(d)
+    if digit_limit is None:
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 3.3219 < log2(10): an a of at most `short` bits is below 10**digit_limit
+    short = int(digit_limit * 3.3219) if digit_limit else inf
     a, b, k, m = 1, 0, 1, 0
     for _ in range(10**6):
         kk = abs(k)
@@ -69,6 +86,9 @@ def fundamental_solution(d: int) -> PellSolution:
             key=lambda mm: (abs(mm * mm - d), mm),
         )
         a, b, k = (a * m + d * b) // kk, (a + b * m) // kk, (m * m - d) // k
+        if a.bit_length() > short and a >= 10**digit_limit:
+            raise DigitLimitError(
+                f"the fundamental solution for D={d} has more than {digit_limit} digits")
         if k == 1:
             return PellSolution(d, a, b, 1)
     raise ArithmeticError(f"chakravala did not converge for D={d}")  # pragma: no cover

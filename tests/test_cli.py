@@ -1137,6 +1137,67 @@ def test_hurwitz_value_past_digit_limit_refused_unbuilt(value):
     assert seconds < 1
 
 
+def _timed_run(argv: list[str]) -> tuple[int, str, str, float]:
+    """(exit code, stdout, stderr, seconds in main) of main(argv) in a fresh
+    interpreter, which fails the test past 20 s instead of hanging it."""
+    proc = subprocess.run([sys.executable, "-c", _TIMED_CHILD, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=20, env=_child_env())
+    rc, out, seconds = json.loads(proc.stdout)
+    return rc, out, proc.stderr, seconds
+
+
+_DIGIT_BUDGET = ("exceeds the digit budget: {} would have more than 4300 digits, past the "
+                 "interpreter's int-to-str limit (4300 digits), which PYTHONINTMAXSTRDIGITS sets\n")
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="text pinned at the default digit limit")
+@pytest.mark.parametrize("argv, rc, out, err", [
+    pytest.param(*case, id=case[0]) for case in [
+        ("pell 10000000019", 2, "", "error: --count 1 " + _DIGIT_BUDGET.format("the last x")),
+        ("pell 1000000000039", 2, "", "error: --count 1 " + _DIGIT_BUDGET.format("the last x")),
+        ("witness gap 10000000019", 2, "",
+         "error: gap 10000000019 " + _DIGIT_BUDGET.format("the pair's larger member hi.n")),
+        ("witness gap 1000000000039", 2, "",
+         "error: gap 1000000000039 " + _DIGIT_BUDGET.format("the pair's larger member hi.n")),
+        ("witness gap 4000000000156 --verify --format json", 2, "",  # 4·1000000000039
+         "error: gap 4000000000156 " + _DIGIT_BUDGET.format("the pair's larger member hi.n")),
+        ("pell 1000000000039 --count 0", 0, "", ""),
+        ("pell 1000000000039 --count 0 --format json", 0,
+         _json_reply("pell", {"D": 1000000000039, "norm": 1, "count": 0}, []), ""),
+    ]
+])
+def test_pell_solve_stops_at_the_digit_limit(argv, rc, out, err):
+    """chakravala for these D would run a period of millions of steps; it
+    stops once its iterate reaches 10**4300, and each reply is the one the
+    whole solve gave."""
+    got = _timed_run(argv.split())
+    assert got[:3] == (rc, out, err)
+    assert got[3] < 1
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="text pinned at the default digit limit")
+@pytest.mark.parametrize("value, err", [
+    pytest.param(*case, id=case[0]) for case in [
+        ("1e-99999999999999999999", "the value's numerator or denominator has more than 4300 "
+         "digits, the interpreter's int-to-str limit, which PYTHONINTMAXSTRDIGITS sets"),
+        ("1e99999999999999999999", "the value's numerator or denominator has more than 4300 "
+         "digits, the interpreter's int-to-str limit, which PYTHONINTMAXSTRDIGITS sets"),
+        ("0e-10000000", "hurwitz_zeta2 requires 0 < q <= 1, got 0"),
+        ("0e-99999999999999999999", "hurwitz_zeta2 requires 0 < q <= 1, got 0"),
+        ("+0E+99999999999999999999", "hurwitz_zeta2 requires 0 < q <= 1, got 0"),
+        ("1e 99999999999999999999", "Invalid literal for Fraction: '1e 99999999999999999999'"),
+        ("1e5e99999999999999999999", "Invalid literal for Fraction: '1e5e99999999999999999999'"),
+    ]
+])
+def test_hurwitz_exponent_read_by_int_answers_at_once(value, err):
+    """An exponent past Decimal's range is read by int() and refused by name,
+    a zero decimal is 0 without 10**|exponent| being built, and text that
+    neither reads still gets Fraction's own words."""
+    rc, out, got, seconds = _timed_run(["estimate", "hurwitz", value])
+    assert (rc, out, got) == (2, "", f"error: {err}\n")
+    assert seconds < 1
+
+
 def test_names_the_benchmark_imports_resolve():
     """perfbench imports these names from the library; they must stay."""
     assert cli.main is main

@@ -7,7 +7,7 @@ from math import isqrt, prod
 import numpy as np
 import pytest
 
-from spnum import _scan, construct
+from spnum import _scan, construct, pell
 from spnum.arith import factorize, ikroot, is_prime, sieve_primes
 from spnum.classify import SpWitness, sp_decompose
 from spnum.construct import (
@@ -56,6 +56,19 @@ def test_gap_prime_case_uses_pell():
     assert sol.x**2 - p * 7 * sol.y**2 == 1
     assert w.hi == SpWitness(7 * sol.x**2, 7, sol.x)
     assert w.lo == SpWitness(p * (7 * sol.y) ** 2, p, 7 * sol.y)
+
+
+@pytest.mark.parametrize("x", [43997, 4 * 43997, 9 * 43997], ids=["prime", "4·prime", "9·prime"])
+def test_gap_pell_solve_stops_at_a_digit_limit(x):
+    """With a digit limit the PRIME case's Pell solve stops once M reaches
+    10**limit, M having 347 digits here; without one (the default) the pair
+    is built whatever its size, as for 10000019, whose hi.n has 6064 digits."""
+    m = gap_witness(43997).aux["pell"].x
+    digits = len(str(m))
+    with pytest.raises(pell.DigitLimitError, match=f"more than {digits - 1} digits"):
+        gap_witness(x, digits - 1)
+    assert gap_witness(x, digits) == gap_witness(x)
+    assert gap_witness(10000019).checks() == []
 
 
 def test_gap_roundtrip_and_case_tags():

@@ -1,12 +1,14 @@
 """Pell equation solver against brute-force minimal solutions."""
 
 import random
+import sys
 from math import inf, isqrt, log10
 
 import pytest
 
 from spnum import pell
 from spnum.pell import (
+    DigitLimitError,
     NoSolutionError,
     PellSolution,
     cf_fundamental,
@@ -77,6 +79,56 @@ def test_chakravala_agrees_with_continued_fraction_to_1e6():
     for d in [*range(101, 2001), *sorted(rng.sample(range(2001, 10**6), 200))]:
         if not _is_square(d):
             assert fundamental_solution(d) == cf_fundamental(d), d
+
+
+_SETS_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit to set")
+
+
+@_SETS_DIGIT_LIMIT
+def test_chakravala_stops_exactly_when_x_reaches_the_digit_limit():
+    """Under the interpreter's least digit limit, 640, the solve stops exactly
+    for the D whose fundamental x reaches 10**640: none up to 10**4 (the
+    largest x there has 212 digits), 19 of the D in [3·10**5, 302000].  For
+    each of those 19, a limit given one below the digit count of its x stops
+    the solve, and a limit of that count returns x."""
+    default = sys.get_int_max_str_digits()
+    stopped = []
+    try:
+        sys.set_int_max_str_digits(640)
+        for d in [*range(2, 10**4 + 1), *range(300000, 302001)]:
+            if _is_square(d):
+                continue
+            x = cf_fundamental(d).x
+            if x >= 10**640:
+                with pytest.raises(DigitLimitError, match=f"D={d} has more than 640 digits"):
+                    fundamental_solution(d)
+                stopped.append((d, x))
+            else:
+                assert fundamental_solution(d).x == x, d
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert len(stopped) == 19 and stopped[0][0] > 10**4
+    for d, x in stopped:
+        digits = len(str(x))
+        with pytest.raises(DigitLimitError):
+            fundamental_solution(d, digits - 1)
+        assert fundamental_solution(d, digits).x == x, d
+
+
+@_SETS_DIGIT_LIMIT
+def test_chakravala_without_a_digit_limit_runs_to_the_end():
+    """A limit of 0, given or set for the interpreter, means no limit."""
+    default = sys.get_int_max_str_digits()
+    d, x = 301669, cf_fundamental(301669).x  # x has 1360 digits
+    try:
+        sys.set_int_max_str_digits(1359)
+        assert fundamental_solution(d, 0).x == x
+        sys.set_int_max_str_digits(0)
+        assert fundamental_solution(d).x == x
+        assert fundamental_solution(61) == PellSolution(61, 1766319049, 226153980, 1)
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_domain_errors():
