@@ -276,7 +276,8 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
     elif kind == "x2p1":
         # n = x^2 + 1 of the last member, x running over the x^2 - 2y^2 = -1 stream after (1, 1)
         _check_digit_limit("--count", args.count, "the last n = x²+1",
-                           lambda limit: 2 * pell.stream_log10(2, -1, args.count + 1) >= limit)
+                           lambda limit: 2 * pell.stream_log10(pell.stream_start(2, -1),
+                                                               args.count + 1) >= limit)
         witnesses = construct.x2p1_stream(args.count)
     elif kind == "between-squares":
         # (x + 2)^2 is the reply's largest integer; an x < 1 is refused by between_squares
@@ -327,19 +328,19 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
 def cmd_pell(args: argparse.Namespace) -> tuple[int, list[str]]:
     from . import pell
 
-    # one solve serves the digit budget and the stream; solution_stream
-    # refuses a negative count before solving
+    # one solve serves the digit budget and the stream; a negative count is
+    # refused by solution_stream without a solve
     try:
         start = pell.stream_start(args.D, args.norm) if args.count >= 0 else None
     except pell.NoSolutionError as exc:
         print(exc, file=sys.stderr)
         return 1, []
-    except pell.DigitLimitError:  # the fundamental x alone passed the limit
+    except pell.DigitLimitError:  # the first x alone passed the limit
         start = None
     # a lower bound on the last x's log10 refuses the stream before it is composed
     _check_digit_limit("--count", args.count, "the last x", lambda limit: args.count > 0 and (
-        start is None or pell.stream_log10(args.D, args.norm, args.count, start) >= limit))
-    sols = pell.solution_stream(args.D, args.norm, args.count, start) if args.count else []
+        start is None or pell.stream_log10(start, args.count) >= limit))
+    sols = pell.solution_stream(start, args.count) if args.count else []
     if args.format == "json":
         params = {"D": args.D, "norm": args.norm, "count": args.count}
         return 0, [_json_text("pell", params, sols)]

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Collection, NamedTuple
 from .arith import factorize, ikroot, is_prime
 from .arith import sieve_primes  # noqa: F401  (the tracer test in perfbench/ reads it here)
 from .classify import SpWitness, _failed
-from .pell import fundamental_solution, solution_stream
+from .pell import fundamental_solution, solution_stream, stream_start
 
 if TYPE_CHECKING:
     import numpy as np
@@ -243,7 +243,7 @@ def x2p1_stream(count: int) -> list[X2p1Witness]:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     # drop (1, 1): n = 1 gives 2, whose square base would be 1
-    sols = solution_stream(2, -1, count + 1)[1:]
+    sols = solution_stream(stream_start(2, -1), count + 1)[1:]
     return [X2p1Witness(s.x, SpWitness(s.x**2 + 1, 2, s.y)) for s in sols]
 
 

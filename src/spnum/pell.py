@@ -94,25 +94,24 @@ def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution
     raise ArithmeticError(f"chakravala did not converge for D={d}")  # pragma: no cover
 
 
-def _cf_period(d: int) -> tuple[list[int], int, int]:
-    """CF expansion of sqrt(d): (partial quotients of one full period
-    including a0, h, k) where h/k is the convergent just before the period
-    closes, so h^2 - d*k^2 = (-1)^period_length."""
+def _cf_period(d: int) -> tuple[bool, int, int]:
+    """CF expansion of sqrt(d): (the period is odd, h, k) where h/k is the
+    convergent just before the period closes, so h^2 - d*k^2 = -1 for an odd
+    period and +1 for an even one."""
     a0 = isqrt(d)
-    quots = [a0]
     m, q, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
-    while a != 2 * a0:
+    n = 1  # partial quotients of the period so far, a0 included
+    while True:
         m = q * a - m
         q = (d - m * m) // q
         a = (a0 + m) // q
         if a == 2 * a0:
-            break
-        quots.append(a)
+            return n % 2 == 1, h, k
+        n += 1
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
-    return quots, h, k
 
 
 # public also because perfbench/checker.py checks every pell reply against it
@@ -120,8 +119,8 @@ def cf_fundamental(d: int) -> PellSolution:
     """Minimal solution of x^2 - D*y^2 = 1 via the periodic continued
     fraction of sqrt(D); independent of the chakravala route."""
     _check_d(d)
-    quots, h, k = _cf_period(d)
-    if len(quots) % 2 == 1:
+    odd, h, k = _cf_period(d)
+    if odd:
         # odd period: the period-end convergent has norm -1; square it
         h, k = h * h + d * k * k, 2 * h * k
     return PellSolution(d, h, k, 1)
@@ -135,8 +134,8 @@ def negative_fundamental(d: int) -> PellSolution | None:
     solution.
     """
     _check_d(d)
-    quots, h, k = _cf_period(d)
-    if len(quots) % 2 == 0:
+    odd, h, k = _cf_period(d)
+    if not odd:
         return None
     return PellSolution(d, h, k, -1)
 
@@ -155,12 +154,10 @@ def compose(s1: PellSolution, s2: PellSolution) -> PellSolution:
 
 
 def stream_start(d: int, norm: int) -> tuple[PellSolution, PellSolution]:
-    """(first solution of the stream for norm, fundamental +1 solution).
-
-    solution_stream and stream_log10 solve it themselves unless handed it,
-    so a caller that needs both solves once.  For norm -1 the one solve is
-    the continued fraction: the fundamental unit is the minimal -1 solution
-    squared, as in cf_fundamental."""
+    """(first solution of the stream for norm, fundamental +1 solution), the
+    one solve that solution_stream and stream_log10 take.  For norm -1 it is
+    the continued fraction: the unit is the minimal -1 solution squared, as
+    in cf_fundamental."""
     if norm not in (1, -1):
         raise ValueError(f"norm must be +1 or -1, got {norm}")
     if norm == 1:
@@ -172,15 +169,12 @@ def stream_start(d: int, norm: int) -> tuple[PellSolution, PellSolution]:
     return neg, compose(neg, neg)
 
 
-def solution_stream(
-    d: int, norm: int, count: int, start: tuple[PellSolution, PellSolution] | None = None
-) -> list[PellSolution]:
-    """The `count` smallest solutions of x^2 - D*y^2 = norm, ascending in x,
-    generated by repeated composition with the fundamental +1 solution;
-    start is stream_start(d, norm), solved here when not given."""
+def solution_stream(start: tuple[PellSolution, PellSolution], count: int) -> list[PellSolution]:
+    """The `count` smallest solutions of x^2 - D*y^2 = norm, ascending in x:
+    start = stream_start(D, norm)'s first, composed with its unit again and again."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    cur, fund = start or stream_start(d, norm)
+    cur, fund = start
     out = []
     for _ in range(count):
         out.append(cur)
@@ -193,12 +187,9 @@ def _log10_unit(s: PellSolution) -> float:
     return log10(s.x) + log10(1 + sqrt(1 - s.norm / (s.x * s.x)))
 
 
-def stream_log10(
-    d: int, norm: int, count: int, start: tuple[PellSolution, PellSolution] | None = None
-) -> float:
-    """A lower bound on log10 of the largest x of solution_stream(d, norm,
-    count), without composing; -inf when count < 1.  start is as for
-    solution_stream.
+def stream_log10(start: tuple[PellSolution, PellSolution], count: int) -> float:
+    """A lower bound on log10 of the largest x of solution_stream(start,
+    count), without composing; -inf when count < 1.
 
     The last solution's unit u = x + y*sqrt(D) is the first one's times
     the fundamental unit to the power count - 1, and x >= (u - 1)/2 >= u/4
@@ -208,6 +199,6 @@ def stream_log10(
     """
     if count < 1:
         return -inf
-    first, fund = start or stream_start(d, norm)
+    first, fund = start
     steps = min(count, 10**9) - 1
     return (_log10_unit(first) + steps * _log10_unit(fund)) * (1 - 1e-12) - log10(4)

@@ -187,16 +187,16 @@ def test_stream_start_negative_norm_skips_chakravala(monkeypatch):
 
 
 def test_solution_stream():
-    assert [(s.x, s.y) for s in solution_stream(2, -1, 3)] == [
+    assert [(s.x, s.y) for s in solution_stream(stream_start(2, -1), 3)] == [
         (1, 1), (7, 5), (41, 29)]
-    assert [(s.x, s.y) for s in solution_stream(2, 1, 2)] == [(3, 2), (17, 12)]
-    assert [(s.x, s.y) for s in solution_stream(6, 1, 1)] == [(5, 2)]
-    assert solution_stream(2, 1, 0) == []
+    assert [(s.x, s.y) for s in solution_stream(stream_start(2, 1), 2)] == [(3, 2), (17, 12)]
+    assert [(s.x, s.y) for s in solution_stream(stream_start(6, 1), 1)] == [(5, 2)]
+    assert solution_stream(stream_start(2, 1), 0) == []
 
 
 def test_solution_stream_structure():
     for d, norm in ((3, 1), (61, 1), (5, -1), (13, -1)):
-        sols = solution_stream(d, norm, 5)
+        sols = solution_stream(stream_start(d, norm), 5)
         assert len(sols) == 5
         xs = [s.x for s in sols]
         assert xs == sorted(xs) and len(set(xs)) == 5
@@ -208,22 +208,22 @@ def test_solution_stream_structure():
 
 
 def test_solution_stream_unsolvable():
-    with pytest.raises(ValueError):
-        solution_stream(3, -1, 2)
-    with pytest.raises(ValueError):
-        solution_stream(2, 5, 1)
+    with pytest.raises(NoSolutionError):
+        stream_start(3, -1)
+    with pytest.raises(ValueError, match="norm must be"):
+        stream_start(2, 5)
+    with pytest.raises(ValueError, match="count must be"):
+        solution_stream(stream_start(2, 1), -1)
 
 
 def test_stream_log10_is_a_tight_lower_bound():
     """Below log10 of every x of the stream, by less than log10(4) + 0.01."""
     for d, norm in ((2, 1), (2, -1), (3, 1), (5, -1), (61, 1), (61, -1), (94, 1), (999999, 1)):
-        sols = solution_stream(d, norm, 40)
+        start = stream_start(d, norm)
+        sols = solution_stream(start, 40)
         for count, s in enumerate(sols, 1):
-            lb = stream_log10(d, norm, count)
+            lb = stream_log10(start, count)
             assert 0 <= log10(s.x) - lb < log10(4) + 0.01, (d, norm, count)
-    assert stream_log10(2, 1, 0) == stream_log10(2, 1, -1) == -inf
-    assert stream_log10(2, 1, 10**30) == stream_log10(2, 1, 10**9)
-    with pytest.raises(ValueError, match="no integer solution"):
-        stream_log10(3, -1, 2)
-    with pytest.raises(ValueError, match="norm must be"):
-        stream_log10(2, 5, 2)
+    start = stream_start(2, 1)
+    assert stream_log10(start, 0) == stream_log10(start, -1) == -inf
+    assert stream_log10(start, 10**30) == stream_log10(start, 10**9)
