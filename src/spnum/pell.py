@@ -5,6 +5,10 @@ Two independent solving routes are kept side by side on purpose:
 `fundamental_solution` runs the chakravala iteration, `cf_fundamental`
 rebuilds the same answer from the continued fraction of sqrt(D).  Tests
 pin them against each other.
+
+Streams take the one solve of stream_start: solution_stream(stream_start(13, 1), 3).
+Both solves stop with DigitLimitError once x reaches the int-to-str limit;
+the -1 one answers D = 0 or 3 (mod 4) at once and walks a period within a budget.
 """
 
 from __future__ import annotations
@@ -50,6 +54,13 @@ def _check_d(d: int) -> None:
         raise ValueError(f"D must be a non-square integer >= 2, got {d}")
 
 
+def _limit(digit_limit: int | None) -> int:
+    """digit_limit, or for None the interpreter's int-to-str limit (0: none)."""
+    if digit_limit is None:
+        return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return digit_limit
+
+
 def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution:
     """Minimal positive solution of x^2 - D*y^2 = 1, by chakravala.
 
@@ -72,8 +83,7 @@ def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution
     """
     _check_d(d)
     s = isqrt(d)
-    if digit_limit is None:
-        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digit_limit = _limit(digit_limit)
     # 3.3219 < log2(10): an a of at most `short` bits is below 10**digit_limit
     short = int(digit_limit * 3.3219) if digit_limit else inf
     a, b, k, m = 1, 0, 1, 0
@@ -94,11 +104,14 @@ def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution
     raise ArithmeticError(f"chakravala did not converge for D={d}")  # pragma: no cover
 
 
-def _cf_period(d: int) -> tuple[bool, int, int]:
+def _cf_period(d: int, digit_limit: int = 0, steps: float = inf) -> tuple[bool, int, int]:
     """CF expansion of sqrt(d): (the period is odd, h, k) where h/k is the
     convergent just before the period closes, so h^2 - d*k^2 = -1 for an odd
-    period and +1 for an even one."""
+    period and +1 for an even one.  h and k stop growing once h reaches a
+    nonzero 10**digit_limit, and the walk goes on in the small m, q, a alone;
+    a period of more than `steps` quotients is refused with ValueError."""
     a0 = isqrt(d)
+    big = 10**digit_limit if digit_limit else inf
     m, q, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
@@ -110,14 +123,20 @@ def _cf_period(d: int) -> tuple[bool, int, int]:
         if a == 2 * a0:
             return n % 2 == 1, h, k
         n += 1
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
+        if n > steps:
+            raise ValueError(
+                f"the continued fraction of sqrt({d}) has a period of more than {steps} "
+                "steps, the walk's budget (every D <= 10**12 fits within it)")
+        if h < big:
+            h_prev, h = h, a * h + h_prev
+            k_prev, k = k, a * k + k_prev
 
 
 # public also because perfbench/checker.py checks every pell reply against it
 def cf_fundamental(d: int) -> PellSolution:
     """Minimal solution of x^2 - D*y^2 = 1 via the periodic continued
-    fraction of sqrt(D); independent of the chakravala route."""
+    fraction of sqrt(D); independent of the chakravala route, and with
+    neither digit limit nor step budget."""
     _check_d(d)
     odd, h, k = _cf_period(d)
     if odd:
@@ -126,17 +145,32 @@ def cf_fundamental(d: int) -> PellSolution:
     return PellSolution(d, h, k, 1)
 
 
-def negative_fundamental(d: int) -> PellSolution | None:
+# Cohn (Pacific J. Math. 71, 1977): the period of sqrt(D) is shorter than
+# 0.72*sqrt(D)*ln(D) for D > 7, which is below 2*10**7 for every D <= 10**12
+_PERIOD_STEPS = 2 * 10**7
+
+
+def negative_fundamental(d: int, digit_limit: int | None = None) -> PellSolution | None:
     """Minimal positive solution of x^2 - D*y^2 = -1, or None.
 
-    Solvable exactly when the continued fraction of sqrt(D) has odd period,
-    in which case the convergent closing the first period is the minimal
-    solution.
+    None at once for D = 0 or 3 (mod 4): x^2 + 1 is 1 or 2 mod 4, D*y^2 never.
+    Otherwise solvable exactly when the continued fraction of sqrt(D) has
+    odd period, in which case the convergent closing the first period is the
+    minimal solution.  digit_limit is as for fundamental_solution: an odd
+    period whose x reaches 10**digit_limit raises DigitLimitError, though the
+    walk still sees the whole period.  It is refused with ValueError past
+    _PERIOD_STEPS steps.
     """
     _check_d(d)
-    odd, h, k = _cf_period(d)
+    if d % 4 in (0, 3):
+        return None
+    digit_limit = _limit(digit_limit)
+    odd, h, k = _cf_period(d, digit_limit, _PERIOD_STEPS)
     if not odd:
         return None
+    if digit_limit and h >= 10**digit_limit:
+        raise DigitLimitError(
+            f"the minimal -1 solution for D={d} has more than {digit_limit} digits")
     return PellSolution(d, h, k, -1)
 
 
@@ -156,8 +190,8 @@ def compose(s1: PellSolution, s2: PellSolution) -> PellSolution:
 def stream_start(d: int, norm: int) -> tuple[PellSolution, PellSolution]:
     """(first solution of the stream for norm, fundamental +1 solution), the
     one solve that solution_stream and stream_log10 take.  For norm -1 it is
-    the continued fraction: the unit is the minimal -1 solution squared, as
-    in cf_fundamental."""
+    negative_fundamental's walk, under the same digit limit as chakravala's:
+    the unit is the minimal -1 solution squared, as in cf_fundamental."""
     if norm not in (1, -1):
         raise ValueError(f"norm must be +1 or -1, got {norm}")
     if norm == 1:

@@ -799,6 +799,15 @@ def test_pell_solves_once_per_request(capsys, monkeypatch, argv, solves):
     assert calls == solves
 
 
+def test_pell_negative_norm_walk_budget_refused_by_name(capsys, monkeypatch):
+    """A period past the walk's step budget is refused with exit 2 and the
+    budget's own text; 4909 has a period of 141 steps."""
+    monkeypatch.setattr(pell, "_PERIOD_STEPS", 140)
+    assert run(capsys, "pell", "4909", "--norm", "-1", "--count", "0") == (2, "", (
+        "error: the continued fraction of sqrt(4909) has a period of more than 140 steps, "
+        "the walk's budget (every D <= 10**12 fits within it)\n"))
+
+
 def test_pell_json(capsys):
     rc, out, _ = run(capsys, "pell", "6", "--format", "json")
     assert rc == 0
@@ -1164,12 +1173,21 @@ _DIGIT_BUDGET = ("exceeds the digit budget: {} would have more than 4300 digits,
         ("pell 1000000000039 --count 0", 0, "", ""),
         ("pell 1000000000039 --count 0 --format json", 0,
          _json_reply("pell", {"D": 1000000000039, "norm": 1, "count": 0}, []), ""),
+        # 3 (mod 4): no -1 solution, with no walk
+        ("pell 1000000000039 --norm -1", 1, "",
+         "x^2 - 1000000000039*y^2 = -1 has no integer solution\n"),
+        ("pell 1000000000037 --norm -1", 1, "",  # 53·59·349·916319: an even period
+         "x^2 - 1000000000037*y^2 = -1 has no integer solution\n"),
+        ("pell 1000000000061 --norm -1", 2, "",  # an odd period of 596837 steps
+         "error: --count 1 " + _DIGIT_BUDGET.format("the last x")),
+        ("pell 1000000000061 --norm -1 --count 0", 0, "", ""),
     ]
 ])
 def test_pell_solve_stops_at_the_digit_limit(argv, rc, out, err):
-    """chakravala for these D would run a period of millions of steps; it
-    stops once its iterate reaches 10**4300, and each reply is the one the
-    whole solve gave."""
+    """chakravala for these D would run a period of hundreds of thousands of
+    steps with ever larger integers; it stops once its iterate reaches
+    10**4300.  The -1 walk must see the whole period, but its convergents
+    stop growing there too.  Each reply is the one the whole solve gives."""
     got = _timed_run(argv.split())
     assert got[:3] == (rc, out, err)
     assert got[3] < 1

@@ -227,3 +227,59 @@ def test_stream_log10_is_a_tight_lower_bound():
     start = stream_start(2, 1)
     assert stream_log10(start, 0) == stream_log10(start, -1) == -inf
     assert stream_log10(start, 10**30) == stream_log10(start, 10**9)
+
+
+def test_negative_norm_mod_4_rule_answers_without_walking(monkeypatch):
+    """x^2 + 1 is 1 or 2 mod 4, so no D = 0 or 3 (mod 4) has a -1 solution;
+    the walk is not run for them, and its even period agrees for every such D <= 10**4."""
+    for d in range(3, 10**4 + 1):
+        if d % 4 in (0, 3) and not _is_square(d):
+            assert not pell._cf_period(d)[0], d
+    monkeypatch.setattr(pell, "_cf_period", lambda *args: pytest.fail("walked"))
+    for d in (3, 7, 8, 12, 1000000000039, 10**40 + 3):
+        assert negative_fundamental(d) is None
+    with pytest.raises(NoSolutionError):
+        stream_start(1000000000039, -1)
+
+
+def test_period_parity_survives_the_stopped_convergents():
+    """Under a 3-digit limit h and k stop growing, yet the walk's parity is
+    that of the whole period, for every non-square D <= 2·10**4."""
+    stopped = 0
+    for d in range(2, 2 * 10**4 + 1):
+        if _is_square(d):
+            continue
+        odd, h, k = pell._cf_period(d)
+        short = pell._cf_period(d, 3)
+        assert short[0] == odd, d
+        if h >= 1000:
+            stopped += 1
+            assert 1000 <= short[1] <= h and short[2] <= k, d
+        else:
+            assert short[1:] == (h, k), d
+    assert stopped > 10**4
+
+
+def test_negative_norm_stops_exactly_when_x_reaches_the_digit_limit():
+    """As for chakravala: a limit one below the digit count L of the minimal
+    -1 solution's x refuses it, a limit of L answers it; an even period
+    answers None under any limit."""
+    for d in (2, 13, 61, 4909, 99961, 1000033):  # x of 1 to 602 digits
+        neg = negative_fundamental(d, 0)
+        digits = len(str(neg.x))
+        if digits > 1:
+            with pytest.raises(DigitLimitError, match=f"D={d} has more than {digits - 1} digits"):
+                negative_fundamental(d, digits - 1)
+        assert negative_fundamental(d, digits) == neg, d
+    assert negative_fundamental(34, 1) is None  # even period, (35, 6) its +1 solution
+
+
+def test_negative_norm_walk_budget_refused_by_name(monkeypatch):
+    """A period of exactly the budget's length answers, one longer is refused;
+    cf_fundamental, the benchmark's oracle, walks without a budget."""
+    monkeypatch.setattr(pell, "_PERIOD_STEPS", 141)  # the period of sqrt(4909)
+    assert negative_fundamental(4909) == negative_fundamental(4909, 0)
+    monkeypatch.setattr(pell, "_PERIOD_STEPS", 140)
+    with pytest.raises(ValueError, match=r"sqrt\(4909\) has a period of more than 140 steps"):
+        negative_fundamental(4909)
+    assert cf_fundamental(4909) == fundamental_solution(4909)
