@@ -1,10 +1,10 @@
 """Exact counting of p*a^k and p1*p2^k numbers up to n.
 
-The library counts by the prime-counting identity only: `kp_count` sums
-pi(n/a^k), `psp_count` sums pi(n/p2^k), and `digit_census` sums
-pi(n/a^2; 10, c) by final digit.  The independent route, enumerating the
-members by a heap merge of per-base streams, is kept in `tests/` as the
-oracle these counts must equal exactly.
+The library counts by the prime-counting identity only: a family's members
+are m * p, m a divisor (a^k for `kp_count`, p2^k for `psp_count`) and p
+prime, so one helper sums pi(n // m), and `digit_census` sums pi(n/a^2; 10, c)
+per residue a^2 mod 10.  The independent route, enumerating the members by
+a heap merge of per-base streams, is kept in `tests/` as the oracle.
 """
 
 from __future__ import annotations
@@ -328,18 +328,29 @@ def _psp_divisors(n: int, k: int) -> np.ndarray:
     return sieve_primes(ikroot(n // 2, k) if n >= 2 else 0) ** k
 
 
-def _pi_sum(n: int, divisors: np.ndarray) -> int:
-    """The sum of pi(n // m) over the divisors m."""
-    if len(divisors) == 0:
-        return 0
-    return int(_pi_table(n, divisors)(divisors).sum())
+# each family's divisor builder and estimator; its members are m * p, m a divisor, p prime
+_FAMILIES = {
+    "kp": (_kp_divisors, analytic.kp_estimate),
+    "psp": (_psp_divisors, analytic.psp_estimate),
+}
+
+
+def _divisors(n: int, k: int, family: str) -> np.ndarray:
+    """The divisors m of family's members m * p <= n, ascending."""
+    if k < 2:
+        raise ValueError(f"{family}_count requires k >= 2, got {k}")
+    return _FAMILIES[family][0](n, k)
+
+
+def _count(n: int, k: int, family: str) -> int:
+    """Count of family's members <= n: the sum of pi(n // m) over its divisors m."""
+    ms = _divisors(n, k, family)
+    return int(_pi_table(n, ms)(ms).sum()) if len(ms) else 0
 
 
 def kp_count(n: int, k: int = 2) -> int:
     """Count of KP_k numbers <= n via the identity sum over a of pi(n/a^k)."""
-    if k < 2:
-        raise ValueError(f"kp_count requires k >= 2, got {k}")
-    return _pi_sum(n, _kp_divisors(n, k))
+    return _count(n, k, "kp")
 
 
 def psp_count(n: int, k: int = 2) -> int:
@@ -348,43 +359,31 @@ def psp_count(n: int, k: int = 2) -> int:
     The inner pi runs over all primes, so p1 = p2 cases (8 = 2*2^2) are
     counted, as the defining form allows.
     """
-    if k < 2:
-        raise ValueError(f"psp_count requires k >= 2, got {k}")
-    return _pi_sum(n, _psp_divisors(n, k))
-
-
-_RESIDUES = _ROWS + (2, 5)  # every residue mod 10 of a prime, the classes in row order
-# _DIGIT[j, t]: the final digit of p * a^2 for p = _RESIDUES[j] and a = t + 2 (mod 10)
-_DIGIT = np.array(_RESIDUES)[:, None] * np.arange(2, 12) ** 2 % 10
+    return _count(n, k, "psp")
 
 
 def digit_census(n: int) -> DigitCensus:
     """Tallies of SP numbers <= n by final decimal digit.
 
-    The final digit of p * a^2 is (p mod 10) * (a^2 mod 10) mod 10, so
-    digit d collects pi(n // a^2; 10, c) over the bases a and classes c
-    with c * a^2 = d (mod 10), from one class table for n; p = 2 and p = 5
-    add one each where n // a^2 reaches them.  a^2 mod 10 follows a mod 10,
-    so each row is first summed over the bases of each a mod 10, in one
-    exact int64 pass, and only those 6 x 10 sums are tallied by digit.
+    The final digit of p * m is (p mod 10) * (m mod 10) mod 10, so digit d
+    collects pi(n // m; 10, c) over the divisors m = a^2 and the classes c
+    with c * m = d (mod 10), from one class table for n.  Each class row is
+    first summed over the divisors of each residue m mod 10, as are p = 2
+    and p = 5, taken once by each m <= n // 2 and each m <= n // 5; only
+    those 6 x 10 sums are tallied by digit.  Both sums are `np.bincount`
+    weights, exact in float64: each partial sum is an integer below n, and
+    n < 2**53 (the CLI caps it at 10**11).
     """
     squares = _kp_divisors(n, 2)
-    bases = len(squares)  # a = 2, 3, ..., bases + 1
-    if bases == 0:
-        return DigitCensus(n, (0,) * 10)
-    got = _pi_mod10_table(n, squares)(squares)  # column c is the base a = c + 2
-    # taken[j, t]: the primes = _RESIDUES[j] (mod 10) taken by the bases a = t + 2 (mod 10)
-    cut = bases - bases % 10
-    taken = np.empty((6, 10), dtype=np.int64)
-    taken[:4] = got[:, :cut].reshape(4, -1, 10).sum(axis=1)
-    taken[:4, : bases - cut] += got[:, cut:]
-    # every base takes p = 2 (a^2 <= n // 2), and the first isqrt(n // 5) - 1 take p = 5;
-    # of the first m bases, (m + 9 - t) // 10 have a = t + 2 (mod 10)
-    m = np.array([[bases], [max(isqrt(n // 5) - 1, 0)]])
-    taken[4:] = (m + 9 - np.arange(10)) // 10
-    tally = np.zeros(10, dtype=np.int64)
-    np.add.at(tally, _DIGIT, taken)
-    return DigitCensus(n, tuple(tally.tolist()))
+    got = _pi_mod10_table(n, squares)(squares)
+    residue = squares % 10
+    # taken[j, t]: the primes of class j (_ROWS, then 2 and 5) taken by the m = t (mod 10)
+    taken = [np.bincount(residue, weights=row, minlength=10) for row in got] + [
+        np.bincount(residue[: squares.searchsorted(n // p, side="right")], minlength=10)
+        for p in (2, 5)]
+    digit = np.array(_ROWS + (2, 5))[:, None] * np.arange(10) % 10
+    tally = np.bincount(digit.ravel(), weights=np.concatenate(taken), minlength=10)
+    return DigitCensus(n, tuple(int(c) for c in tally))
 
 
 def census_table(
@@ -401,19 +400,16 @@ def census_table(
     m, which is one of N's own divisors, so N's table keeps it.  Other
     checkpoints get their own table.
     """
-    fam = family.lower()
-    if fam not in ("kp", "psp"):
+    if family not in _FAMILIES:
         raise ValueError(f"family must be 'kp' or 'psp', got {family!r}")
     if any(b < 2 for b in checkpoints):
         raise ValueError("checkpoints must be >= 2")
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must be ascending")
-    if k < 2:
-        raise ValueError(f"{fam}_count requires k >= 2, got {k}")
-    estimate = analytic.kp_estimate if fam == "kp" else analytic.psp_estimate
+    estimate = _FAMILIES[family][1]
     top = checkpoints[-1] if checkpoints else 0
     # every checkpoint's divisors are the prefix of top's that is <= n // 2
-    every = (_kp_divisors if fam == "kp" else _psp_divisors)(top, k)
+    every = _divisors(top, k, family)
     full = None  # the table for top, built on first use
     rows = []
     for n in checkpoints:
@@ -423,6 +419,6 @@ def census_table(
                 full = _pi_table(top, every)
             exact = int(full(scale * ms).sum())
         else:
-            exact = _pi_sum(n, ms)
+            exact = _count(n, k, family)
         rows.append(CensusRow(n, exact, estimate(n, k), exact * log(n) / n))
     return rows

@@ -8,7 +8,8 @@ pin them against each other.
 
 Streams take the one solve of stream_start: solution_stream(stream_start(13, 1), 3).
 Both solves stop with DigitLimitError once x reaches the int-to-str limit;
-the -1 one answers D = 0 or 3 (mod 4) at once and walks a period within a budget.
+the -1 one answers D = 0 or 3 (mod 4), or D with a prime factor p = 3 (mod 4)
+below 1000, at once and walks a period within a budget.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import sys
 from math import inf, isqrt, log10, sqrt
 from typing import NamedTuple
+
+from .arith import _TRIAL_PRIMES
 
 __all__ = [
     "PellSolution",
@@ -153,7 +156,9 @@ _PERIOD_STEPS = 2 * 10**7
 def negative_fundamental(d: int, digit_limit: int | None = None) -> PellSolution | None:
     """Minimal positive solution of x^2 - D*y^2 = -1, or None.
 
-    None at once for D = 0 or 3 (mod 4): x^2 + 1 is 1 or 2 mod 4, D*y^2 never.
+    None at once for D = 0 or 3 (mod 4): x^2 + 1 is 1 or 2 mod 4, D*y^2 never;
+    and for D with a trial prime p = 3 (mod 4), p < 1000, among its factors:
+    x^2 = -1 has no root mod such a p.
     Otherwise solvable exactly when the continued fraction of sqrt(D) has
     odd period, in which case the convergent closing the first period is the
     minimal solution.  digit_limit is as for fundamental_solution: an odd
@@ -162,7 +167,7 @@ def negative_fundamental(d: int, digit_limit: int | None = None) -> PellSolution
     _PERIOD_STEPS steps.
     """
     _check_d(d)
-    if d % 4 in (0, 3):
+    if d % 4 in (0, 3) or any(d % p == 0 for p in _TRIAL_PRIMES if p % 4 == 3):
         return None
     digit_limit = _limit(digit_limit)
     odd, h, k = _cf_period(d, digit_limit, _PERIOD_STEPS)

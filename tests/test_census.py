@@ -7,6 +7,7 @@ oracle from here.
 
 import heapq
 import random
+import re
 import tracemalloc
 from bisect import bisect_right
 from math import gcd, isqrt, log
@@ -753,7 +754,7 @@ def test_kp_count_working_set_at_1e10():
 
 def test_digit_census_working_set_at_1e10():
     """The class table's working set at 10^10: the table, one head prime's
-    index, and blocks of census._CHUNK columns gathered or repeated."""
+    index, and blocks of census._BLOCK entries gathered or repeated."""
     tracemalloc.start()
     try:
         digit_census(10**10)
@@ -811,13 +812,17 @@ def test_census_table_small_checkpoint():
 
 
 def test_census_table_validation():
-    with pytest.raises(ValueError):
-        census_table([10], 1, "kp")
-    with pytest.raises(ValueError):
-        census_table([10, 5], 2, "kp")
-    with pytest.raises(ValueError):
-        census_table([1, 10], 2, "kp")
-    with pytest.raises(ValueError):
-        census_table([10], 1, "psp")
-    with pytest.raises(ValueError):
-        census_table([10], 2, "nope")
+    """The full text of every census ValueError."""
+    for call, args, text in [
+        (census_table, ([10], 1, "kp"), "kp_count requires k >= 2, got 1"),
+        (census_table, ([10], 1, "psp"), "psp_count requires k >= 2, got 1"),
+        (kp_count, (10, 1), "kp_count requires k >= 2, got 1"),
+        (psp_count, (10, 1), "psp_count requires k >= 2, got 1"),
+        (census_table, ([10, 5], 2, "kp"), "checkpoints must be ascending"),
+        (census_table, ([1, 10], 2, "kp"), "checkpoints must be >= 2"),
+        (census_table, ([10], 2, "nope"), "family must be 'kp' or 'psp', got 'nope'"),
+        # a family is named as the CLI names it, in lower case
+        (census_table, ([10], 2, "KP"), "family must be 'kp' or 'psp', got 'KP'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            call(*args)

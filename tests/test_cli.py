@@ -1176,8 +1176,11 @@ _DIGIT_BUDGET = ("exceeds the digit budget: {} would have more than 4300 digits,
         # 3 (mod 4): no -1 solution, with no walk
         ("pell 1000000000039 --norm -1", 1, "",
          "x^2 - 1000000000039*y^2 = -1 has no integer solution\n"),
-        ("pell 1000000000037 --norm -1", 1, "",  # 53·59·349·916319: an even period
+        ("pell 1000000000037 --norm -1", 1, "",  # 53·59·349·916319: 59 = 3 (mod 4)
          "x^2 - 1000000000037*y^2 = -1 has no integer solution\n"),
+        # 67·79·18307·103200291611: 67 = 3 (mod 4), and a period past the walk's budget
+        ("pell 10000000000000000061 --norm -1", 1, "",
+         "x^2 - 10000000000000000061*y^2 = -1 has no integer solution\n"),
         ("pell 1000000000061 --norm -1", 2, "",  # an odd period of 596837 steps
          "error: --count 1 " + _DIGIT_BUDGET.format("the last x")),
         ("pell 1000000000061 --norm -1 --count 0", 0, "", ""),

@@ -230,13 +230,18 @@ def test_stream_log10_is_a_tight_lower_bound():
 
 
 def test_negative_norm_mod_4_rule_answers_without_walking(monkeypatch):
-    """x^2 + 1 is 1 or 2 mod 4, so no D = 0 or 3 (mod 4) has a -1 solution;
+    """x^2 + 1 is 1 or 2 mod 4, and x^2 = -1 has no root mod a prime p = 3 (mod 4),
+    so no D = 0 or 3 (mod 4) and no D with such a factor p < 1000 has a -1 solution;
     the walk is not run for them, and its even period agrees for every such D <= 10**4."""
-    for d in range(3, 10**4 + 1):
-        if d % 4 in (0, 3) and not _is_square(d):
-            assert not pell._cf_period(d)[0], d
+    small = [p for p in range(3, 1000, 4) if all(p % q for q in range(2, isqrt(p) + 1))]
+    ruled = [d for d in range(3, 10**4 + 1) if not _is_square(d)
+             and (d % 4 in (0, 3) or any(d % p == 0 for p in small))]
+    assert [d for d in ruled if pell._cf_period(d)[0]] == []
     monkeypatch.setattr(pell, "_cf_period", lambda *args: pytest.fail("walked"))
-    for d in (3, 7, 8, 12, 1000000000039, 10**40 + 3):
+    assert [d for d in ruled if negative_fundamental(d) is not None] == []
+    # 10000000000000000061 = 67·79·18307·103200291611 is 1 (mod 4), with a period past
+    # the walk's budget
+    for d in (1000000000039, 10**40 + 3, 10000000000000000061, 983 * (10**30 + 3)):
         assert negative_fundamental(d) is None
     with pytest.raises(NoSolutionError):
         stream_start(1000000000039, -1)
