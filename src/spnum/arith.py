@@ -8,15 +8,21 @@ The one exception is `is_prime` above ``DETERMINISTIC_PRIME_BOUND``
 Baillie-PSW test, deterministic and proven exact below 2^64, with no
 composite known to pass it but none proven not to exist.
 
-The one sieve is a bytearray of prime flags: the trial-division primes are
-read off it directly, and `sieve_primes` hands it to numpy, imported on
-that call only, so classification, factorization and Pell solving answer
-without loading numpy.
+Factoring finds every prime below 2^15 by gcd with a product of primes:
+those below 1000 from one product built at import, those in (1000, 2^15)
+from one built on the first cofactor that would otherwise go to Brent-rho.
+
+The one sieve is a bytearray of prime flags: the trial-division primes and
+the primes of the gcd product are read off it directly, and `sieve_primes`
+hands it to numpy, imported on that call only, so classification,
+factorization and Pell solving answer without loading numpy.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+import sys
+from functools import cache
+from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
@@ -155,10 +161,15 @@ def _bpsw(n: int, d: int, s: int) -> bool:
     return _strong_lucas(n)
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
+
+
 def is_prime(n: int) -> bool:
     """Primality test, exact for all n below ``DETERMINISTIC_PRIME_BOUND``.
 
-    Below the bound (~3.3e24 > 2^64) this is a deterministic strong
+    One gcd with 2·3·…·37 answers every n with a prime factor up to 37.
+    Below the bound (~3.3e24 > 2^64) the rest is a deterministic strong
     pseudoprime test with published witness sets.  Above it, it is the
     Baillie-PSW test (Baillie & Wagstaff 1980): a strong base-2 round, a
     perfect-square guard and a strong Lucas test.  That test is
@@ -167,14 +178,10 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    if gcd(n, _SMALL_PRIMORIAL) > 1:
+        return n in _SMALL_PRIMES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # the lowest set bit of n - 1
+    d = (n - 1) >> s
     for bound, bases in _MR_TIERS:
         if n < bound:
             return not any(_mr_witness(n, a, d, s) for a in bases)
@@ -182,6 +189,19 @@ def is_prime(n: int) -> bool:
 
 
 _TRIAL_PRIMES = [max(2, 2 * i + 1) for i, flag in enumerate(_sieve(999)) if flag]
+_TRIAL_PRIMORIAL = prod(_TRIAL_PRIMES)
+_GCD_TOP = 2**15  # the primes in (1000, _GCD_TOP) are found by one gcd before rho
+
+
+@cache
+def _gcd_primorial() -> int:
+    """The product of the primes in (1000, _GCD_TOP), 45530 bits, built on
+    first use by a product tree over `_sieve`."""
+    flags = _sieve(_GCD_TOP - 1)
+    level = [2 * i + 1 for i in range(500, len(flags)) if flags[i]]
+    while len(level) > 1:
+        level = [prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
 
 
 class Factorization(NamedTuple):
@@ -239,15 +259,20 @@ def _prime_divisors(n: int) -> Iterator[tuple[int, int]]:
     exactly dividing n as soon as p is proven, so that a caller needing
     only part of the factorization can stop early.
 
-    Trial division by the primes below 1000 comes first, so every cofactor
-    of the loop after it has only prime factors above 1000.
+    The primes below 1000 come first, in ascending order: g = gcd(n, their
+    product) holds exactly those dividing n, and only g's primes are divided
+    out.  Every cofactor of the loop after it has only prime factors above
+    1000, so one below 1000^2 is 1 or prime.
     Each cofactor first loses every prime already found; a perfect square
-    is replaced by its root; a composite is set aside, and rho splits it
-    only once no other cofactor is waiting, with no second primality test
-    if it comes back unchanged.  Before rho, a perfect power r^j with j an
+    is replaced by its root; a composite is set aside, and is split only
+    once no other cofactor is waiting, with no second primality test if it
+    comes back unchanged.  Before the split, a perfect power r^j with j an
     odd prime is replaced by r, since rho needs about sqrt(q) steps on q^3.
-    So n = p*q^2 takes one rho run at most, whichever factor rho returns
-    (q, p*q, p or q^2), and none for q^2 or q^3 alone.
+    The split is one gcd with the product of the primes in (1000, 2^15)
+    when that gcd lies strictly between 1 and the cofactor, else Brent-rho:
+    so rho sees a cofactor whose least prime exceeds 2^15, or one whose
+    primes all lie below it.  n = p*q^2 takes one split at most, whichever
+    factor rho returns (q, p*q, p or q^2), and none for q^2 or q^3 alone.
     """
     rest = n  # n without the prime powers yielded so far
 
@@ -259,13 +284,18 @@ def _prime_divisors(n: int) -> Iterator[tuple[int, int]]:
             e += 1
         return p, e
 
+    g = gcd(n, _TRIAL_PRIMORIAL)  # square-free with primes >= p left, so g < p^2 is 1 or prime
     for p in _TRIAL_PRIMES:
-        if p * p > rest:
-            if rest > 1:  # no prime factor below p, so rest is prime
-                yield take(rest)
-            return
-        if rest % p == 0:
+        if p * p > g:
+            if g > 1:
+                yield take(g)
+            break
+        if g % p == 0:
+            g //= p
             yield take(p)
+    if 1 < rest < 1000 * 1000:
+        yield take(rest)
+        return
     found: list[int] = []
     todo, hard = [rest], []  # hard: composite non-square cofactors
     while rest > 1:  # each prime of rest divides a waiting cofactor
@@ -279,7 +309,8 @@ def _prime_divisors(n: int) -> Iterator[tuple[int, int]]:
             if root := _odd_power_root(m):
                 todo.append(root)
             else:
-                d = _rho_split(m)
+                g = gcd(_gcd_primorial(), m)
+                d = g if 1 < g < m else _rho_split(m)
                 todo += [m // d, d]  # d, usually the smaller, comes off first
         elif m == 1:
             continue
@@ -296,8 +327,7 @@ def factorize(n: int) -> Factorization:
     """Full prime factorization of n >= 2: `_prime_divisors` drained.
 
     Suited to smooth or moderate inputs, not cryptographic sizes: Brent-rho
-    needs about sqrt(q) steps to find a prime factor q above the trial
-    division limit.
+    needs about sqrt(q) steps to find a prime factor q above 2^15.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
@@ -331,3 +361,14 @@ def ikroot(n: int, k: int) -> int:
     while (r + 1) ** k <= n:
         r += 1
     return r
+
+
+def _interpreter_digit_limit() -> int:
+    """The interpreter's int-to-str digit limit, 0 where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _reaches_pow10(n: int, e: int) -> bool:
+    """n >= 10**e for e >= 0, with 10**e built only when n's bit length
+    leaves it open: 3.3219 < log2(10), so n of at most e*3.3219 bits is less."""
+    return n.bit_length() > e * 3.3219 and n >= 10**e

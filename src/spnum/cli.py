@@ -23,6 +23,7 @@ import functools
 import sys
 from typing import Callable
 
+from .arith import _interpreter_digit_limit, _reaches_pow10
 from .classify import kp_decompose, sp_decompose
 
 # The prime-count tables hold pi at v <= r = isqrt(bound), an int32 position map of r entries,
@@ -51,11 +52,6 @@ class _PastDigitLimit(Exception):
                          "int-to-str limit, which PYTHONINTMAXSTRDIGITS sets")
 
 
-def _digit_limit() -> int:
-    """The interpreter's int-to-str digit limit, 0 where there is none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _nat(text: str) -> int:
     """Integer argument, accepting scientific notation like 1e6.  Plain ASCII
     digits are read by int(); other text, and digits int() refuses (past the
@@ -75,7 +71,7 @@ def _nat(text: str) -> int:
         raise _NotAnInteger(f"not a finite number: {text!r}")
     if d != d.to_integral_value():
         raise _NotAnInteger(f"not an integer: {text!r}")
-    limit = _digit_limit()
+    limit = _interpreter_digit_limit()
     if limit and d and d.adjusted() >= limit:
         raise _PastDigitLimit("an integer argument", limit)
     return int(d)
@@ -104,7 +100,7 @@ def _rational(text: str):
     a zero decimal is 0 at once, so no 10**|exponent| is built."""
     from fractions import Fraction
 
-    limit = _digit_limit()
+    limit = _interpreter_digit_limit()
     num, slash, den = text.partition("/")
     if slash:
         past = max(sum(map(str.isdecimal, num)), sum(map(str.isdecimal, den))) > limit
@@ -121,7 +117,7 @@ def _rational(text: str):
         q = Fraction(text)
     except ZeroDivisionError:  # a zero denominator, as in "1/0"
         raise ValueError(f"zero denominator: {text!r}") from None
-    if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
+    if limit and _reaches_pow10(max(abs(q.numerator), q.denominator), limit):
         raise _PastDigitLimit("the value's numerator or denominator", limit)
     return q
 
@@ -156,7 +152,7 @@ def _check_digit_limit(refused: str, value: int, what: str, past: Callable[[int]
     """Refuse `refused value` (an option or command and its argument) when
     past(limit) holds: the largest integer of its reply, `what`, certainly has
     more digits than the interpreter's int-to-str limit."""
-    limit = _digit_limit()
+    limit = _interpreter_digit_limit()
     if limit and past(limit):
         raise ValueError(
             f"{refused} {value} exceeds the digit budget: {what} would have more "
@@ -266,23 +262,23 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
         witnesses = getattr(construct, f"{kind}_scan")(args.bound)
     elif kind == "gap":
         try:
-            w = construct.gap_witness(args.x, _digit_limit())
+            w = construct.gap_witness(args.x, _interpreter_digit_limit())
         except pell.DigitLimitError:  # the Pell x = M alone passed the limit, and hi.n >= M
             w = None
         # hi.n is the pair's largest integer; a prime gap's Pell pair can pass the digit limit
         _check_digit_limit("gap", args.x, "the pair's larger member hi.n",
-                           lambda limit: w is None or w.hi.n >= 10**limit)
+                           lambda limit: w is None or _reaches_pow10(w.hi.n, limit))
         witnesses = [w]
     elif kind == "x2p1":
         # n = x^2 + 1 of the last member, x running over the x^2 - 2y^2 = -1 stream after (1, 1)
+        start = pell.stream_start(2, -1)
         _check_digit_limit("--count", args.count, "the last n = x²+1",
-                           lambda limit: 2 * pell.stream_log10(pell.stream_start(2, -1),
-                                                               args.count + 1) >= limit)
-        witnesses = construct.x2p1_stream(args.count)
+                           lambda limit: 2 * pell.stream_log10(start, args.count + 1) >= limit)
+        witnesses = construct.x2p1_stream(args.count, start)
     elif kind == "between-squares":
         # (x + 2)^2 is the reply's largest integer; an x < 1 is refused by between_squares
         _check_digit_limit("between-squares", args.x, "the bound (x+2)²",
-                           lambda limit: (max(args.x, 0) + 2) ** 2 >= 10**limit)
+                           lambda limit: _reaches_pow10((max(args.x, 0) + 2) ** 2, limit))
         witnesses = [construct.between_squares(args.x)]
     elif kind == "sum":
         sp = sp_decompose(args.n)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Collection, NamedTuple
 from .arith import factorize, ikroot, is_prime
 from .arith import sieve_primes  # noqa: F401  (the tracer test in perfbench/ reads it here)
 from .classify import SpWitness, _failed
-from .pell import fundamental_solution, solution_stream, stream_start
+from .pell import PellSolution, fundamental_solution, solution_stream, stream_start
 
 if TYPE_CHECKING:
     import numpy as np
@@ -237,13 +237,16 @@ def _squarefree_gap(x: int, primes: list[int], digit_limit: int) -> GapWitness:
     return GapWitness(x, hi, lo, "ODD_COMPOSITE_SF", {"p1": p1, "k": k})
 
 
-def x2p1_stream(count: int) -> list[X2p1Witness]:
+def x2p1_stream(
+    count: int, start: tuple[PellSolution, PellSolution] | None = None
+) -> list[X2p1Witness]:
     """First `count` members of the Pell family of SP numbers m^2 + 1 = 2n^2:
-    solutions of m^2 - 2n^2 = -1 with n >= 2, ascending."""
+    solutions of m^2 - 2n^2 = -1 with n >= 2, ascending.  start is
+    stream_start(2, -1), solved here when the caller has not."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     # drop (1, 1): n = 1 gives 2, whose square base would be 1
-    sols = solution_stream(stream_start(2, -1), count + 1)[1:]
+    sols = solution_stream(start or stream_start(2, -1), count + 1)[1:]
     return [X2p1Witness(s.x, SpWitness(s.x**2 + 1, 2, s.y)) for s in sols]
 
 

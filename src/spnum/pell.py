@@ -7,23 +7,24 @@ rebuilds the same answer from the continued fraction of sqrt(D).  Tests
 pin them against each other.
 
 Streams take the one solve of stream_start: solution_stream(stream_start(13, 1), 3).
-Both solves stop with DigitLimitError once x reaches the int-to-str limit;
-the -1 one answers D = 0 or 3 (mod 4), or D with a prime factor p = 3 (mod 4)
-below 1000, at once and walks a period within a budget.
+Both solves stop with DigitLimitError once x reaches the int-to-str limit,
+and with StepBudgetError past their step budgets; the -1 one answers D = 0
+or 3 (mod 4), or D with a prime factor p = 3 (mod 4) below 1000, at once by
+one gcd.
 """
 
 from __future__ import annotations
 
-import sys
-from math import inf, isqrt, log10, sqrt
+from math import gcd, inf, isqrt, log10, prod, sqrt
 from typing import NamedTuple
 
-from .arith import _TRIAL_PRIMES
+from .arith import _TRIAL_PRIMES, _interpreter_digit_limit, _reaches_pow10
 
 __all__ = [
     "PellSolution",
     "NoSolutionError",
     "DigitLimitError",
+    "StepBudgetError",
     "fundamental_solution",
     "negative_fundamental",
     "cf_fundamental",
@@ -52,6 +53,11 @@ class DigitLimitError(OverflowError):
     limit the solve was given, so it could not be printed under that limit."""
 
 
+class StepBudgetError(ValueError):
+    """A solve took more steps than its budget allows: a refused input, named
+    by the budget it passed."""
+
+
 def _check_d(d: int) -> None:
     if d < 2 or isqrt(d) ** 2 == d:
         raise ValueError(f"D must be a non-square integer >= 2, got {d}")
@@ -60,8 +66,13 @@ def _check_d(d: int) -> None:
 def _limit(digit_limit: int | None) -> int:
     """digit_limit, or for None the interpreter's int-to-str limit (0: none)."""
     if digit_limit is None:
-        return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        return _interpreter_digit_limit()
     return digit_limit
+
+
+# chakravala's steps before it is refused; with the interpreter's default
+# digit limit, the digit stop ends every solve thousands of steps sooner
+_CHAKRAVALA_STEPS = 10**6
 
 
 def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution:
@@ -77,7 +88,8 @@ def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution
     DigitLimitError once a reaches 10**digit_limit, an x that could not be
     printed: a period of millions of steps then ends after a few thousand.
     digit_limit defaults to the interpreter's int-to-str limit; 0, like an
-    interpreter with no limit, never stops.
+    interpreter with no limit, never stops; past _CHAKRAVALA_STEPS steps
+    the solve is refused with StepBudgetError.
 
     The admissible m are those = -m_prev (mod |k|), m_prev the previous
     step's m (0 before the first): with m = -m_prev + t*k,
@@ -87,10 +99,8 @@ def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution
     _check_d(d)
     s = isqrt(d)
     digit_limit = _limit(digit_limit)
-    # 3.3219 < log2(10): an a of at most `short` bits is below 10**digit_limit
-    short = int(digit_limit * 3.3219) if digit_limit else inf
     a, b, k, m = 1, 0, 1, 0
-    for _ in range(10**6):
+    for _ in range(_CHAKRAVALA_STEPS):
         kk = abs(k)
         base = -m % kk
         c1 = base + kk * max(0, (s - base) // kk)
@@ -99,12 +109,14 @@ def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution
             key=lambda mm: (abs(mm * mm - d), mm),
         )
         a, b, k = (a * m + d * b) // kk, (a + b * m) // kk, (m * m - d) // k
-        if a.bit_length() > short and a >= 10**digit_limit:
+        if digit_limit and _reaches_pow10(a, digit_limit):
             raise DigitLimitError(
                 f"the fundamental solution for D={d} has more than {digit_limit} digits")
         if k == 1:
             return PellSolution(d, a, b, 1)
-    raise ArithmeticError(f"chakravala did not converge for D={d}")  # pragma: no cover
+    raise StepBudgetError(
+        f"chakravala did not reach the fundamental solution for D={d} within "
+        f"{_CHAKRAVALA_STEPS} steps, its step budget")
 
 
 def _cf_period(d: int, digit_limit: int = 0, steps: float = inf) -> tuple[bool, int, int]:
@@ -112,9 +124,13 @@ def _cf_period(d: int, digit_limit: int = 0, steps: float = inf) -> tuple[bool, 
     convergent just before the period closes, so h^2 - d*k^2 = -1 for an odd
     period and +1 for an even one.  h and k stop growing once h reaches a
     nonzero 10**digit_limit, and the walk goes on in the small m, q, a alone;
-    a period of more than `steps` quotients is refused with ValueError."""
+    a period of more than `steps` quotients is refused with StepBudgetError."""
     a0 = isqrt(d)
-    big = 10**digit_limit if digit_limit else inf
+
+    def growing(h: int) -> bool:
+        return not (digit_limit and _reaches_pow10(h, digit_limit))
+
+    grow = growing(a0)
     m, q, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
@@ -127,12 +143,13 @@ def _cf_period(d: int, digit_limit: int = 0, steps: float = inf) -> tuple[bool, 
             return n % 2 == 1, h, k
         n += 1
         if n > steps:
-            raise ValueError(
+            raise StepBudgetError(
                 f"the continued fraction of sqrt({d}) has a period of more than {steps} "
                 "steps, the walk's budget (every D <= 10**12 fits within it)")
-        if h < big:
+        if grow:
             h_prev, h = h, a * h + h_prev
             k_prev, k = k, a * k + k_prev
+            grow = growing(h)
 
 
 # public also because perfbench/checker.py checks every pell reply against it
@@ -151,6 +168,8 @@ def cf_fundamental(d: int) -> PellSolution:
 # Cohn (Pacific J. Math. 71, 1977): the period of sqrt(D) is shorter than
 # 0.72*sqrt(D)*ln(D) for D > 7, which is below 2*10**7 for every D <= 10**12
 _PERIOD_STEPS = 2 * 10**7
+# the trial primes p = 3 (mod 4): x^2 = -1 has no root mod any of them
+_NO_MINUS_1_ROOT = prod(p for p in _TRIAL_PRIMES if p % 4 == 3)
 
 
 def negative_fundamental(d: int, digit_limit: int | None = None) -> PellSolution | None:
@@ -163,17 +182,17 @@ def negative_fundamental(d: int, digit_limit: int | None = None) -> PellSolution
     odd period, in which case the convergent closing the first period is the
     minimal solution.  digit_limit is as for fundamental_solution: an odd
     period whose x reaches 10**digit_limit raises DigitLimitError, though the
-    walk still sees the whole period.  It is refused with ValueError past
-    _PERIOD_STEPS steps.
+    walk still sees the whole period.  It is refused with StepBudgetError
+    past _PERIOD_STEPS steps.
     """
     _check_d(d)
-    if d % 4 in (0, 3) or any(d % p == 0 for p in _TRIAL_PRIMES if p % 4 == 3):
+    if d % 4 in (0, 3) or gcd(d, _NO_MINUS_1_ROOT) > 1:
         return None
     digit_limit = _limit(digit_limit)
     odd, h, k = _cf_period(d, digit_limit, _PERIOD_STEPS)
     if not odd:
         return None
-    if digit_limit and h >= 10**digit_limit:
+    if digit_limit and _reaches_pow10(h, digit_limit):
         raise DigitLimitError(
             f"the minimal -1 solution for D={d} has more than {digit_limit} digits")
     return PellSolution(d, h, k, -1)

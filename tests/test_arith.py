@@ -319,6 +319,39 @@ def test_factorize_domain():
             factorize(bad)
 
 
+_ORACLE_MASK = _sieve(2**16)
+ORACLE_PRIMES = [p for p in range(2**16) if _ORACLE_MASK[p]]
+
+
+def trial_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """The factorization of n >= 2 by the trial loop `arith._prime_divisors`
+    ran before its gcds, over the primes below 2^16 in place of those below
+    1000: exact for n < 2^32 and for n whose primes all lie below 2^16."""
+    out, rest = [], n
+    for p in ORACLE_PRIMES:
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            out.append((p, e))
+    assert rest < ORACLE_PRIMES[-1] ** 2, f"{rest} past the oracle's primes"
+    return tuple(out + [(rest, 1)] * (rest > 1))
+
+
+def test_factorize_and_is_prime_match_trial_loop_to_2e5():
+    for n in range(2, 2 * 10**5 + 1):
+        expected = trial_factors(n)
+        assert factorize(n).factors == expected, n
+        assert is_prime(n) == (expected == ((n, 1),)), n
+    # the gcd with 2·3·…·37 alone answers these
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for n in (prod(small), prod(small[1:]), 2 * 37, 37**2):
+        assert not is_prime(n), n
+
+
 def test_factorize_recombines_and_primes_verified():
     for n in range(2, 10**5 + 1):
         f = factorize(n)
@@ -388,11 +421,36 @@ def test_odd_prime_powers_skip_rho(monkeypatch):
 
 
 def test_composite_root_of_a_cube_is_what_rho_splits(monkeypatch):
-    """1009 is past trial division, so 1009^3 * Q20^3 is the cube of a
-    semiprime: rho runs once, on that root alone."""
+    """32771, the least prime above 2^15, is past the gcd's primes, so
+    32771^3 * Q20^3 is the cube of a semiprime: rho runs once, on that root
+    alone."""
     calls = _count_rho(monkeypatch)
-    assert dict(factorize(1009**3 * Q20**3).factors) == {1009: 3, Q20: 3}
-    assert calls == [1009 * Q20]
+    assert dict(factorize(32771**3 * Q20**3).factors) == {32771: 3, Q20: 3}
+    assert calls == [32771 * Q20]
+
+
+@pytest.mark.parametrize("n, factors, rho", [
+    (1009**3 * Q20**3, {1009: 3, Q20: 3}, []),  # the cube's root 1009 * Q20 is split by gcd
+    (1013 * Q20, {1013: 1, Q20: 1}, []),
+    (32749 * 32771, {32749: 1, 32771: 1}, []),  # the greatest prime below 2^15 and the least above
+    (2 * 1009**2 * 1013 * Q20, {2: 1, 1009: 2, 1013: 1, Q20: 1}, []),
+    (1009 * 1013 * Q20, {1009: 1, 1013: 1, Q20: 1}, [1009 * 1013]),
+    (1009 * 1013 * 1019, {1009: 1, 1013: 1, 1019: 1}, [1009 * 1013 * 1019, 1013 * 1019]),
+    (32771 * 32779, {32771: 1, 32779: 1}, [32771 * 32779]),
+])
+def test_primes_below_2_15_split_off_by_gcd(monkeypatch, n, factors, rho):
+    """A cofactor whose least prime lies in (1000, 2^15) needs no rho: one gcd
+    with the product of those primes splits it.  Rho sees such primes only in
+    a cofactor made of them alone, and still splits cofactors past 2^15."""
+    calls = _count_rho(monkeypatch)
+    assert dict(factorize(n).factors) == factors
+    assert calls == rho
+
+
+def test_gcd_primorial():
+    primorial, mask = arith._gcd_primorial(), _sieve(2**15)
+    assert primorial.bit_length() == 45530
+    assert primorial == prod(p for p in range(1001, 2**15) if mask[p])
 
 
 def test_odd_power_root_examples():

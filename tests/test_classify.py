@@ -155,8 +155,10 @@ P20, Q20 = 10**19 + 51, 3 * 10**19 + 41  # 20-digit primes: rho on P20 * Q20 nev
 @pytest.mark.parametrize("n, k, p, rho_runs", [
     (3 * P20 * Q20, 2, None, 0),  # stray 3 found by trial; rest = P*Q is no square
     (3 * 5**3 * P20 * Q20, 3, None, 0),  # the same for k = 3
-    (4 * 1009 * 1000003, 2, None, 1),  # rest = q*r: one split finds a stray prime
-    (1009 * 1000003 * 10000019, 2, None, 1),  # p*q*r: the first split decides
+    (4 * 32771 * 1000003, 2, None, 1),  # rest = q*r past 2^15: one rho split finds a stray prime
+    (32771 * 1000003 * 10000019, 2, None, 1),  # p*q*r: the first split decides
+    (4 * 1009 * 1000003, 2, None, 0),  # rest = q*r, q < 2^15: the gcd splits off q
+    (1009 * 1000003 * 10000019, 2, None, 0),
     (7 * (1000003 * P20) ** 2, 2, 7, 0),  # member: stray 7, rest a square
 ])
 def test_kp_decompose_stops_once_certain(monkeypatch, n, k, p, rho_runs):

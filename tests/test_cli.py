@@ -687,7 +687,7 @@ def test_witness_past_digit_limit_writes_nothing(capsys, monkeypatch, verify):
     big = 10**_DIGIT_LIMIT  # one digit past the limit
     huge = construct.X2p1Witness(big, SpWitness(big**2 + 1, 2, big))
     stream = [construct.x2p1_stream(1)[0], huge]
-    monkeypatch.setattr(construct, "x2p1_stream", lambda count: stream)
+    monkeypatch.setattr(construct, "x2p1_stream", lambda count, start: stream)
     rc, out, err = run(capsys, "witness", "x2p1", *verify)
     assert (rc, out) == (2, "")
     assert f"limit ({_DIGIT_LIMIT} digits)" in err
@@ -785,10 +785,12 @@ def test_gap_digit_budget_is_exact(capsys):
     (["pell", "61", "--count", "3"], {"fundamental_solution": [61]}),
     (["pell", "13", "--count", "0"], {"fundamental_solution": [13]}),
     (["pell", "2", "--norm", "-1", "--count", "4"], {"negative_fundamental": [2]}),
-], ids=["norm+1", "count0", "norm-1"])
+    (["witness", "x2p1", "--count", "3"], {"negative_fundamental": [2]}),
+], ids=["norm+1", "count0", "norm-1", "x2p1"])
 def test_pell_solves_once_per_request(capsys, monkeypatch, argv, solves):
     """The digit budget and the stream share one stream_start solve; a -1
-    stream squares its continued-fraction solution for the unit."""
+    stream squares its continued-fraction solution for the unit.  witness
+    x2p1 --count hands its budget's solve to construct.x2p1_stream."""
     calls = {}
     for name in ("fundamental_solution", "negative_fundamental"):
         real = getattr(pell, name)
@@ -806,6 +808,26 @@ def test_pell_negative_norm_walk_budget_refused_by_name(capsys, monkeypatch):
     assert run(capsys, "pell", "4909", "--norm", "-1", "--count", "0") == (2, "", (
         "error: the continued fraction of sqrt(4909) has a period of more than 140 steps, "
         "the walk's budget (every D <= 10**12 fits within it)\n"))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit to set")
+@pytest.mark.parametrize("argv, d", [
+    (["pell", "1000000000039"], 1000000000039),
+    (["witness", "gap", "1000000000039"], 2000000000078),  # the prime x's Pell D is 2·x
+], ids=["pell", "gap"])
+def test_chakravala_step_budget_refused_by_name(capsys, monkeypatch, argv, d):
+    """With no digit limit nothing stops chakravala early: past its step
+    budget the solve is refused with exit 2 and the budget's own text."""
+    monkeypatch.setattr(pell, "_CHAKRAVALA_STEPS", 50)
+    try:
+        sys.set_int_max_str_digits(0)
+        result = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(_DIGIT_LIMIT)
+    assert result == (2, "", (
+        f"error: chakravala did not reach the fundamental solution for D={d} "
+        "within 50 steps, its step budget\n"))
 
 
 def test_pell_json(capsys):
@@ -934,7 +956,7 @@ def _second_pell_solution_fails(monkeypatch):
 
 
 def _second_x2p1_witness_fails(monkeypatch):
-    monkeypatch.setattr(construct, "x2p1_stream", lambda count: [
+    monkeypatch.setattr(construct, "x2p1_stream", lambda count, start: [
         construct.X2p1Witness(7, SpWitness(50, 2, 5)),
         construct.X2p1Witness(_Unrenderable(18), SpWitness(325, 13, 5))])
 
@@ -1080,6 +1102,29 @@ def test_cold_path_loads_only_what_it_runs(argv, loaded):
 def test_tables_and_scans_load_numpy(argv):
     rc, loaded = _cold_run(argv)
     assert (rc, "numpy" in loaded, "dataclasses" in loaded) == (0, True, False)
+
+
+_PRIMORIAL_CHILD = """
+import contextlib, io, json, sys
+from spnum import arith
+from spnum.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(json.loads(sys.argv[1]))
+print(json.dumps([rc, arith._gcd_primorial.cache_info().currsize]))
+"""
+
+
+@pytest.mark.parametrize("n, rc, built", [
+    ("75", 0, 0),
+    ("1000003", 1, 0),  # a prime past trial division: one is_prime, no split
+    ("1087899640733", 0, 1),  # 1013 · 32771²: split by the gcd
+])
+def test_gcd_primorial_built_only_when_a_cofactor_is_split(n, rc, built):
+    """The product of the primes in (1000, 2^15) is built on the first
+    cofactor that needs a split, never at import or for classify 75."""
+    proc = subprocess.run([sys.executable, "-c", _PRIMORIAL_CHILD, json.dumps(["classify", n])],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (proc.returncode, json.loads(proc.stdout)) == (0, [rc, built]), proc.stderr
 
 
 def test_census_loads_neither_classify_nor_heapq():

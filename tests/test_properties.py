@@ -17,6 +17,7 @@ from spnum.arith import factorize, is_prime  # noqa: E402
 from spnum.census import digit_census, kp_count, psp_count  # noqa: E402
 from spnum.classify import SpWitness, kp_decompose, sp_decompose  # noqa: E402
 from spnum.construct import gap_witness, x2p1_scan, x3p1_scan  # noqa: E402
+from test_arith import ORACLE_PRIMES, trial_factors  # noqa: E402
 from test_census import (  # noqa: E402
     ONE,
     digit_tally_enumerated,
@@ -56,6 +57,20 @@ def test_decompose_roundtrip(w):
 def test_single_field_perturbation_rejected(w, field, delta):
     tampered = w._replace(**{field: getattr(w, field) + delta})
     assert tampered.checks() != []
+
+
+# primes on both sides of 1000 and of 2^15, where factoring moves from one
+# gcd to the next and from the second gcd to rho
+NEAR_GCD_BOUNDS = [p for p in ORACLE_PRIMES if 900 < p < 1100 or abs(p - 2**15) < 300]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(NEAR_GCD_BOUNDS), st.integers(1, 3)),
+                min_size=1, max_size=4, unique_by=lambda pe: pe[0]))
+def test_factorize_matches_trial_loop_near_the_gcd_bounds(powers):
+    n = prod(p**e for p, e in powers)
+    assert factorize(n).factors == trial_factors(n) == tuple(sorted(powers))
+    assert is_prime(n) == (trial_factors(n) == ((n, 1),))
 
 
 @settings(max_examples=60, deadline=None)
