@@ -143,8 +143,9 @@ def hurwitz_zeta2(q) -> Estimate:
     Absolute error below 1e-10 (in practice ~1e-13: Euler-Maclaurin tail
     past 200 head terms).
     """
-    qf = float(q)
-    if not 0.0 < qf <= 1.0:
+    # exact q first: float(q) overflows past 1e308; a q that rounds to 0.0 is refused too
+    qf = float(q) if 0 < q <= 1 else 0.0
+    if not qf > 0.0:
         raise ValueError(f"hurwitz_zeta2 requires 0 < q <= 1, got {q}")
     m = 200
     head = [(j + qf) ** -2.0 for j in range(m)]

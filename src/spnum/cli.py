@@ -262,7 +262,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
         witnesses = getattr(construct, f"{kind}_scan")(args.bound)
     elif kind == "gap":
         try:
-            w = construct.gap_witness(args.x, _interpreter_digit_limit())
+            w = construct.gap_witness(args.x)
         except pell.DigitLimitError:  # the Pell x = M alone passed the limit, and hi.n >= M
             w = None
         # hi.n is the pair's largest integer; a prime gap's Pell pair can pass the digit limit
@@ -275,6 +275,9 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
         _check_digit_limit("--count", args.count, "the last n = x²+1",
                            lambda limit: 2 * pell.stream_log10(start, args.count + 1) >= limit)
         witnesses = construct.x2p1_stream(args.count, start)
+        # the bound can fall short by up to log10 4, so the composed n decides
+        _check_digit_limit("--count", args.count, "the last n = x²+1",
+                           lambda limit: witnesses and _reaches_pow10(witnesses[-1].sp.n, limit))
     elif kind == "between-squares":
         # (x + 2)^2 is the reply's largest integer; an x < 1 is refused by between_squares
         _check_digit_limit("between-squares", args.x, "the bound (x+2)²",
@@ -337,6 +340,9 @@ def cmd_pell(args: argparse.Namespace) -> tuple[int, list[str]]:
     _check_digit_limit("--count", args.count, "the last x", lambda limit: args.count > 0 and (
         start is None or pell.stream_log10(start, args.count) >= limit))
     sols = pell.solution_stream(start, args.count) if args.count else []
+    # the bound can fall short by up to log10 4, so the composed x decides
+    _check_digit_limit("--count", args.count, "the last x",
+                       lambda limit: sols and _reaches_pow10(sols[-1].x, limit))
     if args.format == "json":
         params = {"D": args.D, "norm": args.norm, "count": args.count}
         return 0, [_json_text("pell", params, sols)]

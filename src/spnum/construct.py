@@ -177,7 +177,7 @@ class X3p1ScanWitness(NamedTuple):
         return [f"x={x}: {self.sp}  curve (p, x, y) = ({p}, {x}, {y})"]
 
 
-def gap_witness(x: int, digit_limit: int = 0) -> GapWitness:
+def gap_witness(x: int) -> GapWitness:
     """A certified pair of SP numbers differing by exactly x, for any x >= 1.
 
     Every case is read off one factorization x = t^2*s, s square-free:
@@ -193,9 +193,8 @@ def gap_witness(x: int, digit_limit: int = 0) -> GapWitness:
                         found (s = 1 gives the UNIT pair), both members
                         scaled by t^2.
 
-    A nonzero digit_limit is handed to the PRIME case's Pell solve, which
-    then stops with pell.DigitLimitError once M reaches 10**digit_limit, so
-    hi.n = x*M^2 (times t^2) would have more digits than that.
+    The PRIME case raises pell.DigitLimitError when fundamental_solution
+    does: M could not be printed, so neither could hi.n = x*M^2 (times t^2).
     """
     if x < 1:
         raise ValueError(f"gap_witness requires x >= 1, got {x}")
@@ -203,7 +202,7 @@ def gap_witness(x: int, digit_limit: int = 0) -> GapWitness:
     t = prod(p ** (e // 2) for p, e in factors)
     primes = [p for p, e in factors if e % 2]
     s = prod(primes)
-    inner = _squarefree_gap(s, primes, digit_limit)
+    inner = _squarefree_gap(s, primes)
     if t == 1:
         return inner
     hi = SpWitness(inner.hi.n * t * t, inner.hi.p, inner.hi.a * t)
@@ -211,13 +210,13 @@ def gap_witness(x: int, digit_limit: int = 0) -> GapWitness:
     return GapWitness(x, hi, lo, "NONSQUAREFREE", {"t": t, "s": s, "inner": inner})
 
 
-def _squarefree_gap(x: int, primes: list[int], digit_limit: int) -> GapWitness:
+def _squarefree_gap(x: int, primes: list[int]) -> GapWitness:
     """gap_witness of square-free x, whose ascending prime factors are `primes`."""
     if x == 1:
         return GapWitness(1, SpWitness(28, 7, 2), SpWitness(27, 3, 3), "UNIT", {})
     if len(primes) == 1:
         p = 3 if x == 2 else 2
-        sol = fundamental_solution(p * x, digit_limit)
+        sol = fundamental_solution(p * x)
         hi = SpWitness(x * sol.x**2, x, sol.x)
         lo = SpWitness(p * (x * sol.y) ** 2, p, x * sol.y)
         return GapWitness(x, hi, lo, "PRIME", {"p": p, "pell": sol})

@@ -7,10 +7,10 @@ rebuilds the same answer from the continued fraction of sqrt(D).  Tests
 pin them against each other.
 
 Streams take the one solve of stream_start: solution_stream(stream_start(13, 1), 3).
-Both solves stop with DigitLimitError once x reaches the int-to-str limit,
-and with StepBudgetError past their step budgets; the -1 one answers D = 0
-or 3 (mod 4), or D with a prime factor p = 3 (mod 4) below 1000, at once by
-one gcd.
+Both solves read the interpreter's int-to-str limit themselves and stop with
+DigitLimitError once x reaches 10**limit, an x that could not be printed, and
+with StepBudgetError past their step budgets; the -1 one answers D = 0 or
+3 (mod 4), or D with a prime factor p = 3 (mod 4) below 1000, at once by gcd.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class NoSolutionError(ValueError):
 
 
 class DigitLimitError(OverflowError):
-    """The fundamental solution's x would have more digits than the digit
-    limit the solve was given, so it could not be printed under that limit."""
+    """The fundamental solution's x would have more digits than the
+    interpreter's int-to-str limit, so it could not be printed."""
 
 
 class StepBudgetError(ValueError):
@@ -63,19 +63,12 @@ def _check_d(d: int) -> None:
         raise ValueError(f"D must be a non-square integer >= 2, got {d}")
 
 
-def _limit(digit_limit: int | None) -> int:
-    """digit_limit, or for None the interpreter's int-to-str limit (0: none)."""
-    if digit_limit is None:
-        return _interpreter_digit_limit()
-    return digit_limit
-
-
 # chakravala's steps before it is refused; with the interpreter's default
 # digit limit, the digit stop ends every solve thousands of steps sooner
 _CHAKRAVALA_STEPS = 10**6
 
 
-def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution:
+def fundamental_solution(d: int) -> PellSolution:
     """Minimal positive solution of x^2 - D*y^2 = 1, by chakravala.
 
     From the triple (a, b, k) with a^2 - D*b^2 = k, each step picks the
@@ -85,11 +78,11 @@ def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution
     k = 1 is the fundamental solution.
 
     The iterates a grow at every step up to that x, so the solve stops with
-    DigitLimitError once a reaches 10**digit_limit, an x that could not be
-    printed: a period of millions of steps then ends after a few thousand.
-    digit_limit defaults to the interpreter's int-to-str limit; 0, like an
-    interpreter with no limit, never stops; past _CHAKRAVALA_STEPS steps
-    the solve is refused with StepBudgetError.
+    DigitLimitError once a reaches 10**limit, limit the interpreter's
+    int-to-str limit, an x that could not be printed: a period of millions
+    of steps then ends after a few thousand.  An interpreter with no limit
+    (0) never stops there; past _CHAKRAVALA_STEPS steps the solve is refused
+    with StepBudgetError.
 
     The admissible m are those = -m_prev (mod |k|), m_prev the previous
     step's m (0 before the first): with m = -m_prev + t*k,
@@ -98,7 +91,7 @@ def fundamental_solution(d: int, digit_limit: int | None = None) -> PellSolution
     """
     _check_d(d)
     s = isqrt(d)
-    digit_limit = _limit(digit_limit)
+    digit_limit = _interpreter_digit_limit()
     a, b, k, m = 1, 0, 1, 0
     for _ in range(_CHAKRAVALA_STEPS):
         kk = abs(k)
@@ -172,7 +165,7 @@ _PERIOD_STEPS = 2 * 10**7
 _NO_MINUS_1_ROOT = prod(p for p in _TRIAL_PRIMES if p % 4 == 3)
 
 
-def negative_fundamental(d: int, digit_limit: int | None = None) -> PellSolution | None:
+def negative_fundamental(d: int) -> PellSolution | None:
     """Minimal positive solution of x^2 - D*y^2 = -1, or None.
 
     None at once for D = 0 or 3 (mod 4): x^2 + 1 is 1 or 2 mod 4, D*y^2 never;
@@ -180,15 +173,15 @@ def negative_fundamental(d: int, digit_limit: int | None = None) -> PellSolution
     x^2 = -1 has no root mod such a p.
     Otherwise solvable exactly when the continued fraction of sqrt(D) has
     odd period, in which case the convergent closing the first period is the
-    minimal solution.  digit_limit is as for fundamental_solution: an odd
-    period whose x reaches 10**digit_limit raises DigitLimitError, though the
-    walk still sees the whole period.  It is refused with StepBudgetError
-    past _PERIOD_STEPS steps.
+    minimal solution.  The interpreter's int-to-str limit stops it as it
+    stops fundamental_solution: an odd period whose x reaches 10**limit
+    raises DigitLimitError, though the walk still sees the whole period.  It
+    is refused with StepBudgetError past _PERIOD_STEPS steps.
     """
     _check_d(d)
     if d % 4 in (0, 3) or gcd(d, _NO_MINUS_1_ROOT) > 1:
         return None
-    digit_limit = _limit(digit_limit)
+    digit_limit = _interpreter_digit_limit()
     odd, h, k = _cf_period(d, digit_limit, _PERIOD_STEPS)
     if not odd:
         return None

@@ -133,7 +133,7 @@ def test_hurwitz_bound_and_domain():
     for r in range(1, 11):
         h = hurwitz_zeta2(Fraction(r, 10))
         assert h.abs_error_bound <= 1e-10
-    for bad in (0, -1, Fraction(11, 10), 1.5):
+    for bad in (0, -1, Fraction(11, 10), 1.5, 10**400, -(10**400), Fraction(1, 10**400)):
         with pytest.raises(ValueError):
             hurwitz_zeta2(bad)
 

@@ -717,6 +717,31 @@ def test_count_past_digit_limit_refused_before_composing(capsys, monkeypatch, ar
     assert "limit (4300 digits)" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit to set")
+@pytest.mark.parametrize("argv, limit, what", [
+    (["pell", "3", "--count", "7519"], 4300, "the last x"),
+    (["witness", "x2p1", "--count", "418"], 640, "the last n = x²+1"),
+], ids=["pell", "x2p1"])
+def test_count_just_past_digit_limit_refused_by_name(capsys, argv, limit, what):
+    """The bound that refuses a stream before composing can fall short by up
+    to log10 4, and these counts get past it: the composed last x or n then
+    refuses them by name, not by the interpreter's own text, while one count
+    less answers."""
+    count = int(argv[-1])
+    try:
+        sys.set_int_max_str_digits(limit)
+        refused = run(capsys, *argv)
+        rc, out, _ = run(capsys, *argv[:-1], str(count - 1))
+    finally:
+        sys.set_int_max_str_digits(_DIGIT_LIMIT)
+    assert refused == (2, "", (
+        f"error: --count {count} exceeds the digit budget: {what} would have more than "
+        f"{limit} digits, past the interpreter's int-to-str limit ({limit} digits), "
+        "which PYTHONINTMAXSTRDIGITS sets\n"))
+    assert rc == 0 and len(out.splitlines()) == count - 1
+
+
 @pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="gaps pinned at the default digit limit")
 @pytest.mark.parametrize("argv", [
     ["witness", "gap", "10000019"],
@@ -890,6 +915,8 @@ def test_estimate_errors(capsys):
     ("estimate prime-zeta 2.5", "error: not an integer: '2.5'\n"),
     ("estimate prime-zeta inf", "error: not a finite number: 'inf'\n"),
     ("estimate hurwitz 1/0", "error: zero denominator: '1/0'\n"),
+    # past the float range: refused on the exact q, not by float(q)'s OverflowError
+    ("estimate hurwitz 1e400", f"error: hurwitz_zeta2 requires 0 < q <= 1, got {10**400}\n"),
 ])
 def test_estimate_refusals_quote_the_input(capsys, argv, err):
     assert run(capsys, *argv.split()) == (2, "", err)

@@ -59,16 +59,33 @@ def test_gap_prime_case_uses_pell():
 
 
 @pytest.mark.parametrize("x", [43997, 4 * 43997, 9 * 43997], ids=["prime", "4·prime", "9·prime"])
-def test_gap_pell_solve_stops_at_a_digit_limit(x):
-    """With a digit limit the PRIME case's Pell solve stops once M reaches
-    10**limit, M having 347 digits here; without one (the default) the pair
-    is built whatever its size, as for 10000019, whose hi.n has 6064 digits."""
+def test_gap_pell_solve_stops_at_a_digit_limit(x, monkeypatch):
+    """The PRIME case's Pell solve stops once M reaches 10**limit, limit the
+    interpreter's, M having 347 digits here; below it the pair is built
+    whatever its size, as for 10000019, whose hi.n has 6064 digits and M
+    3029.  A limit under 640 is one the interpreter refuses to set, so
+    pell's reading of it is patched."""
     m = gap_witness(43997).aux["pell"].x
     digits = len(str(m))
+    built = gap_witness(x)
+    monkeypatch.setattr(pell, "_interpreter_digit_limit", lambda: digits - 1)
     with pytest.raises(pell.DigitLimitError, match=f"more than {digits - 1} digits"):
-        gap_witness(x, digits - 1)
-    assert gap_witness(x, digits) == gap_witness(x)
+        gap_witness(x)
+    monkeypatch.setattr(pell, "_interpreter_digit_limit", lambda: digits)
+    assert gap_witness(x) == built
+    monkeypatch.undo()
     assert gap_witness(10000019).checks() == []
+
+
+@pytest.mark.skipif(not pell._interpreter_digit_limit(), reason="no int-to-str digit limit")
+def test_library_gap_witness_stops_at_the_digit_limit(monkeypatch):
+    """The library call, like `spnum witness gap`, stops the solve for the
+    prime 1000000000039 at the interpreter's limit, long before chakravala's
+    step budget, here cut to 2·10**4 so that a solve without the stop is
+    refused by that budget at once."""
+    monkeypatch.setattr(pell, "_CHAKRAVALA_STEPS", 2 * 10**4)
+    with pytest.raises(pell.DigitLimitError, match="D=2000000000078 has more than"):
+        gap_witness(1000000000039)
 
 
 def test_gap_roundtrip_and_case_tags():

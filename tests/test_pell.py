@@ -85,50 +85,63 @@ _SETS_DIGIT_LIMIT = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit to set")
 
 
+@pytest.fixture
+def set_digit_limit():
+    """sys.set_int_max_str_digits, the interpreter's limit restored after the test."""
+    default = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(default)
+
+
+def _digit_limit(monkeypatch, limit: int) -> None:
+    """Make pell read `limit` as the interpreter's int-to-str limit, which
+    the interpreter itself refuses to set between 1 and 639."""
+    monkeypatch.setattr(pell, "_interpreter_digit_limit", lambda: limit)
+
+
 @_SETS_DIGIT_LIMIT
-def test_chakravala_stops_exactly_when_x_reaches_the_digit_limit():
+def test_chakravala_stops_exactly_when_x_reaches_the_digit_limit(set_digit_limit):
     """Under the interpreter's least digit limit, 640, the solve stops exactly
     for the D whose fundamental x reaches 10**640: none up to 10**4 (the
     largest x there has 212 digits), 19 of the D in [3·10**5, 302000].  For
-    each of those 19, a limit given one below the digit count of its x stops
-    the solve, and a limit of that count returns x."""
-    default = sys.get_int_max_str_digits()
+    each of those 19, a limit one below the digit count of its x stops the
+    solve, and a limit of that count returns x."""
     stopped = []
-    try:
-        sys.set_int_max_str_digits(640)
-        for d in [*range(2, 10**4 + 1), *range(300000, 302001)]:
-            if _is_square(d):
-                continue
-            x = cf_fundamental(d).x
-            if x >= 10**640:
-                with pytest.raises(DigitLimitError, match=f"D={d} has more than 640 digits"):
-                    fundamental_solution(d)
-                stopped.append((d, x))
-            else:
-                assert fundamental_solution(d).x == x, d
-    finally:
-        sys.set_int_max_str_digits(default)
+    set_digit_limit(640)
+    for d in [*range(2, 10**4 + 1), *range(300000, 302001)]:
+        if _is_square(d):
+            continue
+        x = cf_fundamental(d).x
+        if x >= 10**640:
+            with pytest.raises(DigitLimitError, match=f"D={d} has more than 640 digits"):
+                fundamental_solution(d)
+            stopped.append((d, x))
+        else:
+            assert fundamental_solution(d).x == x, d
     assert len(stopped) == 19 and stopped[0][0] > 10**4
-    for d, x in stopped:
-        digits = len(str(x))
+    set_digit_limit(0)
+    for d, x, digits in [(d, x, len(str(x))) for d, x in stopped]:
+        set_digit_limit(digits - 1)
         with pytest.raises(DigitLimitError):
-            fundamental_solution(d, digits - 1)
-        assert fundamental_solution(d, digits).x == x, d
+            fundamental_solution(d)
+        set_digit_limit(digits)
+        assert fundamental_solution(d).x == x, d
 
 
 @_SETS_DIGIT_LIMIT
-def test_chakravala_without_a_digit_limit_runs_to_the_end():
-    """A limit of 0, given or set for the interpreter, means no limit."""
-    default = sys.get_int_max_str_digits()
+def test_chakravala_without_a_digit_limit_runs_to_the_end(set_digit_limit, monkeypatch):
+    """A limit of 0, set for the interpreter or read from one that has no
+    limit to get, means no limit."""
     d, x = 301669, cf_fundamental(301669).x  # x has 1360 digits
-    try:
-        sys.set_int_max_str_digits(1359)
-        assert fundamental_solution(d, 0).x == x
-        sys.set_int_max_str_digits(0)
-        assert fundamental_solution(d).x == x
-        assert fundamental_solution(61) == PellSolution(61, 1766319049, 226153980, 1)
-    finally:
-        sys.set_int_max_str_digits(default)
+    set_digit_limit(1359)
+    with pytest.raises(DigitLimitError):
+        fundamental_solution(d)
+    _digit_limit(monkeypatch, 0)
+    assert fundamental_solution(d).x == x
+    monkeypatch.undo()
+    set_digit_limit(0)
+    assert fundamental_solution(d).x == x
+    assert fundamental_solution(61) == PellSolution(61, 1766319049, 226153980, 1)
 
 
 def test_domain_errors():
@@ -265,25 +278,31 @@ def test_period_parity_survives_the_stopped_convergents():
     assert stopped > 10**4
 
 
-def test_negative_norm_stops_exactly_when_x_reaches_the_digit_limit():
+def test_negative_norm_stops_exactly_when_x_reaches_the_digit_limit(monkeypatch):
     """As for chakravala: a limit one below the digit count L of the minimal
     -1 solution's x refuses it, a limit of L answers it; an even period
     answers None under any limit."""
     for d in (2, 13, 61, 4909, 99961, 1000033):  # x of 1 to 602 digits
-        neg = negative_fundamental(d, 0)
+        _digit_limit(monkeypatch, 0)
+        neg = negative_fundamental(d)
         digits = len(str(neg.x))
         if digits > 1:
+            _digit_limit(monkeypatch, digits - 1)
             with pytest.raises(DigitLimitError, match=f"D={d} has more than {digits - 1} digits"):
-                negative_fundamental(d, digits - 1)
-        assert negative_fundamental(d, digits) == neg, d
-    assert negative_fundamental(34, 1) is None  # even period, (35, 6) its +1 solution
+                negative_fundamental(d)
+        _digit_limit(monkeypatch, digits)
+        assert negative_fundamental(d) == neg, d
+    _digit_limit(monkeypatch, 1)
+    assert negative_fundamental(34) is None  # even period, (35, 6) its +1 solution
 
 
 def test_negative_norm_walk_budget_refused_by_name(monkeypatch):
     """A period of exactly the budget's length answers, one longer is refused;
     cf_fundamental, the benchmark's oracle, walks without a budget."""
     monkeypatch.setattr(pell, "_PERIOD_STEPS", 141)  # the period of sqrt(4909)
-    assert negative_fundamental(4909) == negative_fundamental(4909, 0)
+    neg = negative_fundamental(4909)
+    _digit_limit(monkeypatch, 0)
+    assert negative_fundamental(4909) == neg
     monkeypatch.setattr(pell, "_PERIOD_STEPS", 140)
     with pytest.raises(ValueError, match=r"sqrt\(4909\) has a period of more than 140 steps"):
         negative_fundamental(4909)
