@@ -147,8 +147,12 @@ def hurwitz_zeta2(q) -> Estimate:
     qf = float(q) if 0 < q <= 1 else 0.0
     if not qf > 0.0:
         raise ValueError(f"hurwitz_zeta2 requires 0 < q <= 1, got {q}")
+    try:
+        first = qf**-2.0  # the j = 0 term: zeta(2, q) exceeds it
+    except OverflowError:
+        raise ValueError(f"hurwitz_zeta2 requires q^-2 within the float range, got {q}") from None
     m = 200
-    head = [(j + qf) ** -2.0 for j in range(m)]
+    head = [first] + [(j + qf) ** -2.0 for j in range(1, m)]
     tail, trunc = _em_tail(2.0, m + qf)
     val = fsum(head + [tail])
     return Estimate(val, trunc + 8 * _EPS * val)

@@ -10,7 +10,9 @@ composite known to pass it but none proven not to exist.
 
 Factoring finds every prime below 2^15 by gcd with a product of primes:
 those below 1000 from one product built at import, those in (1000, 2^15)
-from one built on the first cofactor that would otherwise go to Brent-rho.
+from one built on the first cofactor that would otherwise go to Brent-rho,
+with the products of its blocks of 2^10 numbers, which split a gcd holding
+two or more of them.
 
 The one sieve is a bytearray of prime flags: the trial-division primes and
 the primes of the gcd product are read off it directly, and `sieve_primes`
@@ -190,18 +192,48 @@ def is_prime(n: int) -> bool:
 
 _TRIAL_PRIMES = [max(2, 2 * i + 1) for i, flag in enumerate(_sieve(999)) if flag]
 _TRIAL_PRIMORIAL = prod(_TRIAL_PRIMES)
-_GCD_TOP = 2**15  # the primes in (1000, _GCD_TOP) are found by one gcd before rho
+_GCD_TOP = 2**15  # the primes in (1000, _GCD_TOP) are found by gcd before rho
+_GCD_BLOCK = 2**10  # the span of each block of (1000, _GCD_TOP) with its own product
+
+
+@cache
+def _gcd_blocks() -> list[int]:
+    """The product of the primes of (1000, _GCD_TOP) in each block
+    [lo, lo + _GCD_BLOCK), lo = 0, _GCD_BLOCK, ..., read off `_sieve` on first use."""
+    flags = _sieve(_GCD_TOP - 1)
+    return [prod(2 * i + 1 for i in range(max(500, lo // 2), (lo + _GCD_BLOCK) // 2) if flags[i])
+            for lo in range(0, _GCD_TOP, _GCD_BLOCK)]
 
 
 @cache
 def _gcd_primorial() -> int:
     """The product of the primes in (1000, _GCD_TOP), 45530 bits, built on
-    first use by a product tree over `_sieve`."""
-    flags = _sieve(_GCD_TOP - 1)
-    level = [2 * i + 1 for i in range(500, len(flags)) if flags[i]]
+    first use by a product tree over `_gcd_blocks`."""
+    level = _gcd_blocks()
     while len(level) > 1:
         level = [prod(level[i : i + 2]) for i in range(0, len(level), 2)]
     return level[0]
+
+
+def _gcd_split(g: int) -> list[int]:
+    """The primes of g > 1, a product of distinct primes in (1000, _GCD_TOP),
+    in ascending order.  Two of them exceed 10^6, so a divisor of g below
+    _GCD_TOP is prime, and so is every divisor of g in (1000, _GCD_TOP): the
+    gcd h of g with a block's product is 1, one prime, or two or more read
+    off the block's odd numbers, and the last prime left is g itself."""
+    primes = []
+    blocks = zip(range(0, _GCD_TOP, _GCD_BLOCK), _gcd_blocks())
+    while g >= _GCD_TOP:  # two or more primes left
+        lo, block = next(blocks)
+        h = gcd(block, g)
+        g //= h
+        if h >= _GCD_TOP:
+            primes += [d for d in range(max(lo, 1000) + 1, lo + _GCD_BLOCK, 2) if h % d == 0]
+        elif h > 1:
+            primes.append(h)
+    if g > 1:
+        primes.append(g)
+    return primes
 
 
 class Factorization(NamedTuple):
@@ -268,11 +300,11 @@ def _prime_divisors(n: int) -> Iterator[tuple[int, int]]:
     once no other cofactor is waiting, with no second primality test if it
     comes back unchanged.  Before the split, a perfect power r^j with j an
     odd prime is replaced by r, since rho needs about sqrt(q) steps on q^3.
-    The split is one gcd with the product of the primes in (1000, 2^15)
-    when that gcd lies strictly between 1 and the cofactor, else Brent-rho:
-    so rho sees a cofactor whose least prime exceeds 2^15, or one whose
-    primes all lie below it.  n = p*q^2 takes one split at most, whichever
-    factor rho returns (q, p*q, p or q^2), and none for q^2 or q^3 alone.
+    The split is one gcd g with the product of the primes in (1000, 2^15):
+    when g > 1 its primes, read off by `_gcd_split`, are proven at once, and
+    only a cofactor with g = 1 goes to Brent-rho, so rho sees only primes
+    above 2^15.  n = p*q^2 takes one split at most, whichever factor rho
+    returns (q, p*q, p or q^2), and none for q^2 or q^3 alone.
     """
     rest = n  # n without the prime powers yielded so far
 
@@ -308,9 +340,13 @@ def _prime_divisors(n: int) -> Iterator[tuple[int, int]]:
         if not easy and m == before:
             if root := _odd_power_root(m):
                 todo.append(root)
+            elif (g := gcd(_gcd_primorial(), m)) > 1:
+                for p in _gcd_split(g):
+                    found.append(p)
+                    yield take(p)
+                todo.append(m)  # loses g's primes when popped
             else:
-                g = gcd(_gcd_primorial(), m)
-                d = g if 1 < g < m else _rho_split(m)
+                d = _rho_split(m)
                 todo += [m // d, d]  # d, usually the smaller, comes off first
         elif m == 1:
             continue

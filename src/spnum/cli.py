@@ -2,9 +2,9 @@
 generation with independent re-verification, Pell solving, and the analytic
 constants.
 
+A command builds only the parser it runs, and imports only what it runs:
 `census`, `construct`, `analytic`, `pell`, `json`, `decimal` and `fractions`
-are imported by the commands that use them, and numpy only by a census,
-digit table or --bound scan, so a command loads only what it runs.
+in the commands that use them, numpy in a census, digit table or --bound scan.
 
 Output is deterministic: stable ordering and fixed float formatting
 (6 significant digits in census/digit tables, 12 for the analytic
@@ -402,85 +402,85 @@ def cmd_bunyakovsky(args: argparse.Namespace) -> tuple[int, list[str]]:
 # -------------------------------------------------------------------- main
 
 
+_NAT, _K = {"type": _nat}, {"--k": {"type": int, "default": 2}}
+_JSON = {"--format": {"choices": ("table", "json"), "default": "table"}}
+_CSV = {"--format": {"choices": ("table", "json", "csv"), "default": "table"}}
+_KIND = {"--verify": {"action": "store_true",  # every witness kind ends with these two
+                      "help": "re-check each witness with the independent verifier"}, **_JSON}
+_SCAN = {"--bound": {**_NAT, "help": "scan all forms up to bound instead"}, **_KIND}
+
+# Every command, declared once: its words -> (help, handler, its arguments in order, each
+# name with its add_argument keywords).  A path without a handler groups the paths below it.
+_COMMANDS: dict[tuple[str, ...], tuple[str, Callable | None, dict[str, dict]]] = {
+    ("classify",): ("decompose n as p·aᵏ if possible", cmd_classify, {"n": _NAT, **_K, **_JSON}),
+    ("census",): ("exact counts vs analytic estimate", cmd_census, {
+        "bound": _NAT, **_K, "--family": {"choices": ("kp", "psp"), "default": "kp"},
+        "--checkpoints": {"type": _parse_checkpoints}, **_CSV}),
+    ("digits",): ("SP counts by final decimal digit", cmd_digits, {"bound": _NAT, **_CSV}),
+    ("witness",): ("construct certified witnesses", None, {}),
+    ("witness", "gap"): ("pair of SP numbers differing by x", cmd_witness, {"x": _NAT, **_KIND}),
+    ("witness", "x2p1"): ("SP numbers of the form x²+1", cmd_witness, {
+        "--count": {"type": _nat, "default": 3, "help": "Pell-family members (default)"}, **_SCAN}),
+    ("witness", "between-squares"): ("SP number 2n² in (x², (x+2)²)", cmd_witness,
+                                     {"x": _NAT, **_KIND}),
+    ("witness", "sum"): ("split an SP number into two SP numbers", cmd_witness,
+                         {"n": _NAT, **_KIND}),
+    ("witness", "x3p1"): ("SP numbers of the form x³+1", cmd_witness, {"--t-max": {
+        "type": _nat, "default": 10, "help": "parametric family up to t (default)"}, **_SCAN}),
+    ("pell",): ("solve x² - D·y² = ±1", cmd_pell, {
+        "D": _NAT, "--norm": {"type": int, "choices": (1, -1), "default": 1},
+        "--count": {"type": _nat, "default": 1}, **_JSON}),
+    ("estimate",): ("zeta-family constants with error bounds", cmd_estimate, {
+        "what": {"choices": ("zeta", "prime-zeta", "hurwitz")},
+        "value": {"help": "integer k for zeta/prime-zeta, rational q for hurwitz"}, **_JSON}),
+    ("bunyakovsky-report",): ("prime-generating checks for t⁴-3t²+3", cmd_bunyakovsky, _JSON),
+}
+
+
+@functools.cache
+def _command_parser(path: tuple[str, ...]) -> argparse.ArgumentParser:
+    """One command's parser, named as in the full tree, built on its first request."""
+    _, handler, arguments = _COMMANDS[path]
+    parser = argparse.ArgumentParser(prog="spnum " + " ".join(path))
+    for name, options in arguments.items():
+        parser.add_argument(name, **options)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The spnum parser, built on the first call and reused by every later one."""
-    ap = argparse.ArgumentParser(
-        prog="spnum",
-        description="SP (p·a²), KP_k (p·aᵏ) and PSP (p₁·p₂²) numbers: "
-        "classify, count, estimate, and construct certified witnesses.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="decompose n as p·aᵏ if possible")
-    p.add_argument("n", type=_nat)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("census", help="exact counts vs analytic estimate")
-    p.add_argument("bound", type=_nat)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--family", choices=("kp", "psp"), default="kp")
-    p.add_argument("--checkpoints", type=_parse_checkpoints, default=None)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("digits", help="SP counts by final decimal digit")
-    p.add_argument("bound", type=_nat)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_digits)
-
-    p = sub.add_parser("witness", help="construct certified witnesses")
-    wsub = p.add_subparsers(dest="kind", required=True)
-
-    w = wsub.add_parser("gap", help="pair of SP numbers differing by x")
-    w.add_argument("x", type=_nat)
-
-    w = wsub.add_parser("x2p1", help="SP numbers of the form x²+1")
-    w.add_argument("--count", type=_nat, default=3, help="Pell-family members (default)")
-    w.add_argument("--bound", type=_nat, default=None, help="scan all forms up to bound instead")
-
-    w = wsub.add_parser("between-squares", help="SP number 2n² in (x², (x+2)²)")
-    w.add_argument("x", type=_nat)
-
-    w = wsub.add_parser("sum", help="split an SP number into two SP numbers")
-    w.add_argument("n", type=_nat)
-
-    w = wsub.add_parser("x3p1", help="SP numbers of the form x³+1")
-    w.add_argument("--t-max", dest="t_max", type=_nat, default=10,
-                   help="parametric family up to t (default)")
-    w.add_argument("--bound", type=_nat, default=None, help="scan all forms up to bound instead")
-
-    for w in wsub.choices.values():
-        w.add_argument("--verify", action="store_true",
-                       help="re-check each witness with the independent verifier")
-        w.add_argument("--format", choices=("table", "json"), default="table")
-        w.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("pell", help="solve x² - D·y² = ±1")
-    p.add_argument("D", type=_nat)
-    p.add_argument("--norm", type=int, choices=(1, -1), default=1)
-    p.add_argument("--count", type=_nat, default=1)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_pell)
-
-    p = sub.add_parser("estimate", help="zeta-family constants with error bounds")
-    p.add_argument("what", choices=("zeta", "prime-zeta", "hurwitz"))
-    p.add_argument("value", help="integer k for zeta/prime-zeta, rational q for hurwitz")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("bunyakovsky-report", help="prime-generating checks for t⁴-3t²+3")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_bunyakovsky)
-
+    """The full spnum tree, built from the table on the first request that no
+    command parser serves, and reused by every later one."""
+    ap = argparse.ArgumentParser(prog="spnum", description="SP (p·a²), KP_k (p·aᵏ) and PSP "
+                                 "(p₁·p₂²) numbers: classify, count, estimate, and construct "
+                                 "certified witnesses.")
+    groups = {(): ap.add_subparsers(dest="command", required=True)}
+    for path, (help_text, handler, _) in _COMMANDS.items():
+        # a command takes its arguments, help action included, from its own parser
+        p = groups[path[:-1]].add_parser(path[-1], help=help_text, add_help=not handler,
+                                         parents=[_command_parser(path)] if handler else [])
+        if not handler:
+            groups[path] = p.add_subparsers(dest="kind", required=True)
     return ap
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the parser of the command its leading words name, into the
+    namespace the full tree would start, so vars() keeps its key order.  Help, a
+    bare or unknown command and an argument left unparsed go to the full tree."""
+    for path in (tuple(argv[:2]), tuple(argv[:1])):
+        if path in _COMMANDS and _COMMANDS[path][1]:
+            start = argparse.Namespace(**dict(zip(("command", "kind"), path)))
+            args, rest = _command_parser(path).parse_known_args(argv[len(path):], start)
+            if not rest:
+                return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         rc, lines = args.func(args)
     except (ValueError, _PastDigitLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Series constants: closed forms, direct-sum windows, certified bounds."""
 
+import sys
 from fractions import Fraction
-from math import log, pi
+from math import isfinite, log, nextafter, pi
 
 import numpy as np
 import pytest
@@ -135,6 +136,28 @@ def test_hurwitz_bound_and_domain():
         assert h.abs_error_bound <= 1e-10
     for bad in (0, -1, Fraction(11, 10), 1.5, 10**400, -(10**400), Fraction(1, 10**400)):
         with pytest.raises(ValueError):
+            hurwitz_zeta2(bad)
+
+
+def test_hurwitz_refuses_q_whose_inverse_square_passes_the_float_range():
+    """zeta(2, q) > q^-2, so the least q that answers is the least float whose
+    q^-2 is finite; the float below it, 1e-160 and 1e-300 are refused by name."""
+    def overflows(q: float) -> bool:
+        try:
+            q**-2.0
+        except OverflowError:
+            return True
+        return False
+
+    least = sys.float_info.max**-0.5
+    while not overflows(nextafter(least, 0)):
+        least = nextafter(least, 0)
+    while overflows(least):
+        least = nextafter(least, 1)
+    h = hurwitz_zeta2(Fraction(least))
+    assert isfinite(h.value) and h.value >= least**-2.0
+    for bad in (Fraction(nextafter(least, 0)), Fraction(1, 10**160), Fraction(1, 10**300)):
+        with pytest.raises(ValueError, match=r"q\^-2 within the float range"):
             hurwitz_zeta2(bad)
 
 

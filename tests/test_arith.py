@@ -434,17 +434,28 @@ def test_composite_root_of_a_cube_is_what_rho_splits(monkeypatch):
     (1013 * Q20, {1013: 1, Q20: 1}, []),
     (32749 * 32771, {32749: 1, 32771: 1}, []),  # the greatest prime below 2^15 and the least above
     (2 * 1009**2 * 1013 * Q20, {2: 1, 1009: 2, 1013: 1, Q20: 1}, []),
-    (1009 * 1013 * Q20, {1009: 1, 1013: 1, Q20: 1}, [1009 * 1013]),
-    (1009 * 1013 * 1019, {1009: 1, 1013: 1, 1019: 1}, [1009 * 1013 * 1019, 1013 * 1019]),
+    (1009 * 1013 * Q20, {1009: 1, 1013: 1, Q20: 1}, []),
+    (1009 * 1013 * 1019, {1009: 1, 1013: 1, 1019: 1}, []),
     (32771 * 32779, {32771: 1, 32779: 1}, [32771 * 32779]),
 ])
 def test_primes_below_2_15_split_off_by_gcd(monkeypatch, n, factors, rho):
-    """A cofactor whose least prime lies in (1000, 2^15) needs no rho: one gcd
-    with the product of those primes splits it.  Rho sees such primes only in
-    a cofactor made of them alone, and still splits cofactors past 2^15."""
+    """A cofactor with a prime in (1000, 2^15) needs no rho: one gcd with the
+    product of those primes splits it, however many of them it holds.  Rho
+    still splits cofactors past 2^15."""
     calls = _count_rho(monkeypatch)
     assert dict(factorize(n).factors) == factors
     assert calls == rho
+
+
+def test_gcd_split_reads_every_prime_of_the_gcd():
+    """Two or more primes in (1000, 2^15), in one block of the product or in
+    several (2039 and 2053 straddle 2^11), come back in ascending order, each
+    once; one prime is g itself."""
+    mask = _sieve(2**15)
+    primes = [p for p in range(1001, 2**15) if mask[p]]
+    for chosen in (primes[:2], [2039, 2053], primes[:64] + primes[-1:], primes[::97], primes):
+        assert arith._gcd_split(prod(chosen)) == chosen
+    assert arith._gcd_split(32749) == [32749]
 
 
 def test_gcd_primorial():

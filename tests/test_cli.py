@@ -199,6 +199,52 @@ def test_parser_reused_after_errors(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
+_COMMAND_PATHS = [list(path) for path, (_, handler, _) in cli._COMMANDS.items() if handler]
+
+
+def _dispatch_cases():
+    """Help, a missing argument, an invalid choice and unrecognized arguments
+    for every command, then help, usage and the argument forms argparse reads
+    itself: a bad integer, --k=3, an abbreviation, --, a negative number."""
+    for path in _COMMAND_PATHS:
+        yield path + ["-h"]
+        yield path  # a missing argument, except for bunyakovsky-report
+        yield path + ["--format", "xml"]
+        yield path + ["1", "--bogus"]
+    yield from ([], ["-h"], ["bogus"], ["witness"], ["witness", "-h"], ["witness", "bogus"],
+                ["-h", "classify"], ["witness", "--verify", "gap", "12"], ["estimate", "bogus", "1"],
+                ["classify", "abc"], ["classify", "75", "--k", "x"], ["classify", "75", "--k=3"],
+                ["classify", "75", "--form", "json"], ["witness", "gap", "12", "--ver"],
+                ["classify", "--", "-inf"], ["witness", "gap", "--", "12"],
+                ["pell", "2", "--norm", "-1"], ["pell", "2", "--norm", "2"],
+                ["classify", "75", "extra"], ["classify", "24", "--", "--k"])
+
+
+@pytest.mark.parametrize("argv", list(_dispatch_cases()), ids=lambda argv: " ".join(argv) or "bare")
+def test_command_parser_matches_the_full_tree(capsys, monkeypatch, argv):
+    """main, which parses a request with its command's own parser, gives the
+    exit code, stdout and stderr that the full spnum tree gives."""
+    got = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    assert got == run(capsys, *argv)
+
+
+def test_well_formed_requests_build_only_their_command_parsers(capsys):
+    """A request that its command's parser reads whole never builds the full
+    tree, and each command's parser is built once."""
+    cli._build_parser.cache_clear()
+    cli._command_parser.cache_clear()
+    for argv in (["classify", "75"], ["classify", "24", "--k=3", "--form", "json"],
+                 ["witness", "gap", "12", "--verify"], ["witness", "sum", "75"],
+                 ["witness", "x2p1", "--count", "2"], ["witness", "x3p1", "--t-max", "3"],
+                 ["witness", "between-squares", "5"], ["pell", "2", "--norm", "-1"],
+                 ["census", "1e4", "--family", "psp"], ["digits", "1000", "--format", "csv"],
+                 ["estimate", "zeta", "2"], ["bunyakovsky-report"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert cli._build_parser.cache_info().currsize == 0
+    assert cli._command_parser.cache_info().currsize == len(_COMMAND_PATHS)
+
+
 _AT_DEFAULT_DIGIT_LIMIT = pytest.mark.skipif(
     _DIGIT_LIMIT != 4300, reason="counts pinned at the default digit limit")
 
@@ -917,6 +963,10 @@ def test_estimate_errors(capsys):
     ("estimate hurwitz 1/0", "error: zero denominator: '1/0'\n"),
     # past the float range: refused on the exact q, not by float(q)'s OverflowError
     ("estimate hurwitz 1e400", f"error: hurwitz_zeta2 requires 0 < q <= 1, got {10**400}\n"),
+    # q^-2 past the float range, where (j + q)^-2 at j = 0 once raised OverflowError
+    *[(f"estimate hurwitz 1e-{e}",
+       f"error: hurwitz_zeta2 requires q^-2 within the float range, got 1/{10**e}\n")
+      for e in (160, 300)],
 ])
 def test_estimate_refusals_quote_the_input(capsys, argv, err):
     assert run(capsys, *argv.split()) == (2, "", err)
