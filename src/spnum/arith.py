@@ -404,6 +404,16 @@ def _interpreter_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+class DigitLimitError(OverflowError):
+    """`what` would have more digits than the interpreter's int-to-str limit,
+    so it could not be printed.  Not a ValueError, which argparse would turn
+    into a usage message when an argument's reader raises it."""
+
+    def __init__(self, what: str, limit: int) -> None:
+        super().__init__(f"{what} has more than {limit} digits, the interpreter's "
+                         "int-to-str limit, which PYTHONINTMAXSTRDIGITS sets")
+
+
 def _reaches_pow10(n: int, e: int) -> bool:
     """n >= 10**e for e >= 0, with 10**e built only when n's bit length
     leaves it open: 3.3219 < log2(10), so n of at most e*3.3219 bits is less."""

@@ -12,8 +12,13 @@ constants).  Exit codes: 0 success/membership, 1 honest negative
 (non-member, unsolvable, precondition failure), 2 usage errors.  A command
 returns its exit code and reply lines, and `main` alone writes them, once,
 after the command has finished, so a reply that fails to render leaves
-stdout empty.  A command refuses an input by raising ValueError; `main`
-alone prints it as `error: …` on stderr and returns 2.
+stdout empty.  A command refuses an input by raising ValueError, or
+DigitLimitError past the int-to-str limit; `main` alone prints it as
+`error: …` on stderr and returns 2.
+
+_COMMANDS is the only statement of a request: every integer argument is read
+by _nat, and a JSON reply takes its command and parameters from the parsed
+request, each argument that has a value but --format.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import functools
 import sys
 from typing import Callable
 
-from .arith import _interpreter_digit_limit, _reaches_pow10
+from .arith import DigitLimitError, _interpreter_digit_limit, _reaches_pow10
 from .classify import kp_decompose, sp_decompose
 
 # The prime-count tables hold pi at v <= r = isqrt(bound), an int32 position map of r entries,
@@ -41,15 +46,6 @@ def _fmt6(x: float) -> str:
 class _NotAnInteger(argparse.ArgumentTypeError, ValueError):
     """A malformed integer: a usage error when argparse parses the argument,
     an `error: …` from main when a command parses the text itself."""
-
-
-class _PastDigitLimit(Exception):
-    """An input past the interpreter's int-to-str limit, refused before it is
-    printed; not a ValueError, which argparse would turn into a usage message."""
-
-    def __init__(self, what: str, limit: int) -> None:
-        super().__init__(f"{what} has more than {limit} digits, the interpreter's "
-                         "int-to-str limit, which PYTHONINTMAXSTRDIGITS sets")
 
 
 def _nat(text: str) -> int:
@@ -73,7 +69,7 @@ def _nat(text: str) -> int:
         raise _NotAnInteger(f"not an integer: {text!r}")
     limit = _interpreter_digit_limit()
     if limit and d and d.adjusted() >= limit:
-        raise _PastDigitLimit("an integer argument", limit)
+        raise DigitLimitError("an integer argument", limit)
     return int(d)
 
 
@@ -112,13 +108,13 @@ def _rational(text: str):
     else:
         past = False
     if limit and past:
-        raise _PastDigitLimit("the value's numerator or denominator", limit)
+        raise DigitLimitError("the value's numerator or denominator", limit)
     try:
         q = Fraction(text)
     except ZeroDivisionError:  # a zero denominator, as in "1/0"
         raise ValueError(f"zero denominator: {text!r}") from None
     if limit and _reaches_pow10(max(abs(q.numerator), q.denominator), limit):
-        raise _PastDigitLimit("the value's numerator or denominator", limit)
+        raise DigitLimitError("the value's numerator or denominator", limit)
     return q
 
 
@@ -133,10 +129,15 @@ def _plain(obj):
     return obj
 
 
-def _json_text(command: str, parameters: dict, results: list) -> str:
+def _json_reply(args: argparse.Namespace, results: list) -> str:
+    """The JSON reply: the request's command words, each of its arguments
+    that has a value, but --format, under its dest, and the results."""
     import json
 
-    return json.dumps({"command": command, "parameters": parameters, "results": _plain(results)},
+    request = {key: value for key, value in vars(args).items()
+               if value is not None and key not in ("format", "func")}
+    command = " ".join(request.pop(word) for word in ("command", "kind") if word in request)
+    return json.dumps({"command": command, "parameters": request, "results": _plain(results)},
                       indent=2)
 
 
@@ -170,7 +171,7 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, list[str]]:
     w = kp_decompose(n, k)
     rc = 0 if w else 1
     if args.format == "json":
-        return rc, [_json_text("classify", {"n": n, "k": k}, [w] if w else [])]
+        return rc, [_json_reply(args, [w] if w else [])]
     return rc, [str(w) if w else f"{n} is not a KP_{k} number"]
 
 
@@ -188,7 +189,9 @@ def cmd_census(args: argparse.Namespace) -> tuple[int, list[str]]:
     _check_budget("bound", bound, MAX_CENSUS_BOUND, "prime-count table",
                   f"{MAX_CENSUS_BOUND}; the table holds up to 2.7·isqrt(bound) int64 entries",
                   "MAX_CENSUS_BOUND only with memory")
-    checkpoints = args.checkpoints if args.checkpoints is not None else [bound]
+    if args.checkpoints is None:  # resolved on args, which the JSON parameters show
+        args.checkpoints = [bound]
+    checkpoints = args.checkpoints
     if not checkpoints:
         raise ValueError("--checkpoints names no bound")
     if any(c < 2 or c > bound for c in checkpoints) or checkpoints != sorted(checkpoints):
@@ -197,8 +200,7 @@ def cmd_census(args: argparse.Namespace) -> tuple[int, list[str]]:
 
     rows = census.census_table(checkpoints, args.k, args.family)
     if args.format == "json":
-        params = {"bound": bound, "k": args.k, "family": args.family, "checkpoints": checkpoints}
-        return 0, [_json_text("census", params, [
+        return 0, [_json_reply(args, [
             r._replace(estimate=float(_fmt6(r.estimate)), ratio=float(_fmt6(r.ratio)))
             for r in rows])]
     if args.format == "csv":
@@ -232,7 +234,7 @@ def cmd_digits(args: argparse.Namespace) -> tuple[int, list[str]]:
             if digit == 1 and est is not None:
                 row["estimate"] = float(_fmt6(est))
             results.append(row)
-        return 0, [_json_text("digits", {"bound": bound}, results)]
+        return 0, [_json_reply(args, results)]
     if args.format == "csv":
         return 0, ["digit,count"] + [f"{digit},{count}" for digit, count in enumerate(dc.counts)]
     lines = [f"{'digit':>5} {'count':>10}"]
@@ -263,7 +265,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
     elif kind == "gap":
         try:
             w = construct.gap_witness(args.x)
-        except pell.DigitLimitError:  # the Pell x = M alone passed the limit, and hi.n >= M
+        except DigitLimitError:  # the Pell x = M alone passed the limit, and hi.n >= M
             w = None
         # hi.n is the pair's largest integer; a prime gap's Pell pair can pass the digit limit
         _check_digit_limit("gap", args.x, "the pair's larger member hi.n",
@@ -306,12 +308,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
             if failed is not None:
                 entry["verified"] = not failed[i]
             results.append(entry)
-        params = {
-            key: value
-            for key, value in vars(args).items()
-            if key in ("x", "n", "count", "bound", "t_max", "verify") and value is not None
-        }
-        return rc, [_json_text(f"witness {kind}", params, results)]
+        return rc, [_json_reply(args, results)]
     lines = []
     for i, w in enumerate(witnesses):
         lines += w.lines()
@@ -334,7 +331,7 @@ def cmd_pell(args: argparse.Namespace) -> tuple[int, list[str]]:
     except pell.NoSolutionError as exc:
         print(exc, file=sys.stderr)
         return 1, []
-    except pell.DigitLimitError:  # the first x alone passed the limit
+    except DigitLimitError:  # the first x alone passed the limit
         start = None
     # a lower bound on the last x's log10 refuses the stream before it is composed
     _check_digit_limit("--count", args.count, "the last x", lambda limit: args.count > 0 and (
@@ -344,8 +341,7 @@ def cmd_pell(args: argparse.Namespace) -> tuple[int, list[str]]:
     _check_digit_limit("--count", args.count, "the last x",
                        lambda limit: sols and _reaches_pow10(sols[-1].x, limit))
     if args.format == "json":
-        params = {"D": args.D, "norm": args.norm, "count": args.count}
-        return 0, [_json_text("pell", params, sols)]
+        return 0, [_json_reply(args, sols)]
     return 0, [f"x={s.x} y={s.y}  [x² - {s.D}·y² = {s.norm:+d}]" for s in sols]
 
 
@@ -365,12 +361,8 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[int, list[str]]:
         q = _rational(args.value)
         est, label = analytic.hurwitz_zeta2(q), f"zeta(2, {q})"
     if args.format == "json":
-        return 0, [_json_text(
-            "estimate",
-            {"what": args.what, "value": args.value},
-            [{"label": label, "value": float(f"{est.value:.12g}"),
-              "abs_error_bound": float(_fmt6(est.abs_error_bound))}],
-        )]
+        return 0, [_json_reply(args, [{"label": label, "value": float(f"{est.value:.12g}"),
+                                       "abs_error_bound": float(_fmt6(est.abs_error_bound))}])]
     return 0, [f"{label} = {est.value:.12g}  (abs error <= {_fmt6(est.abs_error_bound)})"]
 
 
@@ -382,7 +374,7 @@ def cmd_bunyakovsky(args: argparse.Namespace) -> tuple[int, list[str]]:
 
     rep = construct.bunyakovsky_report()
     if args.format == "json":
-        return 0, [_json_text("bunyakovsky-report", {}, [rep])]
+        return 0, [_json_reply(args, [rep])]
     return 0, [
         f"polynomial           {rep.polynomial}",
         f"leading coefficient  {rep.leading_coefficient} (positive: {rep.leading_positive})",
@@ -402,7 +394,8 @@ def cmd_bunyakovsky(args: argparse.Namespace) -> tuple[int, list[str]]:
 # -------------------------------------------------------------------- main
 
 
-_NAT, _K = {"type": _nat}, {"--k": {"type": int, "default": 2}}
+_NAT = {"type": _nat}
+_K = {"--k": {**_NAT, "default": 2}}
 _JSON = {"--format": {"choices": ("table", "json"), "default": "table"}}
 _CSV = {"--format": {"choices": ("table", "json", "csv"), "default": "table"}}
 _KIND = {"--verify": {"action": "store_true",  # every witness kind ends with these two
@@ -428,7 +421,7 @@ _COMMANDS: dict[tuple[str, ...], tuple[str, Callable | None, dict[str, dict]]] =
     ("witness", "x3p1"): ("SP numbers of the form x³+1", cmd_witness, {"--t-max": {
         "type": _nat, "default": 10, "help": "parametric family up to t (default)"}, **_SCAN}),
     ("pell",): ("solve x² - D·y² = ±1", cmd_pell, {
-        "D": _NAT, "--norm": {"type": int, "choices": (1, -1), "default": 1},
+        "D": _NAT, "--norm": {**_NAT, "choices": (1, -1), "default": 1},
         "--count": {"type": _nat, "default": 1}, **_JSON}),
     ("estimate",): ("zeta-family constants with error bounds", cmd_estimate, {
         "what": {"choices": ("zeta", "prime-zeta", "hurwitz")},
@@ -482,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         rc, lines = args.func(args)
-    except (ValueError, _PastDigitLimit) as exc:
+    except (ValueError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write("".join(line + "\n" for line in lines))

@@ -8,9 +8,10 @@ pin them against each other.
 
 Streams take the one solve of stream_start: solution_stream(stream_start(13, 1), 3).
 Both solves read the interpreter's int-to-str limit themselves and stop with
-DigitLimitError once x reaches 10**limit, an x that could not be printed, and
-with StepBudgetError past their step budgets; the -1 one answers D = 0 or
-3 (mod 4), or D with a prime factor p = 3 (mod 4) below 1000, at once by gcd.
+arith's DigitLimitError once x reaches 10**limit, an x that could not be
+printed, and with StepBudgetError past their step budgets; the -1 one answers
+D = 0 or 3 (mod 4), or D with a prime factor p = 3 (mod 4) below 1000, at
+once by gcd.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from math import gcd, inf, isqrt, log10, prod, sqrt
 from typing import NamedTuple
 
-from .arith import _TRIAL_PRIMES, _interpreter_digit_limit, _reaches_pow10
+from .arith import _TRIAL_PRIMES, DigitLimitError, _interpreter_digit_limit, _reaches_pow10
 
 __all__ = [
     "PellSolution",
@@ -46,11 +47,6 @@ class PellSolution(NamedTuple):
 
 class NoSolutionError(ValueError):
     """x^2 - D*y^2 = -1 has no integer solution: an answer, not a bad input."""
-
-
-class DigitLimitError(OverflowError):
-    """The fundamental solution's x would have more digits than the
-    interpreter's int-to-str limit, so it could not be printed."""
 
 
 class StepBudgetError(ValueError):
@@ -103,8 +99,7 @@ def fundamental_solution(d: int) -> PellSolution:
         )
         a, b, k = (a * m + d * b) // kk, (a + b * m) // kk, (m * m - d) // k
         if digit_limit and _reaches_pow10(a, digit_limit):
-            raise DigitLimitError(
-                f"the fundamental solution for D={d} has more than {digit_limit} digits")
+            raise DigitLimitError(f"the fundamental solution for D={d}", digit_limit)
         if k == 1:
             return PellSolution(d, a, b, 1)
     raise StepBudgetError(
@@ -186,8 +181,7 @@ def negative_fundamental(d: int) -> PellSolution | None:
     if not odd:
         return None
     if digit_limit and _reaches_pow10(h, digit_limit):
-        raise DigitLimitError(
-            f"the minimal -1 solution for D={d} has more than {digit_limit} digits")
+        raise DigitLimitError(f"the minimal -1 solution for D={d}", digit_limit)
     return PellSolution(d, h, k, -1)
 
 

@@ -28,6 +28,7 @@ import os
 import platform
 import sys
 from pathlib import Path
+from unittest import mock
 
 CORPUS = Path(__file__).with_name("replies.tsv")
 FULL_BYTES = 200  # a reply this long or shorter is stored in full
@@ -38,18 +39,13 @@ _HEADER = "# spnum replies under Python {}: exit code, stdout, stderr, argv\n"
 def contract():
     """The settings the corpus was written under: an 80-column terminal for
     argparse's help and the default int-to-str limit."""
-    columns = os.environ.get("COLUMNS")
     limit = sys.get_int_max_str_digits()
-    os.environ["COLUMNS"] = "80"
     sys.set_int_max_str_digits(4300)
     try:
-        yield
+        with mock.patch.dict(os.environ, COLUMNS="80"):
+            yield
     finally:
         sys.set_int_max_str_digits(limit)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
 
 
 def reply(argv: list[str]) -> tuple[int, str, str]:
@@ -77,16 +73,11 @@ def row(argv: list[str], rc: int, out: str, err: str) -> str:
     return "\t".join([str(rc), _field(out), _field(err), *argv]) + "\n"
 
 
-def load(path: Path = CORPUS) -> tuple[str, list[tuple[list[str], str]]]:
+def load() -> tuple[str, list[tuple[list[str], str]]]:
     """The writer's Python version, and each row's argv with its stored line."""
-    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    header, *lines = CORPUS.read_text(encoding="utf-8").splitlines(keepends=True)
     version = header.split("Python ", 1)[1].split(":", 1)[0]
     return version, [(line.rstrip("\n").split("\t")[3:], line) for line in lines]
-
-
-def write(rows: list[str], path: Path = CORPUS) -> None:
-    path.write_text(_HEADER.format(platform.python_version()) + "".join(rows),
-                    encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
@@ -95,7 +86,9 @@ def main(argv: list[str]) -> int:
         return 2
     _, rows = load()
     with contract():
-        write([row(words, *reply(words)) for words, _ in rows])
+        lines = [row(words, *reply(words)) for words, _ in rows]
+    CORPUS.write_text(_HEADER.format(platform.python_version()) + "".join(lines),
+                      encoding="utf-8")
     return 0
 
 

@@ -135,6 +135,17 @@ def test_argument_past_digit_limit_refused_by_name(capsys, argv):
 
 
 @pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="text pinned at the default digit limit")
+def test_k_and_norm_read_like_every_integer_argument(capsys):
+    """--k and --norm take the integer reader of every other integer argument:
+    scientific notation answers, and an exponent past the limit is refused
+    by name."""
+    assert run(capsys, "classify", "24", "--k", "3e0") == (0, "24 = 3 · 2³\n", "")
+    assert run(capsys, "pell", "2", "--norm", "1e0", "--count", "2") == (
+        0, "x=3 y=2  [x² - 2·y² = +1]\nx=17 y=12  [x² - 2·y² = +1]\n", "")
+    assert run(capsys, "census", "1e4", "--k", "1e5000") == (2, "", _PAST_STR_LIMIT)
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="text pinned at the default digit limit")
 def test_hurwitz_value_past_digit_limit_refused_by_name(capsys):
     """A denominator of 4301 digits is refused by name; one of 4300 digits
     reaches the command, whose range check prints it."""
@@ -227,6 +238,36 @@ def test_command_parser_matches_the_full_tree(capsys, monkeypatch, argv):
     got = run(capsys, *argv)
     monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
     assert got == run(capsys, *argv)
+
+
+# each argument's text in a request that sets it, and the value its JSON parameter holds
+_ARGUMENT_SAMPLES = {
+    "n": ("75", 75), "x": ("12", 12), "bound": ("1e3", 1000), "D": ("2", 2),
+    "--k": ("2e0", 2), "--family": ("psp", "psp"), "--checkpoints": ("100,1e3", [100, 1000]),
+    "--count": ("2", 2), "--bound": ("1100", 1100), "--t-max": ("3", 3), "--norm": ("1e0", 1),
+    "--verify": (None, True), "what": ("zeta", "zeta"), "value": ("2", "2"),
+}
+
+
+@pytest.mark.parametrize("path", _COMMAND_PATHS, ids=" ".join)
+def test_json_parameters_show_every_option_set(capsys, path):
+    """A request that sets each argument its command declares shows each one
+    under its dest in the JSON parameters, in declaration order, all but
+    --format; an argument with no sample here fails, so none drops out."""
+    argv, expected = list(path), {}
+    for name in cli._COMMANDS[tuple(path)][2]:
+        if name == "--format":
+            continue
+        text, expected[name.lstrip("-").replace("-", "_")] = _ARGUMENT_SAMPLES[name]
+        if not name.startswith("-"):
+            argv.append(text)
+        else:
+            argv += [name] if text is None else [name, text]
+    rc, out, err = run(capsys, *argv, "--format", "json")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["command"] == " ".join(path)
+    assert list(doc["parameters"].items()) == list(expected.items())
 
 
 def test_well_formed_requests_build_only_their_command_parsers(capsys):
