@@ -1,17 +1,12 @@
-"""Pell equation x^2 - D*y^2 = +-1: chakravala solver, continued-fraction
-solver, and Brahmagupta composition.
-
-Two independent solving routes are kept side by side on purpose:
-`fundamental_solution` runs the chakravala iteration, `cf_fundamental`
-rebuilds the same answer from the continued fraction of sqrt(D).  Tests
-pin them against each other.
+"""Pell equation x^2 - D*y^2 = +-1: one continued-fraction walk solves both
+norms, and Brahmagupta composition builds the streams.
 
 Streams take the one solve of stream_start: solution_stream(stream_start(13, 1), 3).
 Both solves read the interpreter's int-to-str limit themselves and stop with
 arith's DigitLimitError once x reaches 10**limit, an x that could not be
-printed, and with StepBudgetError past their step budgets; the -1 one answers
-D = 0 or 3 (mod 4), or D with a prime factor p = 3 (mod 4) below 1000, at
-once by gcd.
+printed, and with StepBudgetError past _PERIOD_STEPS quotients; the -1 one
+answers D = 0 or 3 (mod 4), or D with a prime factor p = 3 (mod 4) below
+1000, at once by gcd.
 """
 
 from __future__ import annotations
@@ -59,64 +54,30 @@ def _check_d(d: int) -> None:
         raise ValueError(f"D must be a non-square integer >= 2, got {d}")
 
 
-# chakravala's steps before it is refused; with the interpreter's default
-# digit limit, the digit stop ends every solve thousands of steps sooner
-_CHAKRAVALA_STEPS = 10**6
+# Cohn (Pacific J. Math. 71, 1977): the period of sqrt(D) is shorter than
+# 0.72*sqrt(D)*ln(D) for D > 7, which is below 2*10**7 for every D <= 10**12
+_PERIOD_STEPS = 2 * 10**7
+# the trial primes p = 3 (mod 4): x^2 = -1 has no root mod any of them
+_NO_MINUS_1_ROOT = prod(p for p in _TRIAL_PRIMES if p % 4 == 3)
 
 
-def fundamental_solution(d: int) -> PellSolution:
-    """Minimal positive solution of x^2 - D*y^2 = 1, by chakravala.
-
-    From the triple (a, b, k) with a^2 - D*b^2 = k, each step picks the
-    scaling integer m with a + b*m divisible by |k|, minimizing |m^2 - D|
-    (ties broken toward smaller m), and maps to
-    ((a*m + D*b)/|k|, (a + b*m)/|k|, (m^2 - D)/k).  The first return to
-    k = 1 is the fundamental solution.
-
-    The iterates a grow at every step up to that x, so the solve stops with
-    DigitLimitError once a reaches 10**limit, limit the interpreter's
-    int-to-str limit, an x that could not be printed: a period of millions
-    of steps then ends after a few thousand.  An interpreter with no limit
-    (0) never stops there; past _CHAKRAVALA_STEPS steps the solve is refused
-    with StepBudgetError.
-
-    The admissible m are those = -m_prev (mod |k|), m_prev the previous
-    step's m (0 before the first): with m = -m_prev + t*k,
-    a + b*m = k*(b*t - b_prev*sign(k_prev)), so no modular inverse of b
-    is needed.
-    """
-    _check_d(d)
-    s = isqrt(d)
-    digit_limit = _interpreter_digit_limit()
-    a, b, k, m = 1, 0, 1, 0
-    for _ in range(_CHAKRAVALA_STEPS):
-        kk = abs(k)
-        base = -m % kk
-        c1 = base + kk * max(0, (s - base) // kk)
-        m = min(
-            (mm for mm in (c1 - kk, c1, c1 + kk) if mm >= 1),
-            key=lambda mm: (abs(mm * mm - d), mm),
-        )
-        a, b, k = (a * m + d * b) // kk, (a + b * m) // kk, (m * m - d) // k
-        if digit_limit and _reaches_pow10(a, digit_limit):
-            raise DigitLimitError(f"the fundamental solution for D={d}", digit_limit)
-        if k == 1:
-            return PellSolution(d, a, b, 1)
-    raise StepBudgetError(
-        f"chakravala did not reach the fundamental solution for D={d} within "
-        f"{_CHAKRAVALA_STEPS} steps, its step budget")
-
-
-def _cf_period(d: int, digit_limit: int = 0, steps: float = inf) -> tuple[bool, int, int]:
+def _cf_period(d: int, digit_limit: int = 0, steps: float = inf,
+               stop: str = "") -> tuple[bool, int, int]:
     """CF expansion of sqrt(d): (the period is odd, h, k) where h/k is the
     convergent just before the period closes, so h^2 - d*k^2 = -1 for an odd
-    period and +1 for an even one.  h and k stop growing once h reaches a
-    nonzero 10**digit_limit, and the walk goes on in the small m, q, a alone;
-    a period of more than `steps` quotients is refused with StepBudgetError."""
+    period and +1 for an even one.  Once h reaches a nonzero 10**digit_limit
+    the walk raises DigitLimitError naming `stop`, when given, since the +1
+    solution's x >= h; without it h and k stop growing and the walk goes on
+    in the small m, q, a alone, for the period's parity.  A period of more
+    than `steps` quotients is refused with StepBudgetError."""
     a0 = isqrt(d)
 
     def growing(h: int) -> bool:
-        return not (digit_limit and _reaches_pow10(h, digit_limit))
+        if digit_limit and _reaches_pow10(h, digit_limit):
+            if stop:
+                raise DigitLimitError(stop, digit_limit)
+            return False
+        return True
 
     grow = growing(a0)
     m, q, a = 0, 1, a0
@@ -140,24 +101,34 @@ def _cf_period(d: int, digit_limit: int = 0, steps: float = inf) -> tuple[bool, 
             grow = growing(h)
 
 
-# public also because perfbench/checker.py checks every pell reply against it
-def cf_fundamental(d: int) -> PellSolution:
-    """Minimal solution of x^2 - D*y^2 = 1 via the periodic continued
-    fraction of sqrt(D); independent of the chakravala route, and with
-    neither digit limit nor step budget."""
-    _check_d(d)
-    odd, h, k = _cf_period(d)
+def _unit(d: int, odd: bool, h: int, k: int) -> PellSolution:
+    """The +1 solution from the period-closing convergent h/k: h/k itself for
+    an even period, squared for an odd one, whose h/k has norm -1."""
     if odd:
-        # odd period: the period-end convergent has norm -1; square it
         h, k = h * h + d * k * k, 2 * h * k
     return PellSolution(d, h, k, 1)
 
 
-# Cohn (Pacific J. Math. 71, 1977): the period of sqrt(D) is shorter than
-# 0.72*sqrt(D)*ln(D) for D > 7, which is below 2*10**7 for every D <= 10**12
-_PERIOD_STEPS = 2 * 10**7
-# the trial primes p = 3 (mod 4): x^2 = -1 has no root mod any of them
-_NO_MINUS_1_ROOT = prod(p for p in _TRIAL_PRIMES if p % 4 == 3)
+def fundamental_solution(d: int) -> PellSolution:
+    """Minimal positive solution of x^2 - D*y^2 = 1, by _cf_period.  Its
+    convergents grow up to x, so it stops with DigitLimitError once one
+    reaches 10**limit, limit the interpreter's int-to-str limit: a period of
+    millions of quotients ends after a few thousand.  With no limit (0), a
+    period past _PERIOD_STEPS quotients is refused with StepBudgetError."""
+    _check_d(d)
+    digit_limit = _interpreter_digit_limit()
+    what = f"the fundamental solution for D={d}"
+    sol = _unit(d, *_cf_period(d, digit_limit, _PERIOD_STEPS, what))
+    if digit_limit and _reaches_pow10(sol.x, digit_limit):
+        raise DigitLimitError(what, digit_limit)
+    return sol
+
+
+# public also because perfbench/checker.py checks every pell reply against it
+def cf_fundamental(d: int) -> PellSolution:
+    """fundamental_solution with neither digit limit nor step budget."""
+    _check_d(d)
+    return _unit(d, *_cf_period(d))
 
 
 def negative_fundamental(d: int) -> PellSolution | None:
@@ -201,8 +172,8 @@ def compose(s1: PellSolution, s2: PellSolution) -> PellSolution:
 def stream_start(d: int, norm: int) -> tuple[PellSolution, PellSolution]:
     """(first solution of the stream for norm, fundamental +1 solution), the
     one solve that solution_stream and stream_log10 take.  For norm -1 it is
-    negative_fundamental's walk, under the same digit limit as chakravala's:
-    the unit is the minimal -1 solution squared, as in cf_fundamental."""
+    negative_fundamental's walk alone: the unit is the minimal -1 solution
+    squared, as fundamental_solution squares an odd period's convergent."""
     if norm not in (1, -1):
         raise ValueError(f"norm must be +1 or -1, got {norm}")
     if norm == 1:

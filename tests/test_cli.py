@@ -928,18 +928,18 @@ def test_pell_negative_norm_walk_budget_refused_by_name(capsys, monkeypatch):
     (["pell", "1000000000039"], 1000000000039),
     (["witness", "gap", "1000000000039"], 2000000000078),  # the prime x's Pell D is 2·x
 ], ids=["pell", "gap"])
-def test_chakravala_step_budget_refused_by_name(capsys, monkeypatch, argv, d):
-    """With no digit limit nothing stops chakravala early: past its step
+def test_plus_one_walk_budget_refused_by_name(capsys, monkeypatch, argv, d):
+    """With no digit limit nothing stops the +1 walk early: past its step
     budget the solve is refused with exit 2 and the budget's own text."""
-    monkeypatch.setattr(pell, "_CHAKRAVALA_STEPS", 50)
+    monkeypatch.setattr(pell, "_PERIOD_STEPS", 50)
     try:
         sys.set_int_max_str_digits(0)
         result = run(capsys, *argv)
     finally:
         sys.set_int_max_str_digits(_DIGIT_LIMIT)
     assert result == (2, "", (
-        f"error: chakravala did not reach the fundamental solution for D={d} "
-        "within 50 steps, its step budget\n"))
+        f"error: the continued fraction of sqrt({d}) has a period of more than 50 steps, "
+        "the walk's budget (every D <= 10**12 fits within it)\n"))
 
 
 def test_pell_json(capsys):
@@ -1350,8 +1350,8 @@ _DIGIT_BUDGET = ("exceeds the digit budget: {} would have more than 4300 digits,
     ]
 ])
 def test_pell_solve_stops_at_the_digit_limit(argv, rc, out, err):
-    """chakravala for these D would run a period of hundreds of thousands of
-    steps with ever larger integers; it stops once its iterate reaches
+    """The +1 walk for these D would run a period of hundreds of thousands of
+    steps with ever larger integers; it stops once a convergent reaches
     10**4300.  The -1 walk must see the whole period, but its convergents
     stop growing there too.  Each reply is the one the whole solve gives."""
     got = _timed_run(argv.split())

@@ -80,10 +80,10 @@ def test_gap_pell_solve_stops_at_a_digit_limit(x, monkeypatch):
 @pytest.mark.skipif(not pell._interpreter_digit_limit(), reason="no int-to-str digit limit")
 def test_library_gap_witness_stops_at_the_digit_limit(monkeypatch):
     """The library call, like `spnum witness gap`, stops the solve for the
-    prime 1000000000039 at the interpreter's limit, long before chakravala's
+    prime 1000000000039 at the interpreter's limit, long before the walk's
     step budget, here cut to 2·10**4 so that a solve without the stop is
     refused by that budget at once."""
-    monkeypatch.setattr(pell, "_CHAKRAVALA_STEPS", 2 * 10**4)
+    monkeypatch.setattr(pell, "_PERIOD_STEPS", 2 * 10**4)
     with pytest.raises(pell.DigitLimitError, match="D=2000000000078 has more than"):
         gap_witness(1000000000039)
 

@@ -1,4 +1,6 @@
-"""Pell equation solver against brute-force minimal solutions."""
+"""Pell equation solver against brute-force minimal solutions and against
+chakravala, a second route kept here as the oracle of the library's
+continued-fraction walk."""
 
 import random
 import sys
@@ -33,6 +35,33 @@ def _brute_fundamental(d: int, norm: int, y_cap: int) -> PellSolution | None:
     return None
 
 
+def chakravala(d: int) -> PellSolution:
+    """Minimal positive solution of x^2 - D*y^2 = 1, by chakravala.
+
+    From the triple (a, b, k) with a^2 - D*b^2 = k, each step picks the
+    scaling integer m with a + b*m divisible by |k|, minimizing |m^2 - D|
+    (ties broken toward smaller m), and maps to
+    ((a*m + D*b)/|k|, (a + b*m)/|k|, (m^2 - D)/k).  The first return to
+    k = 1 is the fundamental solution.  The admissible m are those
+    = -m_prev (mod |k|), m_prev the previous step's m (0 before the first):
+    with m = -m_prev + t*k, a + b*m = k*(b*t - b_prev*sign(k_prev)), so no
+    modular inverse of b is needed.  No digit limit and no step budget.
+    """
+    s = isqrt(d)
+    a, b, k, m = 1, 0, 1, 0
+    while True:
+        kk = abs(k)
+        base = -m % kk
+        c1 = base + kk * max(0, (s - base) // kk)
+        m = min(
+            (mm for mm in (c1 - kk, c1, c1 + kk) if mm >= 1),
+            key=lambda mm: (abs(mm * mm - d), mm),
+        )
+        a, b, k = (a * m + d * b) // kk, (a + b * m) // kk, (m * m - d) // k
+        if k == 1:
+            return PellSolution(d, a, b, 1)
+
+
 def test_examples():
     assert fundamental_solution(2) == PellSolution(2, 3, 2, 1)
     assert fundamental_solution(6) == PellSolution(6, 5, 2, 1)
@@ -62,7 +91,7 @@ def test_minimality_brute_force():
     for d in range(2, 51):
         if _is_square(d):
             continue
-        assert fundamental_solution(d) == _brute_fundamental(d, 1, 5000), d
+        assert fundamental_solution(d) == chakravala(d) == _brute_fundamental(d, 1, 5000), d
         neg = negative_fundamental(d)
         assert neg == _brute_fundamental(d, -1, 5000), d
 
@@ -71,14 +100,14 @@ def test_chakravala_agrees_with_continued_fraction():
     for d in range(2, 101):
         if _is_square(d):
             continue
-        assert fundamental_solution(d) == cf_fundamental(d), d
+        assert fundamental_solution(d) == chakravala(d), d
 
 
 def test_chakravala_agrees_with_continued_fraction_to_1e6():
     rng = random.Random(26)
     for d in [*range(101, 2001), *sorted(rng.sample(range(2001, 10**6), 200))]:
         if not _is_square(d):
-            assert fundamental_solution(d) == cf_fundamental(d), d
+            assert fundamental_solution(d) == chakravala(d), d
 
 
 _SETS_DIGIT_LIMIT = pytest.mark.skipif(
@@ -102,16 +131,16 @@ def _digit_limit(monkeypatch, limit: int) -> None:
 @_SETS_DIGIT_LIMIT
 def test_chakravala_stops_exactly_when_x_reaches_the_digit_limit(set_digit_limit):
     """Under the interpreter's least digit limit, 640, the solve stops exactly
-    for the D whose fundamental x reaches 10**640: none up to 10**4 (the
-    largest x there has 212 digits), 19 of the D in [3·10**5, 302000].  For
-    each of those 19, a limit one below the digit count of its x stops the
-    solve, and a limit of that count returns x."""
+    for the D whose fundamental x, by chakravala, reaches 10**640: none up to
+    10**4 (the largest x there has 212 digits), 19 of the D in
+    [3·10**5, 302000].  For each of those 19, a limit one below the digit
+    count of its x stops the solve, and a limit of that count returns x."""
     stopped = []
     set_digit_limit(640)
     for d in [*range(2, 10**4 + 1), *range(300000, 302001)]:
         if _is_square(d):
             continue
-        x = cf_fundamental(d).x
+        x = chakravala(d).x
         if x >= 10**640:
             with pytest.raises(DigitLimitError, match=f"D={d} has more than 640 digits"):
                 fundamental_solution(d)
@@ -132,7 +161,7 @@ def test_chakravala_stops_exactly_when_x_reaches_the_digit_limit(set_digit_limit
 def test_chakravala_without_a_digit_limit_runs_to_the_end(set_digit_limit, monkeypatch):
     """A limit of 0, set for the interpreter or read from one that has no
     limit to get, means no limit."""
-    d, x = 301669, cf_fundamental(301669).x  # x has 1360 digits
+    d, x = 301669, chakravala(301669).x  # x has 1360 digits
     set_digit_limit(1359)
     with pytest.raises(DigitLimitError):
         fundamental_solution(d)
@@ -179,19 +208,19 @@ def test_compose_norm_law():
 
 def test_negative_solution_squared_is_the_fundamental_solution():
     """stream_start(d, -1) takes its unit as the -1 solution squared; the
-    chakravala route must give the same unit for every such D."""
+    chakravala oracle must give the same unit for every such D."""
     solvable = 0
     for d in range(2, 20001):
         neg = None if _is_square(d) else negative_fundamental(d)
         if neg is not None:
             solvable += 1
-            assert compose(neg, neg) == fundamental_solution(d), d
+            assert compose(neg, neg) == chakravala(d), d
     assert solvable == 2524
 
 
 def test_stream_start_negative_norm_skips_chakravala(monkeypatch):
     def boom(d):
-        raise AssertionError("chakravala run for a -1 stream")
+        raise AssertionError("the +1 solve run for a -1 stream")
 
     monkeypatch.setattr(pell, "fundamental_solution", boom)
     assert stream_start(13, -1) == (PellSolution(13, 18, 5, -1), PellSolution(13, 649, 180, 1))
@@ -279,7 +308,7 @@ def test_period_parity_survives_the_stopped_convergents():
 
 
 def test_negative_norm_stops_exactly_when_x_reaches_the_digit_limit(monkeypatch):
-    """As for chakravala: a limit one below the digit count L of the minimal
+    """As for the +1 solve: a limit one below the digit count L of the minimal
     -1 solution's x refuses it, a limit of L answers it; an even period
     answers None under any limit."""
     for d in (2, 13, 61, 4909, 99961, 1000033):  # x of 1 to 602 digits
@@ -298,7 +327,8 @@ def test_negative_norm_stops_exactly_when_x_reaches_the_digit_limit(monkeypatch)
 
 def test_negative_norm_walk_budget_refused_by_name(monkeypatch):
     """A period of exactly the budget's length answers, one longer is refused;
-    cf_fundamental, the benchmark's oracle, walks without a budget."""
+    cf_fundamental, which the benchmark checks replies against, walks without
+    a budget."""
     monkeypatch.setattr(pell, "_PERIOD_STEPS", 141)  # the period of sqrt(4909)
     neg = negative_fundamental(4909)
     _digit_limit(monkeypatch, 0)
@@ -306,4 +336,20 @@ def test_negative_norm_walk_budget_refused_by_name(monkeypatch):
     monkeypatch.setattr(pell, "_PERIOD_STEPS", 140)
     with pytest.raises(ValueError, match=r"sqrt\(4909\) has a period of more than 140 steps"):
         negative_fundamental(4909)
-    assert cf_fundamental(4909) == fundamental_solution(4909)
+    with pytest.raises(ValueError, match=r"sqrt\(4909\) has a period of more than 140 steps"):
+        fundamental_solution(4909)
+    assert cf_fundamental(4909) == chakravala(4909)
+
+
+def test_plus_one_walk_stops_at_the_digit_limit_before_its_budget(monkeypatch):
+    """The +1 solve stops once a convergent reaches 10**limit, since x is at
+    least as large: sqrt(10**15 + 37) has a period past the walk's budget,
+    yet under a budget of 10**5 quotients the solve is refused by the digit
+    limit, not by the budget.  The -1 walk must see the whole period and is
+    refused by the budget."""
+    monkeypatch.setattr(pell, "_PERIOD_STEPS", 10**5)
+    _digit_limit(monkeypatch, 4300)
+    with pytest.raises(DigitLimitError, match=r"D=1000000000000037 has more than 4300 digits"):
+        fundamental_solution(10**15 + 37)
+    with pytest.raises(pell.StepBudgetError):
+        negative_fundamental(10**15 + 37)
