@@ -51,7 +51,8 @@ class _NotAnInteger(argparse.ArgumentTypeError, ValueError):
 def _nat(text: str) -> int:
     """Integer argument, accepting scientific notation like 1e6.  Plain ASCII
     digits are read by int(); other text, and digits int() refuses (past the
-    digit limit), by Decimal, which refuses a value past the limit by name."""
+    digit limit), by _decimal, whose exponent may pass 10**18; a value past
+    the limit is refused by name before it is built."""
     if text.isascii() and text.isdigit():
         try:
             return int(text)
@@ -59,18 +60,22 @@ def _nat(text: str) -> int:
             pass
     from decimal import Decimal, InvalidOperation
 
-    try:
-        d = Decimal(text)
-    except InvalidOperation:
-        raise _NotAnInteger(f"not a number: {text!r}")
-    if not d.is_finite():
+    if (parts := _decimal(text)) is None:
+        try:
+            Decimal(text)  # reads only inf and nan, which _decimal refuses
+        except InvalidOperation:
+            raise _NotAnInteger(f"not a number: {text!r}")
         raise _NotAnInteger(f"not a finite number: {text!r}")
-    if d != d.to_integral_value():
+    sign, digits, scale = parts[0].as_tuple()
+    scale += parts[1]
+    if not any(digits):
+        return 0
+    if scale < 0 and any(digits[scale:]):
         raise _NotAnInteger(f"not an integer: {text!r}")
     limit = _interpreter_digit_limit()
-    if limit and d and d.adjusted() >= limit:
+    if limit and len(digits) + scale > limit:
         raise DigitLimitError("an integer argument", limit)
-    return int(d)
+    return int(Decimal((sign, digits, scale)))
 
 
 def _decimal(text: str):
@@ -274,12 +279,10 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, list[str]]:
     elif kind == "x2p1":
         # n = x^2 + 1 of the last member, x running over the x^2 - 2y^2 = -1 stream after (1, 1)
         start = pell.stream_start(2, -1)
-        _check_digit_limit("--count", args.count, "the last n = x²+1",
-                           lambda limit: 2 * pell.stream_log10(start, args.count + 1) >= limit)
+        _check_digit_limit("--count", args.count, "the last n = x²+1", lambda limit: args.count > 0
+                           and ((last := pell.stream_last(start, args.count + 1)) is None
+                                or _reaches_pow10(last.x**2 + 1, limit)))
         witnesses = construct.x2p1_stream(args.count, start)
-        # the bound can fall short by up to log10 4, so the composed n decides
-        _check_digit_limit("--count", args.count, "the last n = x²+1",
-                           lambda limit: witnesses and _reaches_pow10(witnesses[-1].sp.n, limit))
     elif kind == "between-squares":
         # (x + 2)^2 is the reply's largest integer; an x < 1 is refused by between_squares
         _check_digit_limit("between-squares", args.x, "the bound (x+2)²",
@@ -333,13 +336,10 @@ def cmd_pell(args: argparse.Namespace) -> tuple[int, list[str]]:
         return 1, []
     except DigitLimitError:  # the first x alone passed the limit
         start = None
-    # a lower bound on the last x's log10 refuses the stream before it is composed
+    # the last x, composed alone, refuses the stream before it is composed
     _check_digit_limit("--count", args.count, "the last x", lambda limit: args.count > 0 and (
-        start is None or pell.stream_log10(start, args.count) >= limit))
+        start is None or pell.stream_last(start, args.count) is None))
     sols = pell.solution_stream(start, args.count) if args.count else []
-    # the bound can fall short by up to log10 4, so the composed x decides
-    _check_digit_limit("--count", args.count, "the last x",
-                       lambda limit: sols and _reaches_pow10(sols[-1].x, limit))
     if args.format == "json":
         return 0, [_json_reply(args, sols)]
     return 0, [f"x={s.x} y={s.y}  [x² - {s.D}·y² = {s.norm:+d}]" for s in sols]

@@ -1,17 +1,17 @@
 """Pell equation x^2 - D*y^2 = +-1: one continued-fraction walk solves both
 norms, and Brahmagupta composition builds the streams.
 
-Streams take the one solve of stream_start: solution_stream(stream_start(13, 1), 3).
-Both solves read the interpreter's int-to-str limit themselves and stop with
-arith's DigitLimitError once x reaches 10**limit, an x that could not be
-printed, and with StepBudgetError past _PERIOD_STEPS quotients; the -1 one
-answers D = 0 or 3 (mod 4), or D with a prime factor p = 3 (mod 4) below
-1000, at once by gcd.
+Streams take the one solve of stream_start: solution_stream(stream_start(13, 1), 3),
+and stream_last of the same pair and count, its last solution alone in O(log count) compositions.
+Both solves and stream_last read the interpreter's int-to-str limit themselves;
+the solves stop with arith's DigitLimitError once x reaches 10**limit, an x that
+could not be printed, and with StepBudgetError past _PERIOD_STEPS quotients; the
+-1 one answers D = 0 or 3 (mod 4), or D with a prime factor p = 3 (mod 4) below 1000, at once.
 """
 
 from __future__ import annotations
 
-from math import gcd, inf, isqrt, log10, prod, sqrt
+from math import gcd, inf, isqrt, prod
 from typing import NamedTuple
 
 from .arith import _TRIAL_PRIMES, DigitLimitError, _interpreter_digit_limit, _reaches_pow10
@@ -27,7 +27,7 @@ __all__ = [
     "compose",
     "stream_start",
     "solution_stream",
-    "stream_log10",
+    "stream_last",
 ]
 
 
@@ -171,7 +171,7 @@ def compose(s1: PellSolution, s2: PellSolution) -> PellSolution:
 
 def stream_start(d: int, norm: int) -> tuple[PellSolution, PellSolution]:
     """(first solution of the stream for norm, fundamental +1 solution), the
-    one solve that solution_stream and stream_log10 take.  For norm -1 it is
+    one solve that solution_stream and stream_last take.  For norm -1 it is
     negative_fundamental's walk alone: the unit is the minimal -1 solution
     squared, as fundamental_solution squares an odd period's convergent."""
     if norm not in (1, -1):
@@ -198,23 +198,22 @@ def solution_stream(start: tuple[PellSolution, PellSolution], count: int) -> lis
     return out
 
 
-def _log10_unit(s: PellSolution) -> float:
-    """log10(x + y*sqrt(D)), from x alone since D*y^2 = x^2 - norm."""
-    return log10(s.x) + log10(1 + sqrt(1 - s.norm / (s.x * s.x)))
-
-
-def stream_log10(start: tuple[PellSolution, PellSolution], count: int) -> float:
-    """A lower bound on log10 of the largest x of solution_stream(start,
-    count), without composing; -inf when count < 1.
-
-    The last solution's unit u = x + y*sqrt(D) is the first one's times
-    the fundamental unit to the power count - 1, and x >= (u - 1)/2 >= u/4
-    since u >= 1 + sqrt(2).  The float sum is shrunk by a relative 1e-12,
-    far above its rounding error, and count is capped at 10^9 so that it
-    stays finite; both keep it a lower bound.
-    """
+def stream_last(start: tuple[PellSolution, PellSolution], count: int) -> PellSolution | None:
+    """solution_stream(start, count)[-1] alone: the first times the unit to the
+    power count - 1, by square-and-multiply in O(log count) compositions.  None
+    once one factor's x reaches 10**limit, the int-to-str limit: composing x >= 1,
+    y >= 0 gives an x at least the product of the two, so the last x is no less."""
     if count < 1:
-        return -inf
-    first, fund = start
-    steps = min(count, 10**9) - 1
-    return (_log10_unit(first) + steps * _log10_unit(fund)) * (1 - 1e-12) - log10(4)
+        raise ValueError(f"count must be >= 1, got {count}")
+    limit = _interpreter_digit_limit()
+    last, power = start
+    steps = count - 1
+    # while steps are left, power or a square of it is a factor still to come
+    while not (limit and _reaches_pow10(max(last.x, steps and power.x), limit)):
+        if not steps:
+            return last
+        if steps % 2:
+            last = compose(last, power)
+        if steps := steps // 2:
+            power = compose(power, power)
+    return None

@@ -103,9 +103,12 @@ _DIGITS_5000 = "7" * 5000
     ("2.5", (2, "", _CLASSIFY_USAGE
              + "spnum classify: error: argument n: not an integer: '2.5'\n")),
     ("", (2, "", _CLASSIFY_USAGE + "spnum classify: error: argument n: not a number: ''\n")),
+    ("1e-99999999999999999999", (2, "", _CLASSIFY_USAGE + "spnum classify: error: "
+                                 "argument n: not an integer: '1e-99999999999999999999'\n")),
 ], ids=repr)
 def test_classify_integer_forms(capsys, text, expected):
-    """Plain ASCII digits take int(); every other form is read by Decimal."""
+    """Plain ASCII digits take int(); every other form is read by Decimal,
+    and its exponent by int(), which reads one past 10**18."""
     assert run(capsys, "classify", text) == expected
 
 
@@ -128,6 +131,8 @@ def test_argument_past_digit_limit_read_by_decimal(capsys, argv):
     "witness sum 1e5000", "witness between-squares 1e5000", "witness x2p1 --bound 1e5000",
     "witness x2p1 --count 1e5000", "witness x3p1 --t-max 1e5000", "pell 2 --count 1e5000",
     "estimate zeta 1e5000", "census 100 --checkpoints 1e5000", "classify 1e4300",
+    "classify 1e99999999999999999999", "census 1e99999999999999999999",
+    "pell 2 --count 1e99999999999999999999",
 ])
 def test_argument_past_digit_limit_refused_by_name(capsys, argv):
     """An exponent past the limit is refused by name before any command runs."""
@@ -164,7 +169,8 @@ def test_argument_digit_limit_boundary(capsys):
     """10^4299 has 4300 digits and answers; with no limit nothing is refused
     by name, and 10^5000 answers as it did before the refusal existed."""
     assert run(capsys, "classify", "1e4299") == (1, f"{10**4299} is not a KP_2 number\n", "")
-    assert run(capsys, "classify", "0e5000") == (1, "0 is not a KP_2 number\n", "")
+    for zero in ("0e5000", "0e99999999999999999999"):
+        assert run(capsys, "classify", zero) == (1, "0 is not a KP_2 number\n", "")
     big = "1" + "0" * 5000
     try:
         sys.set_int_max_str_digits(0)
@@ -787,21 +793,33 @@ def test_pell_count_below_digit_limit_still_answers(capsys):
     assert rc == 0 and len(out.splitlines()) == 5617
 
 
-@pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="counts pinned at the default digit limit")
-@pytest.mark.parametrize("argv, squared", [
-    (["pell", "2", "--count", "6000"], []),
-    # the x² - 2y² = -1 stream's unit is its first solution (1, 1) squared
-    (["witness", "x2p1", "--count", "6000", "--verify"], [pell.PellSolution(2, 1, 1, -1)]),
-], ids=["pell", "x2p1"])
-def test_count_past_digit_limit_refused_before_composing(capsys, monkeypatch, argv, squared):
-    """No solution of the stream is composed; only stream_start's unit is."""
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit to set")
+@pytest.mark.parametrize("argv, limit", [
+    (["pell", "2", "--count", "6000"], 4300),
+    (["witness", "x2p1", "--count", "6000", "--verify"], 4300),
+    # just past the limit: one count less answers
+    (["pell", "3", "--count", "7519"], 4300),
+    (["witness", "x2p1", "--count", "418"], 640),
+], ids=["pell", "x2p1", "pell-just-past", "x2p1-just-past"])
+def test_count_past_digit_limit_refused_before_composing(capsys, monkeypatch, argv, limit):
+    """No stream is composed: only stream_start's unit and stream_last's
+    squares and products, at most 2·count.bit_length() + 1 compositions."""
     calls = []
     real = pell.compose
     monkeypatch.setattr(pell, "compose", lambda s1, s2: calls.append((s1, s2)) or real(s1, s2))
-    rc, out, err = run(capsys, *argv)
-    assert (rc, out, calls) == (2, "", [(s, s) for s in squared])
-    assert err.startswith("error: --count 6000 exceeds the digit budget: the last ")
-    assert "limit (4300 digits)" in err
+    for module, name in ((pell, "solution_stream"), (construct, "x2p1_stream")):
+        monkeypatch.setattr(module, name, lambda *args: pytest.fail("stream composed"))
+    count = int(argv[3])
+    try:
+        sys.set_int_max_str_digits(limit)
+        rc, out, err = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(_DIGIT_LIMIT)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: --count {count} exceeds the digit budget: the last ")
+    assert f"limit ({limit} digits)" in err
+    assert len(calls) <= 2 * count.bit_length() + 1
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -811,10 +829,9 @@ def test_count_past_digit_limit_refused_before_composing(capsys, monkeypatch, ar
     (["witness", "x2p1", "--count", "418"], 640, "the last n = x²+1"),
 ], ids=["pell", "x2p1"])
 def test_count_just_past_digit_limit_refused_by_name(capsys, argv, limit, what):
-    """The bound that refuses a stream before composing can fall short by up
-    to log10 4, and these counts get past it: the composed last x or n then
-    refuses them by name, not by the interpreter's own text, while one count
-    less answers."""
+    """The digit budget is exact: a count whose last x or n just passes the
+    limit is refused by name, not by the interpreter's own text, while one
+    count less answers."""
     count = int(argv[-1])
     try:
         sys.set_int_max_str_digits(limit)

@@ -4,7 +4,8 @@ continued-fraction walk."""
 
 import random
 import sys
-from math import inf, isqrt, log10
+import time
+from math import isqrt
 
 import pytest
 
@@ -18,7 +19,7 @@ from spnum.pell import (
     fundamental_solution,
     negative_fundamental,
     solution_stream,
-    stream_log10,
+    stream_last,
     stream_start,
 )
 
@@ -258,17 +259,34 @@ def test_solution_stream_unsolvable():
         solution_stream(stream_start(2, 1), -1)
 
 
-def test_stream_log10_is_a_tight_lower_bound():
-    """Below log10 of every x of the stream, by less than log10(4) + 0.01."""
+def test_stream_last_is_the_streams_last_solution(monkeypatch):
+    """The count-th solution of the stream, composed alone, or None exactly
+    when its x reaches 10**limit; a count below 1 is refused."""
     for d, norm in ((2, 1), (2, -1), (3, 1), (5, -1), (61, 1), (61, -1), (94, 1), (999999, 1)):
+        _digit_limit(monkeypatch, 0)
         start = stream_start(d, norm)
-        sols = solution_stream(start, 40)
-        for count, s in enumerate(sols, 1):
-            lb = stream_log10(start, count)
-            assert 0 <= log10(s.x) - lb < log10(4) + 0.01, (d, norm, count)
+        for count, s in enumerate(solution_stream(start, 40), 1):
+            digits = len(str(s.x))  # 10**(digits - 1) <= x < 10**digits
+            _digit_limit(monkeypatch, 0)
+            assert stream_last(start, count) == s, (d, norm, count)
+            _digit_limit(monkeypatch, digits)
+            assert stream_last(start, count) == s, (d, norm, count)
+            if digits > 1:
+                _digit_limit(monkeypatch, digits - 1)
+                assert stream_last(start, count) is None, (d, norm, count)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count must be"):
+            stream_last(start, count)
+    _digit_limit(monkeypatch, 4300)
     start = stream_start(2, 1)
-    assert stream_log10(start, 0) == stream_log10(start, -1) == -inf
-    assert stream_log10(start, 10**30) == stream_log10(start, 10**9)
+    began = time.perf_counter()
+    assert stream_last(start, 10**30) is None
+    assert time.perf_counter() - began < 0.01
+    # the unit (3, 2) alone is squared, to 10**(0.766·2**13) > 10**4300, then stops
+    calls = []
+    monkeypatch.setattr(pell, "compose", lambda s1, s2: calls.append(s1) or compose(s1, s2))
+    assert stream_last(start, 2**20 + 1) is None
+    assert len(calls) == 13
 
 
 def test_negative_norm_mod_4_rule_answers_without_walking(monkeypatch):
